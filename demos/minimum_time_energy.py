@@ -7,7 +7,7 @@ This script:
    position 1 to the origin with |u| <= 1 (the classical answer is T* = 2)
 2. Repeats the search for the fourth-order example plant
 3. Solves a minimum energy problem two ways on a comfortable horizon: the
-   Gramian closed form and the operator splitting solver, and prints their
+   Gramian closed form and the costate-dual Newton solver, and prints their
    relative difference
 
 Usage:

@@ -5,7 +5,8 @@ origin over a fixed horizon under a unit amplitude bound, minimizing either
 the L1 control cost (which yields maximally sparse, bang-off-bang "hands-off"
 controls), a mixed L1 plus quadratic cost (sparse and continuous), or the
 control energy.  The continuous problem is transcribed exactly under a
-zero-order hold to a finite convex program and solved by operator splitting.
+zero-order hold to a finite convex program, which is solved by semismooth
+Newton ascent on its dual, whose only unknown is the terminal costate.
 Analysis utilities quantify sparsity and switching structure and verify
 solutions against the optimality conditions.
 """

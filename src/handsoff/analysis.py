@@ -16,7 +16,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.optimize import linprog
 
-from .plant import ControlProblem, ControlTrajectory, LtiPlant, expm
+from .plant import (
+    ControlProblem,
+    ControlTrajectory,
+    LtiPlant,
+    expm,
+    reachability_matrix,
+)
 from .solver import SolveOptions, solve_problem
 
 __all__ = [
@@ -249,41 +255,27 @@ def costate_consistency(
 
     n = plant.n
     h = control.h
-    duration = control.duration
-    codes = _quantize(control.u, epsilon)
-
-    rows = []
-    bounds_rhs = []
-    for k in range(control.n_steps):
-        if np.all(codes[k] == _BETWEEN):
-            continue
-        s = duration - (k + 0.5) * h
-        c_all = (expm(plant.a * s) @ plant.b).T  # (m, n); row i maps p to w_i
-        for i in range(plant.m):
-            code = codes[k, i]
-            if code == _BETWEEN:
-                continue
-            c = c_all[i]
-            if code == 1:
-                rows.append(np.append(c, -1.0))
-                bounds_rhs.append(-lam[i])
-            elif code == -1:
-                rows.append(np.append(-c, -1.0))
-                bounds_rhs.append(-lam[i])
-            else:
-                rows.append(np.append(c, -1.0))
-                bounds_rhs.append(lam[i])
-                rows.append(np.append(-c, -1.0))
-                bounds_rhs.append(lam[i])
-    if not rows:
+    codes = _quantize(control.u, epsilon).reshape(-1)
+    # row k*m + i maps p to w_i at the midpoint of sample k:
+    # exp(A (T - (k + 1/2) h)) B = Ad^(N-1-k) exp(A h/2) B
+    maps = reachability_matrix(
+        expm(plant.a * h), expm(plant.a * (0.5 * h)) @ plant.b, control.n_steps
+    )[0].T
+    lam_s = np.tile(lam, control.n_steps)
+    bang = (codes == 1) | (codes == -1)
+    off = codes == 0
+    if not (np.any(bang) or np.any(off)):
         return True, 0.0
+    c = np.vstack([codes[bang, None] * maps[bang], maps[off], -maps[off]])
+    a_ub = np.hstack([c, -np.ones((c.shape[0], 1))])
+    b_ub = np.concatenate([-lam_s[bang], lam_s[off], lam_s[off]])
 
     cost = np.zeros(n + 1)
     cost[-1] = 1.0
     res = linprog(
         cost,
-        A_ub=np.array(rows),
-        b_ub=np.array(bounds_rhs),
+        A_ub=a_ub,
+        b_ub=b_ub,
         bounds=[(None, None)] * n + [(0.0, None)],
         method="highs",
     )

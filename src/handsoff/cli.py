@@ -4,9 +4,11 @@ A problem file is a flat key = value text format; ``#`` starts a comment.
 Matrix values use semicolon-separated rows.  Keys ``n``, ``m``, ``A``, ``B``,
 ``x0``, ``T``, ``N``, ``mode`` are required; ``lambda``, ``r``, and the solver
 keys ``rho``, ``tol_primal``, ``tol_dual``, ``tol_eq``, ``max_iter`` are
-optional.  Unknown keys are rejected with the offending line number.
+optional (``rho`` is validated but has no effect on the costate-dual solver).
+Unknown keys are rejected with the offending line number.
 
-Subcommands: ``solve`` writes ``trajectory.csv`` and ``report.txt``;
+Subcommands: ``solve`` writes ``trajectory.csv`` and ``report.txt`` (status,
+costs, residuals and the duality gap of the solve, then the metrics);
 ``sweep`` writes ``tradeoff.csv``; ``mintime`` prints the shortest feasible
 horizon; ``verify`` re-checks a stored trajectory against its problem file.
 Exit codes: 0 success, 1 malformed input, 2 solve or check failure.  All
@@ -278,6 +280,7 @@ def _write_report(path, problem: ControlProblem, report, states, epsilon) -> Non
         f"primal_residual = {_fmt(report.primal_residual)}",
         f"dual_residual = {_fmt(report.dual_residual)}",
         f"eq_residual = {_fmt(report.eq_residual)}",
+        f"duality_gap = {_fmt(report.duality_gap)}",
         f"terminal_state_norm = {_fmt(terminal)}",
         f"l0_seconds = {_fmt(metrics.l0_seconds)}",
         f"handsoff_fraction = {_fmt(metrics.handsoff_fraction)}",

@@ -305,8 +305,9 @@ def min_energy_closed_form(
         )
     eta = np.linalg.solve(w, expm(plant.a * horizon) @ x0)
     h = horizon / n_steps
-    u = np.empty((n_steps, plant.m))
-    for k in range(n_steps):
-        s = horizon - (k + 0.5) * h
-        u[k] = -(expm(plant.a * s) @ plant.b).T @ eta
+    # column block k is exp(A (T - (k + 1/2) h)) B = Ad^(N-1-k) exp(A h/2) B
+    maps, _ = reachability_matrix(
+        expm(plant.a * h), expm(plant.a * (0.5 * h)) @ plant.b, n_steps
+    )
+    u = -(maps.T @ eta).reshape(n_steps, plant.m)
     return ControlTrajectory(h=h, u=u)

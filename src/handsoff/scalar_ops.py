@@ -1,15 +1,17 @@
-"""Pointwise maps used by sparse-control optimality conditions and the splitting solver.
+"""Pointwise maps of the sparse-control optimality conditions, used by the solver.
 
 All functions are pure and stateless.  They accept floats or numpy arrays and
 broadcast elementwise; scalar input gives scalar output.  The maps:
 
-* ``dead_zone``   -- ternary hard threshold, the shape of a sparsity-optimal control law.
+* ``dead_zone``   -- ternary hard threshold, the shape of a sparsity-optimal control law
+  (the solver's L1 control law).
 * ``shrink``      -- soft threshold (L1 proximal map on the line).
 * ``sat``         -- unit saturation, clamp to [-1, 1].
 * ``sat_shrink``  -- saturated soft threshold; minimizes ``lam*|u| + r*u**2/2 + a*u``
-  over ``|u| <= 1`` after the change of sign ``a = -r*v``.
+  over ``|u| <= 1`` after the change of sign ``a = -r*v`` (the solver's L1/L2
+  control law is ``sat(shrink(c, w1) / w2)``, built from the two maps).
 * ``prox_box_l1_quad`` -- proximal map of ``lam*|u| + r*u**2/2`` restricted to
-  ``[-1, 1]``, the single-coordinate subproblem of the splitting solver.
+  ``[-1, 1]``.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ class ProxParams:
     """Weights of the scalar objective ``lam*|u| + (r/2)*u**2 + (rho/2)*(u - a)**2``.
 
     ``lam`` and ``r`` are the L1 and quadratic penalty weights, ``rho`` the
-    proximal (splitting) penalty.  ``lam >= 0``, ``r >= 0``, ``rho > 0``.
+    proximal penalty.  ``lam >= 0``, ``r >= 0``, ``rho > 0``.
     """
 
     lam: float
@@ -60,9 +62,10 @@ def dead_zone(w, lam):
     """Ternary selector: -1 for ``w < -lam``, 0 for ``|w| < lam``, +1 for ``w > lam``.
 
     The boundary ``|w| == lam`` maps to 0; where the underlying optimality
-    condition is set-valued the sparse (zero) element is returned.
+    condition is set-valued the sparse (zero) element is returned.  ``lam``
+    may be an array of per-sample thresholds broadcasting against ``w``.
     """
-    if not lam > 0.0:
+    if not np.all(np.asarray(lam) > 0.0):
         raise ValueError(f"lam must be positive, got {lam}")
     w = np.asarray(w, dtype=float)
     out = np.where(w > lam, 1.0, 0.0) - np.where(w < -lam, 1.0, 0.0)

@@ -1,4 +1,4 @@
-"""Transcription of control problems to finite convex programs and a splitting solver.
+"""Transcription of control problems to finite convex programs and their dual solver.
 
 Under a zero-order hold the reach condition is linear in the stacked control,
 so a control problem becomes
@@ -7,12 +7,30 @@ so a control problem becomes
     subject to  phi @ U = target,      |U_j| <= box,
 
 with per-sample weights ``w1 = lam_i * h`` and ``w2 = r_i * h`` (rectangle
-rule).  The program is solved by a two-block splitting: one block solves the
-equality-constrained quadratic subproblem exactly (the terminal constraint is
-never penalized), the other applies the saturated soft threshold sample by
-sample, and a scaled dual ascent couples them.  Because the quadratic block
-has a diagonal Hessian, its KKT system reduces by block elimination to an
-n-by-n system that is factored once and reused every iteration.
+rule).  Its dual has one variable per state, the terminal costate ``p``
+(the multiplier of ``phi @ U = target``).  Given ``p`` the program separates
+sample by sample: with ``c = phi' p`` the minimizing control is the saturated
+soft threshold ``box * sat(shrink(c, w1) / (box * w2))`` where ``w2 > 0`` and
+the dead-zone level ``box * dead_zone(c, w1)`` where ``w2 = 0``, the
+optimality conditions of the paper in transcribed form.  The dual
+
+    g(p) = target' p + sum_j min_{|u| <= box} (w1_j |u| + w2_j u**2 / 2 - c_j u)
+
+is concave; for ``w2 > 0`` it is differentiable with gradient
+``target - phi @ U(p)`` and generalized Hessian ``-phi_B diag(1/w2) phi_B'``,
+where ``phi_B`` keeps the columns of the samples inside the unsaturated band
+``w1 < |c| < w1 + w2 * box``.  ``solve`` maximizes it by a damped semismooth
+Newton method; each step solves one n-by-n system.
+
+A small quadratic weight makes the dual nearly piecewise linear, and none
+(pure L1) makes it exactly so.  The ascent therefore runs in stages on the
+weights ``max(w2, eps * w1)``, ``eps`` lowered tenfold per stage from 1 and
+the costate carried from stage to stage, until the program's own weights
+are reached.  Where a sample has no quadratic weight, the exact control is
+recovered after each stage: samples clear of the threshold take their
+dead-zone level, and the few tied samples (``|c| ~ w1``) are fitted to the
+terminal constraint by bounded least squares.  Every returned control
+carries its costate, and the duality gap ``primal(U) - g(p)`` certifies it.
 """
 
 from __future__ import annotations
@@ -32,6 +50,7 @@ from .plant import (
     discretize,
     reachability_matrix,
 )
+from .scalar_ops import dead_zone, sat, shrink
 
 __all__ = [
     "DiscreteProgram",
@@ -49,10 +68,28 @@ __all__ = [
 # support threshold used for the reported sparsity measure
 _SUPPORT_EPS = 1e-2
 
-# infeasibility heuristic: primal residual makes no progress over this many
-# iterations while still above this floor
-_STALL_WINDOW = 1000
-_STALL_FLOOR = 1e-3
+# the Newton ascent stops once the terminal residual is this small relative to
+# the size of the terms it is made of, |target| and || |phi| |U| ||; rounding
+# keeps it from reaching a bound relative to |target| alone
+_STOP_REL = 1e-10
+# share of the full-band curvature added to every Newton system, so that a
+# band with fewer than n samples still gives a well-scaled ascent direction
+_REG = 1e-10
+# line search: strong Wolfe factor, largest step, and evaluations per bracket
+_WOLFE = 0.1
+_MAX_STEP = 2.0**40
+_SEARCH_EVALS = 50
+# the ascent also counts as stalled when this many steps in a row fail to cut
+# the smallest terminal residual seen so far by the factor _PROGRESS: on
+# strongly unstable plants rounding sets a floor above the stopping rule
+_PATIENCE = 30
+_PROGRESS = 0.99
+# the smallest quadratic weight of each Newton stage, as a multiple of the L1
+# weight, largest first
+_SMOOTHING = 10.0 ** -np.arange(13)
+# a dual point p is a Farkas certificate of infeasibility when
+# target'p exceeds box * sum |phi' p| by more than this share
+_FARKAS_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -108,10 +145,14 @@ class DiscreteProgram:
 
 @dataclass(frozen=True)
 class SolveOptions:
-    """Splitting solver knobs.
+    """Solver knobs.
 
-    ``rho`` is the splitting penalty; the residual tolerances are relative
-    (primal/dual per root-sample, equality relative to the target size).
+    ``tol_eq`` bounds the terminal residual relative to ``max(1, |target|)``,
+    ``tol_primal`` the same residual per root-sample, and ``tol_dual`` the
+    duality gap relative to the objective.  ``max_iter`` caps the Newton
+    steps, summed over all smoothing stages.  ``rho``, the penalty of an
+    earlier splitting solver, is still validated and accepted (problem files
+    may set it) but has no effect.
     """
 
     rho: float = 1.0
@@ -137,9 +178,18 @@ class SolveReport:
     control under the program weights; ``j0`` is the thresholded support
     measure in seconds (threshold 1e-2, weighted by the per-channel L1 weight
     when one is present).  ``eq_residual`` is the absolute terminal-constraint
-    residual ``||phi U - target||``.  ``status`` is one of "converged",
-    "max_iter", "infeasible_suspected"; on "converged" the control satisfies
-    the box bound exactly and the terminal constraint to tolerance.
+    residual ``||phi U - target||`` and ``primal_residual`` the same per
+    root-sample.  ``costate`` is the terminal costate ``p`` of the program
+    (the multiplier of ``phi U = target``; away from ties the control is the
+    control law at ``phi' p``, and ``-p`` is the costate in the sign
+    convention of ``costate_consistency``).  ``duality_gap`` is
+    ``primal(U) - g(p)`` under the program weights and ``dual_residual`` the
+    same relative to the objective.  ``iterations`` counts Newton steps.
+    ``status`` is one of "converged", "max_iter", "infeasible_suspected"; on
+    "converged" the control satisfies the box bound exactly, the terminal
+    constraint and the duality gap to tolerance; on "infeasible_suspected"
+    ``costate`` is a Farkas certificate, ``target' p > box * sum |phi' p|``,
+    and ``duality_gap`` is NaN.
     """
 
     u: ControlTrajectory
@@ -151,6 +201,8 @@ class SolveReport:
     dual_residual: float
     eq_residual: float
     status: str
+    costate: np.ndarray
+    duality_gap: float
 
 
 def transcribe(problem: ControlProblem) -> DiscreteProgram:
@@ -186,95 +238,243 @@ def _support_seconds(z: np.ndarray, program: DiscreteProgram) -> float:
     return float(weights @ (program.h * counts))
 
 
-def solve(program: DiscreteProgram, options: SolveOptions | None = None) -> SolveReport:
-    """Solve ``program`` by operator splitting.
+def _control(c: np.ndarray, w1: np.ndarray, w2: np.ndarray, box: float) -> np.ndarray:
+    """Minimizer of ``w1|u| + (w2/2) u**2 - c u`` over ``|u| <= box``, per sample.
 
-    Deterministic: all iterates start at zero and the update order is fixed.
-    Raises ``numpy.linalg.LinAlgError`` when ``phi`` is row rank deficient
-    (terminal constraint unreachable for every control).  A primal residual
-    that stops improving while far from tolerance marks the run
-    "infeasible_suspected" (for example a horizon below the minimum time).
+    Where ``w2 = 0`` this is the dead-zone level, which is 0 on the threshold
+    ``|c| = w1`` itself.
+    """
+    quad = w2 > 0.0
+    u = np.empty_like(c)
+    u[quad] = box * sat(shrink(c[quad], w1[quad]) / (box * w2[quad]))
+    u[~quad] = box * dead_zone(c[~quad], w1[~quad])
+    return u
+
+
+def _dual(p, phi, target, w1, w2, box) -> float:
+    """Dual value ``g(p)``, evaluated at the control ``U(p)``."""
+    c = phi.T @ p
+    u = _control(c, w1, w2, box)
+    return float(target @ p + np.sum(w1 * np.abs(u) + 0.5 * w2 * u * u - c * u))
+
+
+def _line_search(c, e, slope0, w1, w2, box):
+    """Step ``t > 0`` that nearly maximizes the dual along a direction ``d``.
+
+    ``c = phi' p``, ``e = phi' d`` and ``slope0 = target' d``; the slope of
+    the dual along ``d`` is ``slope0 - e' U(c + t e)``, piecewise linear and
+    nonincreasing in ``t``.  Returns the first ``t`` found at which it is
+    within ``_WOLFE`` times its value at 0 of zero (the strong Wolfe
+    condition), by doubling from 1 to bracket the maximizer and then
+    regula falsi (Illinois variant) inside the bracket; returns 0 when
+    rounding leaves no ascent along ``d``.
+    """
+
+    def slope(t):
+        return slope0 - float(e @ _control(c + t * e, w1, w2, box))
+
+    s_lo, lo = slope(0.0), 0.0
+    if not s_lo > 0.0:
+        return 0.0
+    tol = _WOLFE * s_lo
+    hi = 1.0
+    s_hi = slope(hi)
+    while s_hi > tol:
+        if hi >= _MAX_STEP:
+            return hi
+        lo, s_lo = hi, s_hi
+        hi *= 2.0
+        s_hi = slope(hi)
+    if s_hi >= -tol:
+        return hi
+    side = 0
+    for _ in range(_SEARCH_EVALS):
+        t = lo + (hi - lo) * s_lo / (s_lo - s_hi)
+        s_t = slope(t)
+        if abs(s_t) <= tol:
+            break
+        if s_t > 0.0:
+            lo, s_lo = t, s_t
+            if side == 1:
+                s_hi *= 0.5
+            side = 1
+        else:
+            hi, s_hi = t, s_t
+            if side == -1:
+                s_lo *= 0.5
+            side = -1
+    return t
+
+
+def _ascend(phi, abs_phi, target, w1, w2, box, p, budget):
+    """Damped semismooth Newton ascent on the dual with weights ``w2 > 0``.
+
+    Starts at ``p`` and takes at most ``budget`` steps.  Returns
+    ``(p, c, u, steps, outcome)`` where ``outcome`` is "converged" (terminal
+    residual at the rounding floor), "stalled" (no ascent direction left, or
+    the residual stopped falling), "infeasible_suspected" (``p`` is a Farkas
+    certificate), or "max_iter" (budget spent).
+    """
+    reg = _REG * ((phi / w2) @ phi.T)
+    tsize = max(1.0, float(np.linalg.norm(target)))
+    c = phi.T @ p
+    u = _control(c, w1, w2, box)
+    best = math.inf
+    since_best = 0
+    steps = 0
+    while True:
+        grad = target - phi @ u
+        gnorm = float(np.linalg.norm(grad))
+        size = max(tsize, float(np.linalg.norm(abs_phi @ np.abs(u))))
+        if gnorm <= _STOP_REL * size:
+            return p, c, u, steps, "converged"
+        # an ascent that escapes to infinity leaves along a certificate
+        if target @ p > (1.0 + _FARKAS_MARGIN) * box * float(np.sum(np.abs(c))):
+            return p, c, u, steps, "infeasible_suspected"
+        if gnorm < _PROGRESS * best:
+            best, since_best = gnorm, 0
+        elif since_best == _PATIENCE:
+            return p, c, u, steps, "stalled"
+        else:
+            since_best += 1
+        if steps == budget:
+            return p, c, u, steps, "max_iter"
+        band = (np.abs(c) > w1) & (np.abs(c) < w1 + w2 * box)
+        phi_b = phi[:, band]
+        hess = (phi_b / w2[band]) @ phi_b.T + reg
+        try:
+            newton = np.linalg.solve(hess, grad)
+        except np.linalg.LinAlgError:
+            newton = np.linalg.lstsq(hess, grad, rcond=None)[0]
+        # rounding can turn the Newton direction against the gradient, or
+        # leave no ascent along it; the gradient still ascends
+        for direction in (np.sign(newton @ grad) * newton, grad):
+            e = phi.T @ direction
+            t = _line_search(c, e, float(target @ direction), w1, w2, box)
+            if t > 0.0:
+                break
+        else:
+            return p, c, u, steps, "stalled"
+        p = p + t * direction
+        c = phi.T @ p
+        u = _control(c, w1, w2, box)
+        steps += 1
+
+
+def _recover(phi, target, p, c, w1, w2, w2_stage, box):
+    """Exact control and costate from a smoothed stage at costate ``p``, ``c = phi' p``.
+
+    On the samples without quadratic weight, those clear of the threshold
+    keep their dead-zone level, and the tied ones, ``||c| - w1| <=
+    w2_stage * box``, are fitted to the terminal constraint by bounded least
+    squares within their sign.  The costate then moves, by least squares,
+    to where the fitted samples strictly inside ``(0, box)`` meet their
+    optimality condition ``c_j = sign(u_j) w1_j``; the move is kept only if
+    it raises the dual.  Returns ``(u, p)``, or None when more than ``2 n``
+    samples are tied (the stage is still too smooth to tell).
+    """
+    tied = (w2 == 0.0) & (np.abs(np.abs(c) - w1) <= w2_stage * box)
+    if np.count_nonzero(tied) > 2 * phi.shape[0]:
+        return None
+    u = _control(c, w1, w2, box)
+    if np.any(tied):
+        u[tied] = 0.0
+        sign = np.where(c[tied] < 0.0, -1.0, 1.0)
+        fit = lsq_linear(
+            phi[:, tied] * sign, target - phi @ u, bounds=(0.0, box), method="bvls"
+        )
+        u[tied] = sign * fit.x
+        inside = tied & (np.abs(u) > 0.0) & (np.abs(u) < box)
+        if np.any(inside):
+            miss = np.sign(u[inside]) * w1[inside] - c[inside]
+            q = p + np.linalg.lstsq(phi[:, inside].T, miss, rcond=None)[0]
+            if _dual(q, phi, target, w1, w2, box) > _dual(p, phi, target, w1, w2, box):
+                p = q
+    return u, p
+
+
+def solve(program: DiscreteProgram, options: SolveOptions | None = None) -> SolveReport:
+    """Solve ``program`` by semismooth Newton ascent on its costate dual.
+
+    Deterministic: the costate starts at zero and every step is fixed by the
+    data.  Raises ``numpy.linalg.LinAlgError`` when ``phi`` is row rank
+    deficient (terminal constraint unreachable for every control), and
+    ``ValueError`` when a sample carries neither an L1 nor a quadratic weight.
+    A horizon below the minimum time is reported "infeasible_suspected" with
+    a Farkas certificate in ``costate``: ``target' p > box * sum |phi' p|``.
     """
     if options is None:
         options = SolveOptions()
     phi = program.phi
     target = program.target
+    box = program.box
+    w1 = program.l1_weights
+    w2 = program.l2_weights
     n, mn = phi.shape
-    rho = options.rho
-    # the objective is normalized by 1/h so the default penalty is well scaled
-    # on any grid; the minimizer is unchanged
-    w1 = program.l1_weights / program.h
-    w2 = program.l2_weights / program.h
-
-    d = w2 + rho
-    elim = phi / d  # phi D^{-1}
-    gram = elim @ phi.T
+    if np.any((w1 == 0.0) & (w2 == 0.0)):
+        raise ValueError("every sample needs a positive L1 or quadratic weight")
     try:
-        chol = scipy.linalg.cho_factor(gram)
+        scipy.linalg.cho_factor(phi @ phi.T)
     except scipy.linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError(
             "reachability map is rank deficient; the plant may be uncontrollable "
             "or the grid too short"
         ) from exc
 
-    thresh = w1 / rho
-    box = program.box
+    abs_phi = np.abs(phi)
     tnorm = max(1.0, float(np.linalg.norm(target)))
     root_mn = math.sqrt(mn)
-
-    u = np.zeros(mn)
-    z = np.zeros(mn)
-    y = np.zeros(mn)
-
-    status = "max_iter"
-    r_pri = np.inf
-    r_dual = np.inf
-    eq_abs = float(np.linalg.norm(target))
-    prev_r_pri = np.inf
-    stall = 0
+    l1_only = w2 == 0.0
+    p = np.zeros(n)
     iterations = 0
-
-    for k in range(1, options.max_iter + 1):
-        iterations = k
-        w = rho * (z - y)
-        nu = scipy.linalg.cho_solve(chol, elim @ w - target)
-        u = (w - phi.T @ nu) / d
-        a = u + y
-        z_new = np.clip(np.sign(a) * np.maximum(np.abs(a) - thresh, 0.0), -box, box)
-        y += u - z_new
-        r_pri = float(np.linalg.norm(u - z_new)) / root_mn
-        r_dual = rho * float(np.linalg.norm(z_new - z)) / root_mn
-        z = z_new
-        eq_abs = float(np.linalg.norm(phi @ z - target))
+    status = "max_iter"
+    for eps in _SMOOTHING:
+        w2_stage = np.maximum(w2, eps * w1)
+        p, c, u, steps, outcome = _ascend(
+            phi, abs_phi, target, w1, w2_stage, box, p, options.max_iter - iterations
+        )
+        iterations += steps
+        if outcome in ("converged", "stalled") and np.any(l1_only):
+            # with too many ties to recover, the smoothed control itself may
+            # still be certified (for example along a singular arc)
+            exact = _recover(phi, target, p, c, w1, w2, w2_stage, box)
+            if exact is not None:
+                u, p = exact
+        # the duality gap bounds how far primal(u) is above the optimum
+        eq_abs = float(np.linalg.norm(phi @ u - target))
+        primal = float(w1 @ np.abs(u) + 0.5 * (w2 @ (u * u)))
+        gap = primal - _dual(p, phi, target, w1, w2, box)
+        if outcome in ("max_iter", "infeasible_suspected"):
+            status = outcome
+            break
         if (
-            r_pri <= options.tol_primal
-            and r_dual <= options.tol_dual
-            and eq_abs <= options.tol_eq * tnorm
+            eq_abs <= options.tol_eq * tnorm
+            and eq_abs / root_mn <= options.tol_primal
+            and abs(gap) <= options.tol_dual * primal
         ):
             status = "converged"
             break
-        # stalled primal residual far from tolerance: suspect infeasibility
-        if r_pri >= prev_r_pri - 1e-9 * max(prev_r_pri, _STALL_FLOOR):
-            stall += 1
-            if stall >= _STALL_WINDOW and r_pri > _STALL_FLOOR:
-                status = "infeasible_suspected"
-                break
-        else:
-            stall = 0
-        prev_r_pri = r_pri
-
-    control = ControlTrajectory(h=program.h, u=z.reshape(program.n_samples, program.m))
+        # a stalled stage, or one at the program's own weights, is the last
+        if outcome == "stalled" or np.array_equal(w2_stage, w2):
+            break
+    if status == "infeasible_suspected":
+        # no feasible control, so no gap: the dual is unbounded along p
+        gap = math.nan
+    control = ControlTrajectory(h=program.h, u=u.reshape(program.n_samples, program.m))
     return SolveReport(
         u=control,
-        j1=float(program.l1_weights @ np.abs(z)),
-        j2=0.5 * float(program.l2_weights @ z**2),
-        j0=_support_seconds(z, program),
+        j1=float(w1 @ np.abs(u)),
+        j2=0.5 * float(w2 @ u**2),
+        j0=_support_seconds(u, program),
         iterations=iterations,
-        primal_residual=r_pri,
-        dual_residual=r_dual,
+        primal_residual=eq_abs / root_mn,
+        dual_residual=abs(gap) / primal if primal > 0.0 else abs(gap),
         eq_residual=eq_abs,
         status=status,
+        costate=p,
+        duality_gap=gap,
     )
+
 
 
 def solve_problem(

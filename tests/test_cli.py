@@ -57,6 +57,7 @@ def test_solve_writes_trajectory_and_report(tmp_path):
     assert report["status"] == "converged"
     assert report["mode"] == "L1"
     assert float(report["terminal_state_norm"]) <= 1e-4
+    assert abs(float(report["duality_gap"])) <= 1e-6 * float(report["J1"])
     assert float(report["bangoffbang_score"]) >= 0.98
 
 

@@ -183,6 +183,25 @@ class TestMinEnergy:
         t_mid = (np.arange(400) + 0.5) * (4.0 / 400)
         assert np.allclose(u.u[:, 0], -3.0 / 8.0 + 3.0 / 16.0 * t_mid, atol=1e-10)
 
+    def test_unstable_plant_matches_per_sample_formula(self):
+        # eigenvalues 0.84 +- 0.58i and -0.17: max Re(lambda) * T ~ 5
+        plant = LtiPlant(
+            a=[[0.6, 1.0, 0.0], [0.0, 0.4, 1.0], [-0.3, 0.0, 0.5]], b=[0.0, 0.0, 1.0]
+        )
+        x0, horizon, n_steps = np.array([1.0, -0.5, 0.25]), 6.0, 3000
+        u = min_energy_closed_form(plant, x0, horizon, n_steps).u
+        eta = np.linalg.solve(
+            controllability_gramian(plant, horizon), expm(plant.a * horizon) @ x0
+        )
+        h = horizon / n_steps
+        exact = np.array(
+            [
+                -(expm(plant.a * (horizon - (k + 0.5) * h)) @ plant.b).T @ eta
+                for k in range(n_steps)
+            ]
+        )
+        assert np.max(np.abs(u - exact)) <= 1e-10 * np.max(np.abs(exact))
+
     def test_reaches_origin_on_fine_grid(self):
         plant = DOUBLE_INTEGRATOR
         x0 = [1.0, 0.5]

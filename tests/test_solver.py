@@ -1,4 +1,4 @@
-"""Tests for the transcription, the splitting solver, and minimum time."""
+"""Tests for the transcription, the costate-dual solver, and minimum time."""
 
 import numpy as np
 import pytest
@@ -9,6 +9,7 @@ from handsoff import (
     DiscreteProgram,
     LtiPlant,
     SolveOptions,
+    dead_zone,
     min_energy_closed_form,
     minimum_time,
     solve,
@@ -16,6 +17,9 @@ from handsoff import (
     solve_l1l2,
     solve_l2,
     solve_problem,
+    sat,
+    shrink,
+    simulate,
     transcribe,
 )
 
@@ -45,23 +49,30 @@ def l2_cost(problem: ControlProblem, u: np.ndarray) -> float:
     return 0.5 * problem.r * problem.h * float(np.sum(u**2))
 
 
-def lp_l1_optimum(program) -> float:
-    """Exact weighted-L1 optimum via a split-variable linear program.
+def lp_l1(program):
+    """The weighted-L1 program as a split-variable linear program (HiGHS result).
 
     Independent oracle: u = up - um with up, um in [0, box] turns the
     program into an LP solved by an interior-point/simplex code that shares
-    nothing with the splitting solver.
+    nothing with the costate-dual solver.  Each terminal row is scaled by its
+    largest entry, which keeps unstable plants well conditioned.
     """
     phi = program.phi
     mn = phi.shape[1]
+    scale = np.max(np.abs(phi), axis=1)
     cost = np.concatenate([program.l1_weights, program.l1_weights])
-    res = linprog(
+    return linprog(
         cost,
-        A_eq=np.hstack([phi, -phi]),
-        b_eq=program.target,
+        A_eq=np.hstack([phi, -phi]) / scale[:, None],
+        b_eq=program.target / scale,
         bounds=[(0.0, program.box)] * (2 * mn),
         method="highs",
     )
+
+
+def lp_l1_optimum(program) -> float:
+    """Exact weighted-L1 optimum of a feasible program, from ``lp_l1``."""
+    res = lp_l1(program)
     assert res.status == 0, res.message
     return float(res.fun)
 
@@ -156,23 +167,37 @@ def test_zero_initial_state_returns_zero_control():
 
 
 def test_converged_report_satisfies_its_contract():
-    problem = ControlProblem(
-        plant=double_integrator(), x0=[1.0, 0.0], T=4.0, N=200, lam=1.0, r=1.0,
-        mode="L1L2",
-    )
+    base = dict(plant=double_integrator(), x0=[1.0, 0.0], T=4.0, N=200, lam=1.0)
     options = SolveOptions()
-    report = solve_problem(problem, options)
-    program = transcribe(problem)
-    assert report.status == "converged"
-    u = report.u.u.reshape(-1)
-    assert np.max(np.abs(u)) <= 1.0 + 1e-9
-    tnorm = max(1.0, float(np.linalg.norm(program.target)))
-    assert report.eq_residual <= options.tol_eq * tnorm
-    assert report.primal_residual <= options.tol_primal
-    assert report.dual_residual <= options.tol_dual
-    assert report.u.u.shape == (200, 1)
-    assert report.j1 == pytest.approx(l1_cost(problem, u))
-    assert report.j2 == pytest.approx(l2_cost(problem, u))
+    for problem in (
+        ControlProblem(**base, r=1.0, mode="L1L2"),
+        ControlProblem(**base, mode="L1"),
+    ):
+        report = solve_problem(problem, options)
+        program = transcribe(problem)
+        assert report.status == "converged"
+        u = report.u.u.reshape(-1)
+        assert np.max(np.abs(u)) <= 1.0 + 1e-9
+        tnorm = max(1.0, float(np.linalg.norm(program.target)))
+        assert report.eq_residual <= options.tol_eq * tnorm
+        assert report.primal_residual <= options.tol_primal
+        assert report.dual_residual <= options.tol_dual
+        assert report.duality_gap <= options.tol_dual
+        assert report.u.u.shape == (200, 1)
+        assert report.j1 == pytest.approx(l1_cost(problem, u))
+        assert report.j2 == pytest.approx(l2_cost(problem, u))
+
+        # the control is the control law at the input-mapped costate, away
+        # from the samples tied at the threshold
+        c = program.phi.T @ report.costate
+        w1, w2 = program.l1_weights, program.l2_weights
+        if problem.mode == "L1":
+            law = dead_zone(c, w1)
+        else:
+            law = sat(shrink(c, w1) / w2)
+        clear = np.abs(np.abs(c) - w1) > 1e-6 * w1
+        assert np.count_nonzero(~clear) <= 2 * program.phi.shape[0]
+        np.testing.assert_allclose(u[clear], law[clear], atol=1e-12)
 
 
 def test_l1_objective_matches_lp_oracle():
@@ -183,6 +208,18 @@ def test_l1_objective_matches_lp_oracle():
     report = solve(program)
     assert report.status == "converged"
     assert abs(report.j1 - lp_l1_optimum(program)) <= 1e-3
+
+    # the chain input on which an earlier splitting solver stopped at max_iter
+    problem = ControlProblem(
+        plant=oscillator_chain(), x0=[1.04, 1.0914, 0.8752, 0.8221], T=10.0,
+        N=2000, lam=1.0, mode="L1",
+    )
+    program = transcribe(problem)
+    report = solve(program)
+    assert report.status == "converged"
+    optimum = lp_l1_optimum(program)
+    assert abs(report.j1 - optimum) <= 1e-9 * optimum
+    assert report.eq_residual <= 1e-9
 
 
 def test_l2_solution_matches_gramian_closed_form():
@@ -298,6 +335,62 @@ def test_horizon_below_minimum_time_is_flagged():
     assert report.status == "infeasible_suspected"
     # a violated terminal constraint must never be reported as converged
     assert report.eq_residual > 1e-6
+
+
+def status_battery():
+    """Sixteen seeded plants, each with a problem in L1 and in L1L2 mode.
+
+    The rule is fixed before drawing: n in 2..4, m in 1..3, N <= 1000, and
+    A shifted so that its largest real eigenvalue part times T is drawn in
+    turn from the stable (-3..-0.3), marginal (0) and mildly unstable
+    (0..ln 1000) ranges.  No case is re-drawn.
+    """
+    rng = np.random.default_rng(20131)
+    cases = []
+    for i in range(16):
+        n = int(rng.integers(2, 5))
+        m = int(rng.integers(1, 4))
+        horizon = float(rng.uniform(2.0, 12.0))
+        a = 0.7 * rng.standard_normal((n, n))
+        growth = (
+            rng.uniform(-3.0, -0.3), 0.0, rng.uniform(0.0, np.log(1000.0))
+        )[i % 3]
+        a -= (np.max(np.linalg.eigvals(a).real) - growth / horizon) * np.eye(n)
+        plant = LtiPlant(a=a, b=rng.standard_normal((n, m)))
+        x0 = rng.standard_normal(n) * rng.uniform(0.2, 2.0)
+        n_steps = int(rng.choice([200, 500, 1000]))
+        for mode in ("L1", "L1L2"):
+            cases.append(
+                ControlProblem(
+                    plant=plant, x0=x0, T=horizon, N=n_steps, lam=1.0, r=1e-3,
+                    mode=mode,
+                )
+            )
+    return cases
+
+
+def test_status_never_lies_on_a_seeded_battery():
+    outcomes = []
+    for problem in status_battery():
+        program = transcribe(problem)
+        report = solve(program)
+        lp = lp_l1(program)
+        outcomes.append(report.status)
+        if report.status == "converged":
+            terminal = simulate(problem.plant, problem.x0, report.u).final_state
+            x0_norm = float(np.linalg.norm(problem.x0))
+            assert np.linalg.norm(terminal) <= 1e-4 * max(1.0, x0_norm)
+            if problem.mode == "L1":
+                assert lp.status == 0
+                assert abs(report.j1 - lp.fun) <= 1e-6 * max(1.0, lp.fun)
+        elif report.status == "infeasible_suspected":
+            p = report.costate
+            support = program.box * np.sum(np.abs(program.phi.T @ p))
+            assert program.target @ p > support
+            assert lp.status == 2
+        # on these plants no solve may end undecided
+        assert report.status != "max_iter", (problem, report.iterations)
+    assert "converged" in outcomes and "infeasible_suspected" in outcomes
 
 
 def test_rank_deficient_reach_map_raises():
