@@ -11,14 +11,7 @@ Analysis utilities quantify sparsity and switching structure and verify
 solutions against the optimality conditions.
 """
 
-from .scalar_ops import (
-    ProxParams,
-    dead_zone,
-    prox_box_l1_quad,
-    sat,
-    sat_shrink,
-    shrink,
-)
+from .scalar_ops import control_law, dead_zone, sat, shrink
 from .plant import (
     MODES,
     ControlProblem,
@@ -55,16 +48,15 @@ from .analysis import (
     l0_per_channel,
     sweep_tradeoff,
     switching_times,
+    ternary_transitions_ok,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ProxParams",
+    "control_law",
     "dead_zone",
-    "prox_box_l1_quad",
     "sat",
-    "sat_shrink",
     "shrink",
     "MODES",
     "ControlProblem",
@@ -97,5 +89,6 @@ __all__ = [
     "l0_per_channel",
     "sweep_tradeoff",
     "switching_times",
+    "ternary_transitions_ok",
     "__version__",
 ]

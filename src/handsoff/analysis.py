@@ -32,6 +32,7 @@ __all__ = [
     "l0_per_channel",
     "switching_times",
     "bangoffbang_score",
+    "ternary_transitions_ok",
     "derivative_supnorm",
     "compute_metrics",
     "sweep_tradeoff",
@@ -147,9 +148,36 @@ def bangoffbang_score(control: ControlTrajectory, delta: float = DEFAULT_EPS) ->
     """Fraction of samples within ``delta`` of one of the levels {-1, 0, +1}."""
     if not delta > 0.0:
         raise ValueError(f"delta must be positive, got {delta}")
-    u = control.u
-    dist = np.minimum(np.abs(u), np.minimum(np.abs(u - 1.0), np.abs(u + 1.0)))
-    return float(np.mean(dist <= delta))
+    return float(np.mean(_quantize(control.u, delta) != _BETWEEN))
+
+
+def ternary_transitions_ok(
+    control: ControlTrajectory, delta: float = DEFAULT_EPS
+) -> tuple[bool, str]:
+    """Whether off-level samples appear only as transitions between levels.
+
+    A sample farther than ``delta`` from every level {-1, 0, +1} is allowed
+    only when the nearest clean samples before and after it, in its own
+    channel, sit at different levels (a zero-order-hold switching instant
+    straddles a grid cell); a stray fractional sample inside a constant
+    interval, or one with no clean sample on one side, fails.  Returns
+    ``(ok, reason)``, with an empty reason when ``ok``.
+    """
+    _check_eps(delta)
+    codes = _quantize(control.u, delta)
+    for i in range(control.n_inputs):
+        col = codes[:, i]
+        clean = np.nonzero(col != _BETWEEN)[0]
+        for k in np.nonzero(col == _BETWEEN)[0]:
+            j = np.searchsorted(clean, k)
+            if j == 0 or j == clean.size:
+                return False, f"channel {i + 1}: fractional sample {k} at a grid edge"
+            if col[clean[j - 1]] == col[clean[j]]:
+                return False, (
+                    f"channel {i + 1}: fractional sample {k} "
+                    f"(u = {control.u[k, i]:.6g}) inside a constant interval"
+                )
+    return True, ""
 
 
 def _max_jump(control: ControlTrajectory) -> float:

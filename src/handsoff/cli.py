@@ -3,8 +3,7 @@
 A problem file is a flat key = value text format; ``#`` starts a comment.
 Matrix values use semicolon-separated rows.  Keys ``n``, ``m``, ``A``, ``B``,
 ``x0``, ``T``, ``N``, ``mode`` are required; ``lambda``, ``r``, and the solver
-keys ``rho``, ``tol_primal``, ``tol_dual``, ``tol_eq``, ``max_iter`` are
-optional (``rho`` is validated but has no effect on the costate-dual solver).
+keys ``tol_primal``, ``tol_dual``, ``tol_eq``, ``max_iter`` are optional.
 Unknown keys are rejected with the offending line number.
 
 Subcommands: ``solve`` writes ``trajectory.csv`` and ``report.txt`` (status,
@@ -29,6 +28,7 @@ from .analysis import (
     bangoffbang_score,
     compute_metrics,
     costate_consistency,
+    ternary_transitions_ok,
 )
 from .plant import ControlProblem, ControlTrajectory, LtiPlant, MODES, simulate
 from .solver import SolveOptions, minimum_time, solve_problem
@@ -44,7 +44,7 @@ __all__ = [
 
 _REQUIRED_KEYS = ("n", "m", "A", "B", "x0", "T", "N", "mode")
 _PROBLEM_KEYS = _REQUIRED_KEYS + ("lambda", "r")
-_SOLVER_KEYS = ("rho", "tol_primal", "tol_dual", "tol_eq", "max_iter")
+_SOLVER_KEYS = ("tol_primal", "tol_dual", "tol_eq", "max_iter")
 
 # significant digits for serialized numbers; enough that re-parsing
 # reproduces every metric to 1e-9
@@ -377,34 +377,6 @@ def _cmd_mintime(args) -> int:
     return 0
 
 
-def _ternary_structure_ok(u: np.ndarray, delta: float) -> tuple[bool, str]:
-    """Whether off-level samples appear only as transitions between levels.
-
-    A sample farther than ``delta`` from every level {-1, 0, +1} is allowed
-    only when the nearest clean samples before and after it sit at different
-    levels (a zero-order-hold switching instant straddles a grid cell); a
-    stray fractional sample inside a constant interval fails.
-    """
-    for i in range(u.shape[1]):
-        col = u[:, i]
-        dist = np.minimum(np.abs(col), np.minimum(np.abs(col - 1), np.abs(col + 1)))
-        clean = dist <= delta
-        levels = np.round(col).astype(int)
-        for k in np.nonzero(~clean)[0]:
-            before = np.nonzero(clean[:k])[0]
-            after = k + 1 + np.nonzero(clean[k + 1 :])[0]
-            if before.size == 0 or after.size == 0:
-                return False, (
-                    f"channel {i + 1}: fractional sample {k} at a grid edge"
-                )
-            if levels[before[-1]] == levels[after[0]]:
-                return False, (
-                    f"channel {i + 1}: fractional sample {k} "
-                    f"(u = {col[k]:.6g}) inside a constant interval"
-                )
-    return True, ""
-
-
 def _cmd_verify(args) -> int:
     problem, _ = parse_problem_file(args.problem)
     try:
@@ -450,7 +422,7 @@ def _cmd_verify(args) -> int:
 
     if problem.mode == "L1":
         score = bangoffbang_score(control, delta=args.eps)
-        structured, reason = _ternary_structure_ok(u, args.eps)
+        structured, reason = ternary_transitions_ok(control, args.eps)
         if score < 0.98 or not structured:
             detail = reason if reason else f"score = {score:.4f} < 0.98"
             failures.append(f"bang-off-bang structure check failed: {detail}")

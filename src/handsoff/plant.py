@@ -279,6 +279,17 @@ def controllability_gramian(plant: LtiPlant, horizon: float) -> np.ndarray:
     return 0.5 * (w + w.T)
 
 
+def _require_controllable(gram: np.ndarray, consequence: str) -> None:
+    """Raise ``numpy.linalg.LinAlgError`` when the Gramian ``gram`` is singular.
+
+    Singular means a smallest eigenvalue at most 1e-12 of the largest (or of
+    1); ``consequence`` ends the message.
+    """
+    eigs = np.linalg.eigvalsh(gram)
+    if eigs[0] <= 1e-12 * max(1.0, eigs[-1]):
+        raise np.linalg.LinAlgError(f"controllability Gramian is singular; {consequence}")
+
+
 def min_energy_closed_form(
     plant: LtiPlant, x0, horizon: float, n_steps: int
 ) -> ControlTrajectory:
@@ -298,11 +309,7 @@ def min_energy_closed_form(
     if not n_steps >= 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
     w = controllability_gramian(plant, horizon)
-    eigs = np.linalg.eigvalsh(w)
-    if eigs[0] <= 1e-12 * max(1.0, eigs[-1]):
-        raise np.linalg.LinAlgError(
-            "controllability Gramian is singular; the pair (A, B) is not controllable"
-        )
+    _require_controllable(w, "the pair (A, B) is not controllable")
     eta = np.linalg.solve(w, expm(plant.a * horizon) @ x0)
     h = horizon / n_steps
     # column block k is exp(A (T - (k + 1/2) h)) B = Ad^(N-1-k) exp(A h/2) B

@@ -3,52 +3,27 @@
 All functions are pure and stateless.  They accept floats or numpy arrays and
 broadcast elementwise; scalar input gives scalar output.  The maps:
 
-* ``dead_zone``   -- ternary hard threshold, the shape of a sparsity-optimal control law
-  (the solver's L1 control law).
+* ``dead_zone``   -- ternary hard threshold, the shape of a sparsity-optimal control law.
 * ``shrink``      -- soft threshold (L1 proximal map on the line).
 * ``sat``         -- unit saturation, clamp to [-1, 1].
-* ``sat_shrink``  -- saturated soft threshold; minimizes ``lam*|u| + r*u**2/2 + a*u``
-  over ``|u| <= 1`` after the change of sign ``a = -r*v`` (the solver's L1/L2
-  control law is ``sat(shrink(c, w1) / w2)``, built from the two maps).
-* ``prox_box_l1_quad`` -- proximal map of ``lam*|u| + r*u**2/2`` restricted to
-  ``[-1, 1]``.
+* ``control_law`` -- minimizer of ``w1*|u| + (w2/2)*u**2 - c*u`` over ``|u| <= 1``:
+  the saturated soft threshold ``sat(shrink(c, w1) / w2)`` where ``w2 > 0``
+  and ``dead_zone(c, w1)`` where ``w2 = 0``.  Applied to the input-mapped
+  costate it is the optimal L1/L2 and L1 control; with ``c = s*a`` and
+  ``w2 = r + s`` it is the proximal map, penalty ``s``, of
+  ``w1*|u| + (r/2)*u**2`` on ``[-1, 1]``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
-    "ProxParams",
     "dead_zone",
     "shrink",
     "sat",
-    "sat_shrink",
-    "prox_box_l1_quad",
+    "control_law",
 ]
-
-
-@dataclass(frozen=True)
-class ProxParams:
-    """Weights of the scalar objective ``lam*|u| + (r/2)*u**2 + (rho/2)*(u - a)**2``.
-
-    ``lam`` and ``r`` are the L1 and quadratic penalty weights, ``rho`` the
-    proximal penalty.  ``lam >= 0``, ``r >= 0``, ``rho > 0``.
-    """
-
-    lam: float
-    r: float
-    rho: float
-
-    def __post_init__(self) -> None:
-        if not self.lam >= 0.0:
-            raise ValueError(f"lam must be nonnegative, got {self.lam}")
-        if not self.r >= 0.0:
-            raise ValueError(f"r must be nonnegative, got {self.r}")
-        if not self.rho > 0.0:
-            raise ValueError(f"rho must be positive, got {self.rho}")
 
 
 def _match_input(out: np.ndarray, *inputs) -> np.ndarray | float:
@@ -91,32 +66,23 @@ def sat(v):
     return _match_input(out, v)
 
 
-def sat_shrink(v, lam, r):
-    """Saturated soft threshold ``sat(shrink(v, lam / r))``.
+def control_law(c, w1, w2):
+    """Minimizer of ``w1*|u| + (w2/2)*u**2 - c*u`` over ``|u| <= 1``, elementwise.
 
-    Up to the sign change ``a = -r*v`` this is the minimizer of
-    ``lam*|u| + (r/2)*u**2 + a*u`` over ``|u| <= 1``.  As ``r -> 0`` it
-    approaches ``dead_zone(r*v, lam)`` pointwise away from the thresholds, and
-    as ``lam -> 0`` it approaches ``sat(v)``.
+    ``sat(shrink(c, w1) / w2)`` where ``w2 > 0``, and ``dead_zone(c, w1)``
+    where ``w2 = 0``, which is 0 on the threshold ``|c| = w1`` itself.  The
+    weights broadcast against ``c`` and must be nonnegative; a sample with
+    ``w2 = 0`` needs ``w1 > 0``.  As ``w2 -> 0`` the saturated soft threshold
+    approaches the dead-zone level away from the thresholds, and as
+    ``w1 -> 0`` it approaches ``sat(c / w2)``.
     """
-    if not lam > 0.0:
-        raise ValueError(f"lam must be positive, got {lam}")
-    if not r > 0.0:
-        raise ValueError(f"r must be positive, got {r}")
-    return sat(shrink(v, lam / r))
-
-
-def prox_box_l1_quad(a, params: ProxParams):
-    """Minimizer of ``lam*|u| + (r/2)*u**2 + (rho/2)*(u - a)**2`` over ``u in [-1, 1]``.
-
-    Closed form: ``sat(shrink(rho*a / (r + rho), lam / (r + rho)))``.  The map
-    is odd and nonexpansive in ``a``.
-    """
-    denom = params.r + params.rho
-    a = np.asarray(a, dtype=float)
-    out = np.clip(
-        np.sign(a) * np.maximum(np.abs(a) * (params.rho / denom) - params.lam / denom, 0.0),
-        -1.0,
-        1.0,
+    c, w1, w2 = np.broadcast_arrays(
+        np.asarray(c, dtype=float), np.asarray(w1, dtype=float), np.asarray(w2, dtype=float)
     )
-    return _match_input(out, a)
+    if np.any(w1 < 0.0) or np.any(w2 < 0.0):
+        raise ValueError("weights w1 and w2 must be nonnegative")
+    quad = w2 > 0.0
+    u = np.empty(c.shape)
+    u[quad] = sat(shrink(c[quad], w1[quad]) / w2[quad])
+    u[~quad] = dead_zone(c[~quad], w1[~quad])
+    return _match_input(u, c)

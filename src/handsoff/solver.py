@@ -4,22 +4,23 @@ Under a zero-order hold the reach condition is linear in the stacked control,
 so a control problem becomes
 
     minimize    sum_j w1_j |U_j|  +  (1/2) sum_j w2_j U_j**2
-    subject to  phi @ U = target,      |U_j| <= box,
+    subject to  phi @ U = target,      |U_j| <= 1,
 
 with per-sample weights ``w1 = lam_i * h`` and ``w2 = r_i * h`` (rectangle
 rule).  Its dual has one variable per state, the terminal costate ``p``
 (the multiplier of ``phi @ U = target``).  Given ``p`` the program separates
-sample by sample: with ``c = phi' p`` the minimizing control is the saturated
-soft threshold ``box * sat(shrink(c, w1) / (box * w2))`` where ``w2 > 0`` and
-the dead-zone level ``box * dead_zone(c, w1)`` where ``w2 = 0``, the
-optimality conditions of the paper in transcribed form.  The dual
+sample by sample: with ``c = phi' p`` the minimizing control is
+``scalar_ops.control_law(c, w1, w2)``, the saturated soft threshold
+``sat(shrink(c, w1) / w2)`` where ``w2 > 0`` and the dead-zone level
+``dead_zone(c, w1)`` where ``w2 = 0``, the optimality conditions of the paper
+in transcribed form.  The dual
 
-    g(p) = target' p + sum_j min_{|u| <= box} (w1_j |u| + w2_j u**2 / 2 - c_j u)
+    g(p) = target' p + sum_j min_{|u| <= 1} (w1_j |u| + w2_j u**2 / 2 - c_j u)
 
 is concave; for ``w2 > 0`` it is differentiable with gradient
 ``target - phi @ U(p)`` and generalized Hessian ``-phi_B diag(1/w2) phi_B'``,
 where ``phi_B`` keeps the columns of the samples inside the unsaturated band
-``w1 < |c| < w1 + w2 * box``.  ``solve`` maximizes it by a damped semismooth
+``w1 < |c| < w1 + w2``.  ``solve`` maximizes it by a damped semismooth
 Newton method; each step solves one n-by-n system.
 
 A small quadratic weight makes the dual nearly piecewise linear, and none
@@ -46,11 +47,12 @@ from .plant import (
     ControlProblem,
     ControlTrajectory,
     LtiPlant,
+    _require_controllable,
     controllability_gramian,
     discretize,
     reachability_matrix,
 )
-from .scalar_ops import dead_zone, sat, shrink
+from .scalar_ops import control_law
 
 __all__ = [
     "DiscreteProgram",
@@ -64,9 +66,6 @@ __all__ = [
     "solve_l2",
     "minimum_time",
 ]
-
-# support threshold used for the reported sparsity measure
-_SUPPORT_EPS = 1e-2
 
 # the Newton ascent stops once the terminal residual is this small relative to
 # the size of the terms it is made of, |target| and || |phi| |U| ||; rounding
@@ -88,7 +87,7 @@ _PROGRESS = 0.99
 # weight, largest first
 _SMOOTHING = 10.0 ** -np.arange(13)
 # a dual point p is a Farkas certificate of infeasibility when
-# target'p exceeds box * sum |phi' p| by more than this share
+# target'p exceeds sum |phi' p| by more than this share
 _FARKAS_MARGIN = 1e-9
 
 
@@ -98,16 +97,15 @@ class DiscreteProgram:
 
     ``phi`` is the (n, m*N) reachability map, ``target`` the required forced
     terminal response (``-Ad^N x0``), ``l1_weights``/``l2_weights`` the
-    per-sample objective weights (already scaled by the step), ``box`` the
-    amplitude bound.  ``h`` and ``m`` carry the control grid geometry so that
-    solutions can be reported in trajectory form and in seconds.
+    per-sample objective weights (already scaled by the step); the amplitude
+    bound is ``|U_j| <= 1``.  ``h`` and ``m`` carry the control grid geometry
+    so that solutions can be reported in trajectory form and in seconds.
     """
 
     phi: np.ndarray
     target: np.ndarray
     l1_weights: np.ndarray
     l2_weights: np.ndarray
-    box: float = 1.0
     h: float = 1.0
     m: int = 1
 
@@ -124,8 +122,6 @@ class DiscreteProgram:
             raise ValueError("weight vectors must match the columns of phi")
         if np.any(w1 < 0.0) or np.any(w2 < 0.0):
             raise ValueError("objective weights must be nonnegative")
-        if not self.box > 0.0:
-            raise ValueError(f"box must be positive, got {self.box}")
         if not self.h > 0.0:
             raise ValueError(f"h must be positive, got {self.h}")
         if not (self.m >= 1 and phi.shape[1] % self.m == 0):
@@ -150,20 +146,15 @@ class SolveOptions:
     ``tol_eq`` bounds the terminal residual relative to ``max(1, |target|)``,
     ``tol_primal`` the same residual per root-sample, and ``tol_dual`` the
     duality gap relative to the objective.  ``max_iter`` caps the Newton
-    steps, summed over all smoothing stages.  ``rho``, the penalty of an
-    earlier splitting solver, is still validated and accepted (problem files
-    may set it) but has no effect.
+    steps, summed over all smoothing stages.
     """
 
-    rho: float = 1.0
     tol_primal: float = 1e-6
     tol_dual: float = 1e-6
     tol_eq: float = 1e-6
     max_iter: int = 50000
 
     def __post_init__(self) -> None:
-        if not self.rho > 0.0:
-            raise ValueError(f"rho must be positive, got {self.rho}")
         if min(self.tol_primal, self.tol_dual, self.tol_eq) <= 0.0:
             raise ValueError("tolerances must be positive")
         if self.max_iter < 1:
@@ -175,9 +166,9 @@ class SolveReport:
     """Solver output: the control, objective values, and convergence data.
 
     ``j1`` and ``j2`` are the weighted L1 and quadratic costs of the returned
-    control under the program weights; ``j0`` is the thresholded support
-    measure in seconds (threshold 1e-2, weighted by the per-channel L1 weight
-    when one is present).  ``eq_residual`` is the absolute terminal-constraint
+    control under the program weights; ``j0`` is ``analysis.l0_measure`` of it
+    at the default threshold, weighted by the per-channel L1 weight when one
+    is present.  ``eq_residual`` is the absolute terminal-constraint
     residual ``||phi U - target||`` and ``primal_residual`` the same per
     root-sample.  ``costate`` is the terminal costate ``p`` of the program
     (the multiplier of ``phi U = target``; away from ties the control is the
@@ -186,9 +177,9 @@ class SolveReport:
     ``primal(U) - g(p)`` under the program weights and ``dual_residual`` the
     same relative to the objective.  ``iterations`` counts Newton steps.
     ``status`` is one of "converged", "max_iter", "infeasible_suspected"; on
-    "converged" the control satisfies the box bound exactly, the terminal
+    "converged" the control satisfies the amplitude bound exactly, the terminal
     constraint and the duality gap to tolerance; on "infeasible_suspected"
-    ``costate`` is a Farkas certificate, ``target' p > box * sum |phi' p|``,
+    ``costate`` is a Farkas certificate, ``target' p > sum |phi' p|``,
     and ``duality_gap`` is NaN.
     """
 
@@ -223,42 +214,19 @@ def transcribe(problem: ControlProblem) -> DiscreteProgram:
         target=target,
         l1_weights=np.tile(lam, problem.N) * h,
         l2_weights=np.tile(r, problem.N) * h,
-        box=1.0,
         h=h,
         m=problem.plant.m,
     )
 
 
-def _support_seconds(z: np.ndarray, program: DiscreteProgram) -> float:
-    """Thresholded support measure of the stacked control, in seconds."""
-    u = z.reshape(program.n_samples, program.m)
-    counts = np.count_nonzero(np.abs(u) > _SUPPORT_EPS, axis=0)
-    lam = program.l1_weights[: program.m] / program.h
-    weights = lam if np.any(lam > 0.0) else np.ones(program.m)
-    return float(weights @ (program.h * counts))
-
-
-def _control(c: np.ndarray, w1: np.ndarray, w2: np.ndarray, box: float) -> np.ndarray:
-    """Minimizer of ``w1|u| + (w2/2) u**2 - c u`` over ``|u| <= box``, per sample.
-
-    Where ``w2 = 0`` this is the dead-zone level, which is 0 on the threshold
-    ``|c| = w1`` itself.
-    """
-    quad = w2 > 0.0
-    u = np.empty_like(c)
-    u[quad] = box * sat(shrink(c[quad], w1[quad]) / (box * w2[quad]))
-    u[~quad] = box * dead_zone(c[~quad], w1[~quad])
-    return u
-
-
-def _dual(p, phi, target, w1, w2, box) -> float:
+def _dual(p, phi, target, w1, w2) -> float:
     """Dual value ``g(p)``, evaluated at the control ``U(p)``."""
     c = phi.T @ p
-    u = _control(c, w1, w2, box)
+    u = control_law(c, w1, w2)
     return float(target @ p + np.sum(w1 * np.abs(u) + 0.5 * w2 * u * u - c * u))
 
 
-def _line_search(c, e, slope0, w1, w2, box):
+def _line_search(c, e, slope0, w1, w2):
     """Step ``t > 0`` that nearly maximizes the dual along a direction ``d``.
 
     ``c = phi' p``, ``e = phi' d`` and ``slope0 = target' d``; the slope of
@@ -271,7 +239,7 @@ def _line_search(c, e, slope0, w1, w2, box):
     """
 
     def slope(t):
-        return slope0 - float(e @ _control(c + t * e, w1, w2, box))
+        return slope0 - float(e @ control_law(c + t * e, w1, w2))
 
     s_lo, lo = slope(0.0), 0.0
     if not s_lo > 0.0:
@@ -306,7 +274,7 @@ def _line_search(c, e, slope0, w1, w2, box):
     return t
 
 
-def _ascend(phi, abs_phi, target, w1, w2, box, p, budget):
+def _ascend(phi, abs_phi, target, w1, w2, p, budget):
     """Damped semismooth Newton ascent on the dual with weights ``w2 > 0``.
 
     Starts at ``p`` and takes at most ``budget`` steps.  Returns
@@ -318,7 +286,7 @@ def _ascend(phi, abs_phi, target, w1, w2, box, p, budget):
     reg = _REG * ((phi / w2) @ phi.T)
     tsize = max(1.0, float(np.linalg.norm(target)))
     c = phi.T @ p
-    u = _control(c, w1, w2, box)
+    u = control_law(c, w1, w2)
     best = math.inf
     since_best = 0
     steps = 0
@@ -329,7 +297,7 @@ def _ascend(phi, abs_phi, target, w1, w2, box, p, budget):
         if gnorm <= _STOP_REL * size:
             return p, c, u, steps, "converged"
         # an ascent that escapes to infinity leaves along a certificate
-        if target @ p > (1.0 + _FARKAS_MARGIN) * box * float(np.sum(np.abs(c))):
+        if target @ p > (1.0 + _FARKAS_MARGIN) * float(np.sum(np.abs(c))):
             return p, c, u, steps, "infeasible_suspected"
         if gnorm < _PROGRESS * best:
             best, since_best = gnorm, 0
@@ -339,7 +307,7 @@ def _ascend(phi, abs_phi, target, w1, w2, box, p, budget):
             since_best += 1
         if steps == budget:
             return p, c, u, steps, "max_iter"
-        band = (np.abs(c) > w1) & (np.abs(c) < w1 + w2 * box)
+        band = (np.abs(c) > w1) & (np.abs(c) < w1 + w2)
         phi_b = phi[:, band]
         hess = (phi_b / w2[band]) @ phi_b.T + reg
         try:
@@ -350,45 +318,45 @@ def _ascend(phi, abs_phi, target, w1, w2, box, p, budget):
         # leave no ascent along it; the gradient still ascends
         for direction in (np.sign(newton @ grad) * newton, grad):
             e = phi.T @ direction
-            t = _line_search(c, e, float(target @ direction), w1, w2, box)
+            t = _line_search(c, e, float(target @ direction), w1, w2)
             if t > 0.0:
                 break
         else:
             return p, c, u, steps, "stalled"
         p = p + t * direction
         c = phi.T @ p
-        u = _control(c, w1, w2, box)
+        u = control_law(c, w1, w2)
         steps += 1
 
 
-def _recover(phi, target, p, c, w1, w2, w2_stage, box):
+def _recover(phi, target, p, c, w1, w2, w2_stage):
     """Exact control and costate from a smoothed stage at costate ``p``, ``c = phi' p``.
 
     On the samples without quadratic weight, those clear of the threshold
     keep their dead-zone level, and the tied ones, ``||c| - w1| <=
-    w2_stage * box``, are fitted to the terminal constraint by bounded least
+    w2_stage``, are fitted to the terminal constraint by bounded least
     squares within their sign.  The costate then moves, by least squares,
-    to where the fitted samples strictly inside ``(0, box)`` meet their
+    to where the fitted samples strictly inside ``(0, 1)`` meet their
     optimality condition ``c_j = sign(u_j) w1_j``; the move is kept only if
     it raises the dual.  Returns ``(u, p)``, or None when more than ``2 n``
     samples are tied (the stage is still too smooth to tell).
     """
-    tied = (w2 == 0.0) & (np.abs(np.abs(c) - w1) <= w2_stage * box)
+    tied = (w2 == 0.0) & (np.abs(np.abs(c) - w1) <= w2_stage)
     if np.count_nonzero(tied) > 2 * phi.shape[0]:
         return None
-    u = _control(c, w1, w2, box)
+    u = control_law(c, w1, w2)
     if np.any(tied):
         u[tied] = 0.0
         sign = np.where(c[tied] < 0.0, -1.0, 1.0)
         fit = lsq_linear(
-            phi[:, tied] * sign, target - phi @ u, bounds=(0.0, box), method="bvls"
+            phi[:, tied] * sign, target - phi @ u, bounds=(0.0, 1.0), method="bvls"
         )
         u[tied] = sign * fit.x
-        inside = tied & (np.abs(u) > 0.0) & (np.abs(u) < box)
+        inside = tied & (np.abs(u) > 0.0) & (np.abs(u) < 1.0)
         if np.any(inside):
             miss = np.sign(u[inside]) * w1[inside] - c[inside]
             q = p + np.linalg.lstsq(phi[:, inside].T, miss, rcond=None)[0]
-            if _dual(q, phi, target, w1, w2, box) > _dual(p, phi, target, w1, w2, box):
+            if _dual(q, phi, target, w1, w2) > _dual(p, phi, target, w1, w2):
                 p = q
     return u, p
 
@@ -401,13 +369,12 @@ def solve(program: DiscreteProgram, options: SolveOptions | None = None) -> Solv
     deficient (terminal constraint unreachable for every control), and
     ``ValueError`` when a sample carries neither an L1 nor a quadratic weight.
     A horizon below the minimum time is reported "infeasible_suspected" with
-    a Farkas certificate in ``costate``: ``target' p > box * sum |phi' p|``.
+    a Farkas certificate in ``costate``: ``target' p > sum |phi' p|``.
     """
     if options is None:
         options = SolveOptions()
     phi = program.phi
     target = program.target
-    box = program.box
     w1 = program.l1_weights
     w2 = program.l2_weights
     n, mn = phi.shape
@@ -431,19 +398,19 @@ def solve(program: DiscreteProgram, options: SolveOptions | None = None) -> Solv
     for eps in _SMOOTHING:
         w2_stage = np.maximum(w2, eps * w1)
         p, c, u, steps, outcome = _ascend(
-            phi, abs_phi, target, w1, w2_stage, box, p, options.max_iter - iterations
+            phi, abs_phi, target, w1, w2_stage, p, options.max_iter - iterations
         )
         iterations += steps
         if outcome in ("converged", "stalled") and np.any(l1_only):
             # with too many ties to recover, the smoothed control itself may
             # still be certified (for example along a singular arc)
-            exact = _recover(phi, target, p, c, w1, w2, w2_stage, box)
+            exact = _recover(phi, target, p, c, w1, w2, w2_stage)
             if exact is not None:
                 u, p = exact
         # the duality gap bounds how far primal(u) is above the optimum
         eq_abs = float(np.linalg.norm(phi @ u - target))
         primal = float(w1 @ np.abs(u) + 0.5 * (w2 @ (u * u)))
-        gap = primal - _dual(p, phi, target, w1, w2, box)
+        gap = primal - _dual(p, phi, target, w1, w2)
         if outcome in ("max_iter", "infeasible_suspected"):
             status = outcome
             break
@@ -460,12 +427,16 @@ def solve(program: DiscreteProgram, options: SolveOptions | None = None) -> Solv
     if status == "infeasible_suspected":
         # no feasible control, so no gap: the dual is unbounded along p
         gap = math.nan
+    # imported here because analysis imports this module at load time
+    from .analysis import l0_measure
+
     control = ControlTrajectory(h=program.h, u=u.reshape(program.n_samples, program.m))
+    lam = program.l1_weights[: program.m] / program.h
     return SolveReport(
         u=control,
         j1=float(w1 @ np.abs(u)),
         j2=0.5 * float(w2 @ u**2),
-        j0=_support_seconds(u, program),
+        j0=l0_measure(control, weights=lam if np.any(lam > 0.0) else None),
         iterations=iterations,
         primal_residual=eq_abs / root_mn,
         dual_residual=abs(gap) / primal if primal > 0.0 else abs(gap),
@@ -474,7 +445,6 @@ def solve(program: DiscreteProgram, options: SolveOptions | None = None) -> Solv
         costate=p,
         duality_gap=gap,
     )
-
 
 
 def solve_problem(
@@ -502,7 +472,7 @@ def solve_l2(problem: ControlProblem, options: SolveOptions | None = None) -> So
 
 
 def _reachable(plant: LtiPlant, x0: np.ndarray, horizon: float, density: float) -> bool:
-    """Whether the box-bounded control set can hit the origin at ``horizon``.
+    """Whether the amplitude-bounded controls can hit the origin at ``horizon``.
 
     Minimizes the terminal-constraint residual under the amplitude bound
     (bounded least squares) and tests it against a tight relative floor.
@@ -535,13 +505,10 @@ def minimum_time(
         raise ValueError(f"grid_density must be positive, got {grid_density}")
     if not tol_t > 0.0:
         raise ValueError(f"tol_t must be positive, got {tol_t}")
-    gram = controllability_gramian(plant, 1.0)
-    eigs = np.linalg.eigvalsh(gram)
-    if eigs[0] <= 1e-12 * max(1.0, eigs[-1]):
-        raise np.linalg.LinAlgError(
-            "controllability Gramian is singular; minimum time is undefined "
-            "for an uncontrollable pair"
-        )
+    _require_controllable(
+        controllability_gramian(plant, 1.0),
+        "minimum time is undefined for an uncontrollable pair",
+    )
 
     t_lo = 0.0
     t_hi = tol_t

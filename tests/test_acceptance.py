@@ -14,9 +14,9 @@ from handsoff import (
     ControlProblem,
     ControlTrajectory,
     LtiPlant,
-    ProxParams,
     SolveOptions,
     bangoffbang_score,
+    control_law,
     dead_zone,
     derivative_supnorm,
     discretize,
@@ -24,9 +24,7 @@ from handsoff import (
     l0_measure,
     min_energy_closed_form,
     minimum_time,
-    prox_box_l1_quad,
     reachability_matrix,
-    sat_shrink,
     simulate,
     solve_l1,
     solve_l1l2,
@@ -238,18 +236,16 @@ def test_criterion_07_prox_matches_grid_search():
     worst = 0.0
     for _ in range(1000):
         a = rng.uniform(-3.0, 3.0)
-        params = ProxParams(
-            lam=rng.uniform(0.01, 2.0),
-            r=rng.uniform(0.0, 2.0),
-            rho=rng.uniform(0.1, 2.0),
-        )
+        lam = rng.uniform(0.01, 2.0)
+        r = rng.uniform(0.0, 2.0)
+        rho = rng.uniform(0.1, 2.0)
         objective = (
-            params.lam * np.abs(grid)
-            + 0.5 * params.r * grid**2
-            + 0.5 * params.rho * (grid - a) ** 2
+            lam * np.abs(grid) + 0.5 * r * grid**2 + 0.5 * rho * (grid - a) ** 2
         )
         u_grid = grid[int(np.argmin(objective))]
-        worst = max(worst, abs(prox_box_l1_quad(a, params) - u_grid))
+        # the proximal map of lam|u| + (r/2)u^2 on [-1, 1] is the control law
+        # at c = rho*a with quadratic weight r + rho
+        worst = max(worst, abs(control_law(rho * a, lam, r + rho) - u_grid))
 
     # vanishing quadratic weight turns the saturated soft threshold into the
     # ternary selector away from the thresholds
@@ -258,12 +254,12 @@ def test_criterion_07_prox_matches_grid_search():
     mask = (np.abs(w - lam) >= 0.1) & (np.abs(w + lam) >= 0.1)
     r = 1e-6
     limit_err = float(
-        np.max(np.abs(sat_shrink(w[mask] / r, lam, r) - dead_zone(w[mask], lam)))
+        np.max(np.abs(control_law(r * (w[mask] / r), lam, r) - dead_zone(w[mask], lam)))
     )
     _criterion(
         7,
         worst <= 1e-4 and limit_err <= 1e-6,
-        f"prox vs grid argmin worst error={worst:.2e} (<= 1e-4 over 1000 draws); "
+        f"control law vs grid argmin worst error={worst:.2e} (<= 1e-4 over 1000 draws); "
         f"r->0 limit error={limit_err:.2e} (<= 1e-6)",
     )
 

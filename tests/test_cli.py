@@ -125,6 +125,7 @@ def test_solve_exit_2_below_minimum_time(tmp_path, capsys):
         (lambda s: s.replace("T = 4", "T = four"), "needs a float"),
         (lambda s: s.replace("x0 = 1 0", "x0 ="), "empty value"),
         (lambda s: s + "just some words\n", "expected 'key = value'"),
+        (lambda s: s + "rho = 1\n", "unknown key 'rho'"),
     ],
 )
 def test_solve_rejects_malformed_files(tmp_path, capsys, mutation, fragment):

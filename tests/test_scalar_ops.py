@@ -2,20 +2,17 @@
 
 Oracle: brute-force grid search over u in [-1, 1] with step 1e-5.  The frozen
 values asserted below were produced by that oracle and are checked against it
-again on every run.
+again on every run.  ``control_law`` is tested in its two classical forms: the
+saturated soft threshold ``sat(shrink(v, lam / r))``, which is
+``control_law(r*v, lam, r)``, and the box-restricted proximal map of
+``lam*|u| + (r/2)*u**2`` with penalty ``rho`` at ``a``, which is
+``control_law(rho*a, lam, r + rho)``.
 """
 
 import numpy as np
 import pytest
 
-from handsoff.scalar_ops import (
-    ProxParams,
-    dead_zone,
-    prox_box_l1_quad,
-    sat,
-    sat_shrink,
-    shrink,
-)
+from handsoff.scalar_ops import control_law, dead_zone, sat, shrink
 
 GRID = np.arange(-1.0, 1.0 + 1e-5, 1e-5)
 
@@ -86,6 +83,16 @@ class TestSat:
         assert np.allclose(sat(-v), -sat(v))
 
 
+def sat_shrink(v, lam, r):
+    """Saturated soft threshold ``sat(shrink(v, lam / r))`` as a control law."""
+    return control_law(r * v, lam, r)
+
+
+def prox(a, lam, r, rho):
+    """argmin over u in [-1,1] of lam*|u| + (r/2)*u**2 + (rho/2)*(u-a)**2."""
+    return control_law(rho * a, lam, r + rho)
+
+
 class TestSatShrink:
     def test_frozen_values_match_grid_oracle(self):
         # argmin of lam*|u| + (r/2)u^2 + a*u with a = -r*v
@@ -109,10 +116,12 @@ class TestSatShrink:
             )
 
     def test_rejects_nonpositive_weights(self):
+        # a sample with neither an L1 nor a quadratic weight has no minimizer
+        # to select; a zero weight beside a positive one is a valid program
         with pytest.raises(ValueError):
-            sat_shrink(1.0, 0.0, 1.0)
+            control_law(1.0, 0.0, 0.0)
         with pytest.raises(ValueError):
-            sat_shrink(1.0, 1.0, 0.0)
+            control_law([1.0, 2.0], [1.0, 0.0], 0.0)
 
     def test_odd(self):
         rng = np.random.default_rng(4)
@@ -125,40 +134,35 @@ class TestProxBoxL1Quad:
         rng = np.random.default_rng(5)
         for _ in range(1000):
             a = rng.uniform(-3, 3)
-            p = ProxParams(
-                lam=rng.uniform(0.0, 2.0),
-                r=rng.uniform(0.0, 2.0),
-                rho=rng.uniform(0.1, 3.0),
-            )
-            assert prox_box_l1_quad(a, p) == pytest.approx(
-                grid_argmin_prox(a, p.lam, p.r, p.rho), abs=1e-4
+            lam = rng.uniform(0.0, 2.0)
+            r = rng.uniform(0.0, 2.0)
+            rho = rng.uniform(0.1, 3.0)
+            assert prox(a, lam, r, rho) == pytest.approx(
+                grid_argmin_prox(a, lam, r, rho), abs=1e-4
             )
 
     def test_odd_in_a(self):
         rng = np.random.default_rng(6)
-        p = ProxParams(lam=0.4, r=0.9, rho=1.1)
         a = rng.uniform(-4, 4, size=300)
-        assert np.allclose(prox_box_l1_quad(-a, p), -prox_box_l1_quad(a, p))
+        assert np.allclose(prox(-a, 0.4, 0.9, 1.1), -prox(a, 0.4, 0.9, 1.1))
 
     def test_nonexpansive_in_a(self):
         rng = np.random.default_rng(7)
         for _ in range(300):
-            p = ProxParams(
-                lam=rng.uniform(0.0, 2.0),
-                r=rng.uniform(0.0, 2.0),
-                rho=rng.uniform(0.1, 3.0),
-            )
+            lam = rng.uniform(0.0, 2.0)
+            r = rng.uniform(0.0, 2.0)
+            rho = rng.uniform(0.1, 3.0)
             a1, a2 = rng.uniform(-4, 4, size=2)
-            d = abs(prox_box_l1_quad(a1, p) - prox_box_l1_quad(a2, p))
+            d = abs(prox(a1, lam, r, rho) - prox(a2, lam, r, rho))
             assert d <= abs(a1 - a2) + 1e-12
 
     def test_param_validation(self):
         with pytest.raises(ValueError):
-            ProxParams(lam=-0.1, r=1.0, rho=1.0)
+            control_law(1.0, -0.1, 1.0)
         with pytest.raises(ValueError):
-            ProxParams(lam=1.0, r=-0.1, rho=1.0)
+            control_law(1.0, 1.0, -0.1)
         with pytest.raises(ValueError):
-            ProxParams(lam=1.0, r=1.0, rho=0.0)
+            control_law([1.0, 1.0], [1.0, -0.1], [1.0, 1.0])
 
 
 class TestLimits:

@@ -52,7 +52,7 @@ def l2_cost(problem: ControlProblem, u: np.ndarray) -> float:
 def lp_l1(program):
     """The weighted-L1 program as a split-variable linear program (HiGHS result).
 
-    Independent oracle: u = up - um with up, um in [0, box] turns the
+    Independent oracle: u = up - um with up, um in [0, 1] turns the
     program into an LP solved by an interior-point/simplex code that shares
     nothing with the costate-dual solver.  Each terminal row is scaled by its
     largest entry, which keeps unstable plants well conditioned.
@@ -65,7 +65,7 @@ def lp_l1(program):
         cost,
         A_eq=np.hstack([phi, -phi]) / scale[:, None],
         b_eq=program.target / scale,
-        bounds=[(0.0, program.box)] * (2 * mn),
+        bounds=[(0.0, 1.0)] * (2 * mn),
         method="highs",
     )
 
@@ -127,8 +127,6 @@ def test_program_validation_rejects_bad_fields():
     with pytest.raises(ValueError):
         DiscreteProgram(**{**good, "l1_weights": [-1.0, 1.0]})
     with pytest.raises(ValueError):
-        DiscreteProgram(**good, box=0.0)
-    with pytest.raises(ValueError):
         DiscreteProgram(**good, h=-0.1)
     with pytest.raises(ValueError):
         DiscreteProgram(**good, m=3)
@@ -138,8 +136,6 @@ def test_program_validation_rejects_bad_fields():
 
 def test_options_validation():
     SolveOptions()
-    with pytest.raises(ValueError):
-        SolveOptions(rho=0.0)
     with pytest.raises(ValueError):
         SolveOptions(tol_primal=-1e-6)
     with pytest.raises(ValueError):
@@ -385,7 +381,7 @@ def test_status_never_lies_on_a_seeded_battery():
                 assert abs(report.j1 - lp.fun) <= 1e-6 * max(1.0, lp.fun)
         elif report.status == "infeasible_suspected":
             p = report.costate
-            support = program.box * np.sum(np.abs(program.phi.T @ p))
+            support = np.sum(np.abs(program.phi.T @ p))
             assert program.target @ p > support
             assert lp.status == 2
         # on these plants no solve may end undecided
