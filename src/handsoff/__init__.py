@@ -27,7 +27,6 @@ from .plant import (
 )
 from .solver import (
     DiscreteProgram,
-    SolveOptions,
     SolveReport,
     minimum_time,
     solve,
@@ -70,7 +69,6 @@ __all__ = [
     "reachability_matrix",
     "simulate",
     "DiscreteProgram",
-    "SolveOptions",
     "SolveReport",
     "minimum_time",
     "solve",

@@ -23,7 +23,7 @@ from .plant import (
     expm,
     reachability_matrix,
 )
-from .solver import SolveOptions, solve_problem
+from .solver import solve_problem
 
 __all__ = [
     "HandsOffMetrics",
@@ -146,8 +146,7 @@ def switching_times(control: ControlTrajectory, epsilon: float = DEFAULT_EPS) ->
 
 def bangoffbang_score(control: ControlTrajectory, delta: float = DEFAULT_EPS) -> float:
     """Fraction of samples within ``delta`` of one of the levels {-1, 0, +1}."""
-    if not delta > 0.0:
-        raise ValueError(f"delta must be positive, got {delta}")
+    _check_eps(delta)
     return float(np.mean(_quantize(control.u, delta) != _BETWEEN))
 
 
@@ -192,11 +191,10 @@ def derivative_supnorm(control: ControlTrajectory) -> float:
 
 
 def compute_metrics(
-    control: ControlTrajectory,
-    epsilon: float = DEFAULT_EPS,
-    delta: float = DEFAULT_EPS,
+    control: ControlTrajectory, epsilon: float = DEFAULT_EPS
 ) -> HandsOffMetrics:
-    """All hands-off diagnostics of one control in a single record."""
+    """All hands-off diagnostics of one control; ``epsilon`` is the support
+    threshold and the quantization band."""
     _check_eps(epsilon)
     l0 = _union_support_seconds(control, epsilon)
     duration = control.duration
@@ -205,7 +203,7 @@ def compute_metrics(
         l0_seconds=l0,
         handsoff_fraction=1.0 - l0 / duration,
         switching_times=switching_times(control, epsilon),
-        bangoffbang_score=bangoffbang_score(control, delta),
+        bangoffbang_score=bangoffbang_score(control, epsilon),
         derivative_supnorm=jump / control.h,
         max_jump=jump,
     )
@@ -214,7 +212,6 @@ def compute_metrics(
 def sweep_tradeoff(
     problem: ControlProblem,
     r_values,
-    options: SolveOptions | None = None,
     epsilon: float = DEFAULT_EPS,
 ) -> list[TradeoffPoint]:
     """Solve the mixed-cost problem across quadratic weights ``r_values``.
@@ -224,6 +221,7 @@ def sweep_tradeoff(
     increasing ``r``; a point whose solve does not converge keeps its solver
     status and NaN metrics so callers can mark it.
     """
+    _check_eps(epsilon)
     r_values = np.asarray(r_values, dtype=float).reshape(-1)
     if r_values.size == 0:
         raise ValueError("r_values must be nonempty")
@@ -231,7 +229,7 @@ def sweep_tradeoff(
         raise ValueError("r_values must be positive and finite")
     points = []
     for r in np.sort(r_values):
-        report = solve_problem(replace(problem, r=float(r), mode="L1L2"), options)
+        report = solve_problem(replace(problem, r=float(r), mode="L1L2"))
         converged = report.status == "converged"
         points.append(
             TradeoffPoint(
@@ -253,7 +251,6 @@ def costate_consistency(
     control: ControlTrajectory,
     lam=1.0,
     epsilon: float = DEFAULT_EPS,
-    feas_tol: float | None = None,
 ) -> tuple[bool, float]:
     """Check a control against the sign structure of L1 optimality.
 
@@ -267,8 +264,7 @@ def costate_consistency(
 
     The smallest uniform violation over all such constraints is found exactly
     as a linear program over ``(p, s)``; the check passes when that residual
-    is at most ``feas_tol`` (default ``1e-2 * max(lam)``).  Returns
-    ``(feasible, residual)``.
+    is at most ``1e-2 * max(lam)``.  Returns ``(feasible, residual)``.
     """
     _check_eps(epsilon)
     if control.n_inputs != plant.m:
@@ -278,8 +274,6 @@ def costate_consistency(
     lam = np.broadcast_to(np.asarray(lam, dtype=float), (plant.m,))
     if np.any(lam <= 0.0):
         raise ValueError("lam must be positive")
-    if feas_tol is None:
-        feas_tol = 1e-2 * float(np.max(lam))
 
     n = plant.n
     h = control.h
@@ -310,4 +304,4 @@ def costate_consistency(
     if not res.success:
         raise RuntimeError(f"costate feasibility program failed: {res.message}")
     residual = float(res.x[-1])
-    return residual <= feas_tol, residual
+    return residual <= 1e-2 * float(np.max(lam)), residual

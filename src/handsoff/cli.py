@@ -2,14 +2,16 @@
 
 A problem file is a flat key = value text format; ``#`` starts a comment.
 Matrix values use semicolon-separated rows.  Keys ``n``, ``m``, ``A``, ``B``,
-``x0``, ``T``, ``N``, ``mode`` are required; ``lambda``, ``r``, and the solver
-keys ``tol_primal``, ``tol_dual``, ``tol_eq``, ``max_iter`` are optional.
-Unknown keys are rejected with the offending line number.
+``x0``, ``T``, ``N``, ``mode`` are required; ``lambda`` and ``r`` are optional.
+Unknown keys are rejected with the offending line number; the solver's
+stopping rule is fixed and has no keys.
 
 Subcommands: ``solve`` writes ``trajectory.csv`` and ``report.txt`` (status,
 costs, residuals and the duality gap of the solve, then the metrics);
 ``sweep`` writes ``tradeoff.csv``; ``mintime`` prints the shortest feasible
 horizon; ``verify`` re-checks a stored trajectory against its problem file.
+``--eps`` (``solve``, ``sweep``, ``verify``) must lie in (0, 0.5); it is
+checked before any file is read or written.
 Exit codes: 0 success, 1 malformed input, 2 solve or check failure.  All
 diagnostics go to standard error; data goes to files or standard output.
 """
@@ -25,13 +27,14 @@ import numpy as np
 
 from .analysis import (
     DEFAULT_EPS,
+    _check_eps,
     bangoffbang_score,
     compute_metrics,
     costate_consistency,
     ternary_transitions_ok,
 )
 from .plant import ControlProblem, ControlTrajectory, LtiPlant, MODES, simulate
-from .solver import SolveOptions, minimum_time, solve_problem
+from .solver import minimum_time, solve_problem
 
 __all__ = [
     "ProblemFileError",
@@ -44,7 +47,6 @@ __all__ = [
 
 _REQUIRED_KEYS = ("n", "m", "A", "B", "x0", "T", "N", "mode")
 _PROBLEM_KEYS = _REQUIRED_KEYS + ("lambda", "r")
-_SOLVER_KEYS = ("tol_primal", "tol_dual", "tol_eq", "max_iter")
 
 # significant digits for serialized numbers; enough that re-parsing
 # reproduces every metric to 1e-9
@@ -94,8 +96,8 @@ def _parse_matrix(path: str, lineno: int, key: str, text: str, shape) -> np.ndar
     return np.array(rows, dtype=float)
 
 
-def parse_problem_file(path) -> tuple[ControlProblem, SolveOptions]:
-    """Read a key = value problem file into a problem and solver options."""
+def parse_problem_file(path) -> ControlProblem:
+    """Read a key = value problem file into a problem."""
     path = str(path)
     entries: dict[str, tuple[int, str]] = {}
     try:
@@ -114,7 +116,7 @@ def parse_problem_file(path) -> tuple[ControlProblem, SolveOptions]:
         key, _, value = text.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in _PROBLEM_KEYS + _SOLVER_KEYS:
+        if key not in _PROBLEM_KEYS:
             raise ProblemFileError(f"{path}:{lineno}: unknown key {key!r}")
         if key in entries:
             raise ProblemFileError(f"{path}:{lineno}: duplicate key {key!r}")
@@ -160,17 +162,10 @@ def parse_problem_file(path) -> tuple[ControlProblem, SolveOptions]:
     if "r" in entries:
         problem_kwargs["r"] = scalar("r", float)
 
-    option_kwargs = {}
-    for key in _SOLVER_KEYS:
-        if key in entries:
-            option_kwargs[key] = scalar(key, int if key == "max_iter" else float)
-
     try:
-        problem = ControlProblem(**problem_kwargs)
-        options = SolveOptions(**option_kwargs)
+        return ControlProblem(**problem_kwargs)
     except ValueError as exc:
         raise ProblemFileError(f"{path}: {exc}") from exc
-    return problem, options
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +262,7 @@ def read_trajectory_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _write_report(path, problem: ControlProblem, report, states, epsilon) -> None:
-    metrics = compute_metrics(report.u, epsilon=epsilon, delta=epsilon)
+    metrics = compute_metrics(report.u, epsilon=epsilon)
     terminal = float(np.linalg.norm(states[-1]))
     switch_text = " ".join(_fmt(v) for v in metrics.switching_times)
     lines = [
@@ -298,14 +293,14 @@ def _write_report(path, problem: ControlProblem, report, states, epsilon) -> Non
 
 
 def _cmd_solve(args) -> int:
-    problem, options = parse_problem_file(args.problem)
+    problem = parse_problem_file(args.problem)
     if args.mode is not None:
         try:
             problem = replace(problem, mode=args.mode)
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
-    report = solve_problem(problem, options)
+    report = solve_problem(problem)
     states = simulate(problem.plant, problem.x0, report.u).states
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -327,7 +322,7 @@ def _parse_r_list(text: str) -> np.ndarray:
 
 
 def _cmd_sweep(args) -> int:
-    problem, options = parse_problem_file(args.problem)
+    problem = parse_problem_file(args.problem)
     try:
         r_values = _parse_r_list(args.r_list)
     except ValueError:
@@ -341,7 +336,7 @@ def _cmd_sweep(args) -> int:
     from .analysis import sweep_tradeoff
 
     try:
-        points = sweep_tradeoff(problem, r_values, options, epsilon=args.eps)
+        points = sweep_tradeoff(problem, r_values, epsilon=args.eps)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -367,7 +362,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_mintime(args) -> int:
-    problem, _ = parse_problem_file(args.problem)
+    problem = parse_problem_file(args.problem)
     density = problem.N / problem.T
     t_star = minimum_time(
         problem.plant, problem.x0, grid_density=density, tol_t=args.tol
@@ -378,7 +373,7 @@ def _cmd_mintime(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    problem, _ = parse_problem_file(args.problem)
+    problem = parse_problem_file(args.problem)
     try:
         t, u, x = read_trajectory_csv(args.trajectory)
     except TrajectoryFormatError as exc:
@@ -494,6 +489,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if hasattr(args, "eps"):
+            _check_eps(args.eps)
         return args.func(args)
     except ProblemFileError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -56,7 +56,6 @@ from .scalar_ops import control_law
 
 __all__ = [
     "DiscreteProgram",
-    "SolveOptions",
     "SolveReport",
     "transcribe",
     "solve",
@@ -67,6 +66,14 @@ __all__ = [
     "minimum_time",
 ]
 
+# the "converged" contract: terminal residual at most _TOL_EQ relative to
+# max(1, |target|) and at most _TOL_PRIMAL per root-sample, duality gap at most
+# _TOL_DUAL relative to the objective, within _MAX_ITER Newton steps summed over
+# all smoothing stages.  Converged solves mostly land at the rounding floor, so
+# tighter bounds change little; looser ones accept a smoothing stage far from
+# the optimum (README, numerical notes)
+_TOL_PRIMAL = _TOL_DUAL = _TOL_EQ = 1e-6
+_MAX_ITER = 50000
 # the Newton ascent stops once the terminal residual is this small relative to
 # the size of the terms it is made of, |target| and || |phi| |U| ||; rounding
 # keeps it from reaching a bound relative to |target| alone
@@ -140,28 +147,6 @@ class DiscreteProgram:
 
 
 @dataclass(frozen=True)
-class SolveOptions:
-    """Solver knobs.
-
-    ``tol_eq`` bounds the terminal residual relative to ``max(1, |target|)``,
-    ``tol_primal`` the same residual per root-sample, and ``tol_dual`` the
-    duality gap relative to the objective.  ``max_iter`` caps the Newton
-    steps, summed over all smoothing stages.
-    """
-
-    tol_primal: float = 1e-6
-    tol_dual: float = 1e-6
-    tol_eq: float = 1e-6
-    max_iter: int = 50000
-
-    def __post_init__(self) -> None:
-        if min(self.tol_primal, self.tol_dual, self.tol_eq) <= 0.0:
-            raise ValueError("tolerances must be positive")
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
-
-
-@dataclass(frozen=True)
 class SolveReport:
     """Solver output: the control, objective values, and convergence data.
 
@@ -177,8 +162,10 @@ class SolveReport:
     ``primal(U) - g(p)`` under the program weights and ``dual_residual`` the
     same relative to the objective.  ``iterations`` counts Newton steps.
     ``status`` is one of "converged", "max_iter", "infeasible_suspected"; on
-    "converged" the control satisfies the amplitude bound exactly, the terminal
-    constraint and the duality gap to tolerance; on "infeasible_suspected"
+    "converged" the control satisfies the amplitude bound exactly,
+    ``eq_residual <= 1e-6 * max(1, |target|)``, ``primal_residual <= 1e-6``
+    and ``dual_residual <= 1e-6``, within 50,000 Newton steps (fixed
+    tolerances, not settings); on "infeasible_suspected"
     ``costate`` is a Farkas certificate, ``target' p > sum |phi' p|``,
     and ``duality_gap`` is NaN.
     """
@@ -361,7 +348,7 @@ def _recover(phi, target, p, c, w1, w2, w2_stage):
     return u, p
 
 
-def solve(program: DiscreteProgram, options: SolveOptions | None = None) -> SolveReport:
+def solve(program: DiscreteProgram) -> SolveReport:
     """Solve ``program`` by semismooth Newton ascent on its costate dual.
 
     Deterministic: the costate starts at zero and every step is fixed by the
@@ -371,8 +358,6 @@ def solve(program: DiscreteProgram, options: SolveOptions | None = None) -> Solv
     A horizon below the minimum time is reported "infeasible_suspected" with
     a Farkas certificate in ``costate``: ``target' p > sum |phi' p|``.
     """
-    if options is None:
-        options = SolveOptions()
     phi = program.phi
     target = program.target
     w1 = program.l1_weights
@@ -398,7 +383,7 @@ def solve(program: DiscreteProgram, options: SolveOptions | None = None) -> Solv
     for eps in _SMOOTHING:
         w2_stage = np.maximum(w2, eps * w1)
         p, c, u, steps, outcome = _ascend(
-            phi, abs_phi, target, w1, w2_stage, p, options.max_iter - iterations
+            phi, abs_phi, target, w1, w2_stage, p, _MAX_ITER - iterations
         )
         iterations += steps
         if outcome in ("converged", "stalled") and np.any(l1_only):
@@ -415,9 +400,9 @@ def solve(program: DiscreteProgram, options: SolveOptions | None = None) -> Solv
             status = outcome
             break
         if (
-            eq_abs <= options.tol_eq * tnorm
-            and eq_abs / root_mn <= options.tol_primal
-            and abs(gap) <= options.tol_dual * primal
+            eq_abs <= _TOL_EQ * tnorm
+            and eq_abs / root_mn <= _TOL_PRIMAL
+            and abs(gap) <= _TOL_DUAL * primal
         ):
             status = "converged"
             break
@@ -447,28 +432,24 @@ def solve(program: DiscreteProgram, options: SolveOptions | None = None) -> Solv
     )
 
 
-def solve_problem(
-    problem: ControlProblem, options: SolveOptions | None = None
-) -> SolveReport:
+def solve_problem(problem: ControlProblem) -> SolveReport:
     """Transcribe ``problem`` on its grid and solve it."""
-    return solve(transcribe(problem), options)
+    return solve(transcribe(problem))
 
 
-def solve_l1(problem: ControlProblem, options: SolveOptions | None = None) -> SolveReport:
+def solve_l1(problem: ControlProblem) -> SolveReport:
     """Solve for the sparsest (L1-cost) control; requires ``lam > 0``."""
-    return solve_problem(replace(problem, mode="L1"), options)
+    return solve_problem(replace(problem, mode="L1"))
 
 
-def solve_l1l2(
-    problem: ControlProblem, options: SolveOptions | None = None
-) -> SolveReport:
+def solve_l1l2(problem: ControlProblem) -> SolveReport:
     """Solve with the mixed L1 plus quadratic cost; requires ``lam > 0, r > 0``."""
-    return solve_problem(replace(problem, mode="L1L2"), options)
+    return solve_problem(replace(problem, mode="L1L2"))
 
 
-def solve_l2(problem: ControlProblem, options: SolveOptions | None = None) -> SolveReport:
+def solve_l2(problem: ControlProblem) -> SolveReport:
     """Solve for the minimum-energy control; requires ``r > 0``."""
-    return solve_problem(replace(problem, mode="L2"), options)
+    return solve_problem(replace(problem, mode="L2"))
 
 
 def _reachable(plant: LtiPlant, x0: np.ndarray, horizon: float, density: float) -> bool:

@@ -10,11 +10,11 @@ import time
 import numpy as np
 import pytest
 
+import handsoff.solver
 from handsoff import (
     ControlProblem,
     ControlTrajectory,
     LtiPlant,
-    SolveOptions,
     bangoffbang_score,
     control_law,
     dead_zone,
@@ -188,7 +188,7 @@ def test_criterion_05_mixed_solutions_approach_both_limits(sparse_1000, sparse_2
     # of U_r exceeds the L1 optimum by at most (r/2) h sum U_L1^2
     cost_gap = vanishing_r.j1 - sparse.j1
     cost_bound = 0.5 * r_small * sparse.u.h * float(np.sum(sparse.u.u**2))
-    cost_slack = SolveOptions().tol_eq * sparse.j1
+    cost_slack = handsoff.solver._TOL_EQ * sparse.j1
 
     u_smooth = solve_l2(chain_problem(r=1.0, mode="L2")).u
     vanishing_lam = solve_l1l2(chain_problem(lam=1e-3, r=1.0, mode="L1L2"))

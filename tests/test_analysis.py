@@ -73,11 +73,16 @@ def test_union_support_never_exceeds_duration():
 
 def test_epsilon_validation():
     control = traj([0.0, 1.0])
+    tiny = ControlProblem(plant=double_integrator(), x0=[1.0, 0.0], T=4.0, N=10)
     for eps in (0.0, -0.1, 0.5, 1.0):
         with pytest.raises(ValueError):
             l0_per_channel(control, epsilon=eps)
         with pytest.raises(ValueError):
             switching_times(control, epsilon=eps)
+        with pytest.raises(ValueError):
+            bangoffbang_score(control, delta=eps)
+        with pytest.raises(ValueError, match="epsilon"):
+            sweep_tradeoff(tiny, [0.1], epsilon=eps)
 
 
 # ---------------------------------------------------------------------------

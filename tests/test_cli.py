@@ -1,7 +1,9 @@
 """End-to-end tests of the command-line interface and its file formats."""
 
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -126,6 +128,7 @@ def test_solve_exit_2_below_minimum_time(tmp_path, capsys):
         (lambda s: s.replace("x0 = 1 0", "x0 ="), "empty value"),
         (lambda s: s + "just some words\n", "expected 'key = value'"),
         (lambda s: s + "rho = 1\n", "unknown key 'rho'"),
+        (lambda s: s + "tol_eq = 1e-8\n", "unknown key 'tol_eq'"),
     ],
 )
 def test_solve_rejects_malformed_files(tmp_path, capsys, mutation, fragment):
@@ -137,6 +140,28 @@ def test_solve_rejects_malformed_files(tmp_path, capsys, mutation, fragment):
 def test_solve_missing_file_exits_1(tmp_path, capsys):
     assert main(["solve", str(tmp_path / "nope.txt"), "--out", str(tmp_path)]) == 1
     assert "cannot read problem file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("eps", ["0.7", "-1"])
+@pytest.mark.parametrize("command", ["solve", "sweep", "verify"])
+def test_bad_eps_exits_1_before_any_work(tmp_path, capsys, command, eps):
+    # mode L2: verify has no quantized check there to trip over a bad eps
+    text = DOUBLE_INTEGRATOR.replace("mode = L1", "mode = L2")
+    problem = write_problem(tmp_path, text)
+    out = tmp_path / "out"
+    if command == "verify":
+        given = tmp_path / "given"
+        assert main(["solve", str(problem), "--out", str(given)]) == 0
+        argv = ["verify", str(problem), str(given / "trajectory.csv")]
+    elif command == "sweep":
+        argv = ["sweep", str(problem), "--r-list", "0.1", "--out", str(out)]
+    else:
+        argv = ["solve", str(problem), "--out", str(out)]
+    capsys.readouterr()
+    assert main(argv + ["--eps", eps]) == 1
+    assert "epsilon must lie in (0, 0.5)" in capsys.readouterr().err
+    for name in ("trajectory.csv", "report.txt", "tradeoff.csv"):
+        assert not (out / name).exists()
 
 
 def test_mode_override_needing_absent_weight_exits_1(tmp_path, capsys):
@@ -227,6 +252,16 @@ def solved(tmp_path):
 def test_verify_accepts_solver_output(solved):
     problem, trajectory = solved
     assert main(["verify", str(problem), str(trajectory)]) == 0
+
+
+@pytest.mark.parametrize("mode", ["L1L2", "L2"])
+def test_verify_accepts_solver_output_without_l1_checks(tmp_path, capsys, mode):
+    text = DOUBLE_INTEGRATOR.replace("mode = L1", f"mode = {mode}")
+    problem = write_problem(tmp_path, text)
+    out = tmp_path / "out"
+    assert main(["solve", str(problem), "--out", str(out)]) == 0
+    assert main(["verify", str(problem), str(out / "trajectory.csv")]) == 0
+    assert "verified: 200 samples" in capsys.readouterr().out
 
 
 def test_verify_catches_tampered_bang_sample(solved, capsys, tmp_path):
@@ -323,8 +358,14 @@ def test_verify_catches_violated_terminal_state(solved, capsys, tmp_path):
 
 
 def test_module_entry_point_help():
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
     result = subprocess.run(
         [sys.executable, "-m", "handsoff", "--help"],
+        env=env,
         capture_output=True,
         text=True,
     )

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+import handsoff.solver
 from handsoff import (
     ControlProblem,
     DiscreteProgram,
     LtiPlant,
-    SolveOptions,
     dead_zone,
     min_energy_closed_form,
     minimum_time,
@@ -134,18 +134,6 @@ def test_program_validation_rejects_bad_fields():
         DiscreteProgram(**{**good, "phi": [[np.inf, 0.0], [0.0, 1.0]]})
 
 
-def test_options_validation():
-    SolveOptions()
-    with pytest.raises(ValueError):
-        SolveOptions(tol_primal=-1e-6)
-    with pytest.raises(ValueError):
-        SolveOptions(tol_dual=0.0)
-    with pytest.raises(ValueError):
-        SolveOptions(tol_eq=0.0)
-    with pytest.raises(ValueError):
-        SolveOptions(max_iter=0)
-
-
 # ---------------------------------------------------------------------------
 # solve
 
@@ -164,21 +152,20 @@ def test_zero_initial_state_returns_zero_control():
 
 def test_converged_report_satisfies_its_contract():
     base = dict(plant=double_integrator(), x0=[1.0, 0.0], T=4.0, N=200, lam=1.0)
-    options = SolveOptions()
     for problem in (
         ControlProblem(**base, r=1.0, mode="L1L2"),
         ControlProblem(**base, mode="L1"),
     ):
-        report = solve_problem(problem, options)
+        report = solve_problem(problem)
         program = transcribe(problem)
         assert report.status == "converged"
         u = report.u.u.reshape(-1)
         assert np.max(np.abs(u)) <= 1.0 + 1e-9
         tnorm = max(1.0, float(np.linalg.norm(program.target)))
-        assert report.eq_residual <= options.tol_eq * tnorm
-        assert report.primal_residual <= options.tol_primal
-        assert report.dual_residual <= options.tol_dual
-        assert report.duality_gap <= options.tol_dual
+        assert report.eq_residual <= handsoff.solver._TOL_EQ * tnorm
+        assert report.primal_residual <= handsoff.solver._TOL_PRIMAL
+        assert report.dual_residual <= handsoff.solver._TOL_DUAL
+        assert report.duality_gap <= handsoff.solver._TOL_DUAL
         assert report.u.u.shape == (200, 1)
         assert report.j1 == pytest.approx(l1_cost(problem, u))
         assert report.j2 == pytest.approx(l2_cost(problem, u))
@@ -313,11 +300,12 @@ def test_solver_is_deterministic():
     assert first.status == second.status
 
 
-def test_max_iter_status_when_budget_too_small():
+def test_max_iter_status_when_budget_too_small(monkeypatch):
     problem = ControlProblem(
         plant=double_integrator(), x0=[1.0, 0.0], T=4.0, N=100, lam=1.0, mode="L1"
     )
-    report = solve_problem(problem, SolveOptions(max_iter=3))
+    monkeypatch.setattr(handsoff.solver, "_MAX_ITER", 3)
+    report = solve_problem(problem)
     assert report.status == "max_iter"
     assert report.iterations == 3
 
