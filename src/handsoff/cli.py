@@ -8,9 +8,12 @@ stopping rule is fixed and has no keys.
 
 Subcommands: ``solve`` writes ``trajectory.csv`` and ``report.txt`` (status,
 costs, residuals and the duality gap of the solve, then the metrics);
-``sweep`` writes ``tradeoff.csv``; ``mintime`` prints the shortest feasible
-horizon; ``verify`` re-checks a stored trajectory against its problem file.
-``--eps`` (``solve``, ``sweep``, ``verify``) must lie in (0, 0.5); it is
+``sweep`` writes ``tradeoff.csv`` (``r,l0_seconds,derivative_supnorm,status,
+iterations``); ``mintime`` prints the shortest feasible horizon, or exits 2
+when none exists; ``verify`` re-checks a stored trajectory against its
+problem file.
+``--eps`` (``solve``, ``sweep``, ``verify``) must lie in (0, 0.5) and
+``--tol`` (``mintime``, ``verify``) must be positive and finite; both are
 checked before any file is read or written.
 Exit codes: 0 success, 1 malformed input, 2 solve or check failure.  All
 diagnostics go to standard error; data goes to files or standard output.
@@ -19,6 +22,7 @@ diagnostics go to standard error; data goes to files or standard output.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -343,11 +347,11 @@ def _cmd_sweep(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "tradeoff.csv", "w", encoding="utf-8") as fh:
-        fh.write("r,l0_seconds,derivative_supnorm,status\n")
+        fh.write("r,l0_seconds,derivative_supnorm,status,iterations\n")
         for p in points:
             fh.write(
                 f"{_fmt(p.r)},{_fmt(p.l0_seconds)},"
-                f"{_fmt(p.derivative_supnorm)},{p.status}\n"
+                f"{_fmt(p.derivative_supnorm)},{p.status},{p.iterations}\n"
             )
     converged = sum(1 for p in points if p.status == "converged")
     if converged == 0:
@@ -364,9 +368,13 @@ def _cmd_sweep(args) -> int:
 def _cmd_mintime(args) -> int:
     problem = parse_problem_file(args.problem)
     density = problem.N / problem.T
-    t_star = minimum_time(
-        problem.plant, problem.x0, grid_density=density, tol_t=args.tol
-    )
+    try:
+        t_star = minimum_time(
+            problem.plant, problem.x0, grid_density=density, tol_t=args.tol
+        )
+    except RuntimeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(f"T_star = {_fmt(t_star)}")
     print(f"grid_density = {_fmt(density)}")
     return 0
@@ -491,6 +499,8 @@ def main(argv=None) -> int:
     try:
         if hasattr(args, "eps"):
             _check_eps(args.eps)
+        if getattr(args, "tol", None) is not None and not 0.0 < args.tol < math.inf:
+            raise ValueError(f"--tol must be positive and finite, got {args.tol}")
         return args.func(args)
     except ProblemFileError as exc:
         print(f"error: {exc}", file=sys.stderr)

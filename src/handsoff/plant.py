@@ -209,7 +209,13 @@ def discretize(plant: LtiPlant, h: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def simulate(plant: LtiPlant, x0, control: ControlTrajectory) -> StateTrajectory:
-    """Propagate ``x[k+1] = Ad x[k] + Bd u[k]`` from ``x0`` under ``control``."""
+    """Propagate ``x[k+1] = Ad x[k] + Bd u[k]`` from ``x0`` under ``control``.
+
+    Loop-free: with ``y[0] = x0`` and ``y[k+1] = Bd u[k]``, the states are the
+    prefix sums ``x[k] = sum_{j <= k} Ad^(k-j) y[j]``, taken as a log-depth
+    scan ``y[d:] += y[:-d] Ad^d'`` for ``d = 1, 2, 4, ...`` (one batched
+    product and one squaring of ``Ad`` per doubling of ``d``).
+    """
     x0 = _as_float_array(x0, "x0").reshape(-1)
     if x0.shape[0] != plant.n:
         raise ValueError(f"x0 must have length {plant.n}, got {x0.shape[0]}")
@@ -218,11 +224,17 @@ def simulate(plant: LtiPlant, x0, control: ControlTrajectory) -> StateTrajectory
             f"control has {control.n_inputs} channels, plant expects {plant.m}"
         )
     ad, bd = discretize(plant, control.h)
-    n_steps = control.n_steps
-    states = np.empty((n_steps + 1, plant.n))
+    states = np.empty((control.n_steps + 1, plant.n))
     states[0] = x0
-    for k in range(n_steps):
-        states[k + 1] = ad @ states[k] + bd @ control.u[k]
+    states[1:] = control.u @ bd.T
+    power = ad
+    d = 1
+    while d < states.shape[0]:
+        # the right side is evaluated before the in-place add, so every row
+        # takes the sums of the previous round
+        states[d:] += states[:-d] @ power.T
+        power = power @ power
+        d *= 2
     return StateTrajectory(h=control.h, states=states)
 
 
@@ -234,7 +246,9 @@ def reachability_matrix(
     Returns ``(phi, free)`` with ``phi = [Ad^(N-1) Bd, ..., Ad Bd, Bd]`` of
     shape (n, m*N) acting on sample-major stacked controls, and
     ``free = Ad^N`` mapping the initial state to its unforced terminal state,
-    so that ``x[N] = free @ x0 + phi @ vec(U)``.
+    so that ``x[N] = free @ x0 + phi @ vec(U)``.  Loop-free: the blocks
+    ``Ad^k Bd`` come from ceil(log2 N) products, each mapping every block
+    filled so far by the next squared power ``Ad^(2^j)``.
     """
     ad = _as_float_array(ad, "ad")
     bd = _as_float_array(bd, "bd")
@@ -247,12 +261,18 @@ def reachability_matrix(
     if not n_steps >= 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
     n, m = bd.shape
+    # the last `filled` blocks hold Ad^k Bd for k < filled; the next ones to
+    # the left are Ad^filled times the last `step`, in the same order
     phi = np.empty((n, m * n_steps))
-    block = bd
-    for k in range(n_steps - 1, -1, -1):
-        phi[:, k * m : (k + 1) * m] = block
-        block = ad @ block
-    # after the loop block holds Ad^N @ Bd; recompute the pure power for free response
+    phi[:, -m:] = bd
+    square = ad
+    filled = 1
+    while filled < n_steps:
+        step = min(filled, n_steps - filled)
+        end = m * (n_steps - filled)
+        np.matmul(square, phi[:, m * (n_steps - step) :], out=phi[:, end - m * step : end])
+        square = square @ square
+        filled += step
     free = np.linalg.matrix_power(ad, n_steps)
     return phi, free
 

@@ -78,6 +78,11 @@ _MAX_ITER = 50000
 # the size of the terms it is made of, |target| and || |phi| |U| ||; rounding
 # keeps it from reaching a bound relative to |target| alone
 _STOP_REL = 1e-10
+# a warm-started last stage (solve's _start) enters close to the optimum, so
+# its last step tends to land just under _STOP_REL where a cold solve's lands
+# far below; it runs on while each step still cuts the residual tenfold, down
+# to this share
+_RUN_ON_REL = 1e-13
 # share of the full-band curvature added to every Newton system, so that a
 # band with fewer than n samples still gives a well-scaled ascent direction
 _REG = 1e-10
@@ -94,7 +99,8 @@ _PROGRESS = 0.99
 # weight, largest first
 _SMOOTHING = 10.0 ** -np.arange(13)
 # a dual point p is a Farkas certificate of infeasibility when
-# target'p exceeds sum |phi' p| by more than this share
+# target'p exceeds sum |phi' p| by more than this share; the same share
+# guards minimum_time's test of the unstable modes
 _FARKAS_MARGIN = 1e-9
 
 
@@ -261,14 +267,16 @@ def _line_search(c, e, slope0, w1, w2):
     return t
 
 
-def _ascend(phi, abs_phi, target, w1, w2, p, budget):
+def _ascend(phi, abs_phi, target, w1, w2, p, budget, run_on=False):
     """Damped semismooth Newton ascent on the dual with weights ``w2 > 0``.
 
     Starts at ``p`` and takes at most ``budget`` steps.  Returns
     ``(p, c, u, steps, outcome)`` where ``outcome`` is "converged" (terminal
     residual at the rounding floor), "stalled" (no ascent direction left, or
     the residual stopped falling), "infeasible_suspected" (``p`` is a Farkas
-    certificate), or "max_iter" (budget spent).
+    certificate), or "max_iter" (budget spent).  With ``run_on`` the ascent
+    goes past the stopping rule while each step cuts the residual tenfold,
+    down to ``_RUN_ON_REL``, and returns the best point it passed.
     """
     reg = _REG * ((phi / w2) @ phi.T)
     tsize = max(1.0, float(np.linalg.norm(target)))
@@ -277,12 +285,19 @@ def _ascend(phi, abs_phi, target, w1, w2, p, budget):
     best = math.inf
     since_best = 0
     steps = 0
+    kept = None
     while True:
         grad = target - phi @ u
         gnorm = float(np.linalg.norm(grad))
         size = max(tsize, float(np.linalg.norm(abs_phi @ np.abs(u))))
-        if gnorm <= _STOP_REL * size:
+        if kept is not None and not gnorm <= 0.1 * kept[3]:
+            if not gnorm < kept[3]:
+                p, c, u = kept[:3]
             return p, c, u, steps, "converged"
+        if gnorm <= _STOP_REL * size:
+            if not run_on or gnorm <= _RUN_ON_REL * size or steps == budget:
+                return p, c, u, steps, "converged"
+            kept = (p, c, u, gnorm)
         # an ascent that escapes to infinity leaves along a certificate
         if target @ p > (1.0 + _FARKAS_MARGIN) * float(np.sum(np.abs(c))):
             return p, c, u, steps, "infeasible_suspected"
@@ -309,7 +324,7 @@ def _ascend(phi, abs_phi, target, w1, w2, p, budget):
             if t > 0.0:
                 break
         else:
-            return p, c, u, steps, "stalled"
+            return p, c, u, steps, "stalled" if kept is None else "converged"
         p = p + t * direction
         c = phi.T @ p
         u = control_law(c, w1, w2)
@@ -348,13 +363,21 @@ def _recover(phi, target, p, c, w1, w2, w2_stage):
     return u, p
 
 
-def solve(program: DiscreteProgram) -> SolveReport:
+def solve(program: DiscreteProgram, *, _start=None) -> SolveReport:
     """Solve ``program`` by semismooth Newton ascent on its costate dual.
 
-    Deterministic: the costate starts at zero and every step is fixed by the
-    data.  Raises ``numpy.linalg.LinAlgError`` when ``phi`` is row rank
-    deficient (terminal constraint unreachable for every control), and
-    ``ValueError`` when a sample carries neither an L1 nor a quadratic weight.
+    Deterministic: the costate starts at zero, or at ``_start``'s costate,
+    and every step is fixed by the data.  ``_start`` (private, for
+    ``analysis.sweep_tradeoff``) is a pair ``(costate, l2_weights)`` from a
+    converged solve of the same ``phi``, ``target`` and L1 weights under
+    heavier quadratic weights: the ascent then starts from that costate and
+    skips the smoothing stages whose weights all lie at or above those
+    weights, so a path of decreasing quadratic weights continues the
+    smoothing homotopy.  Its last stage runs on past the stopping rule to
+    the residual a cold solve's last step typically reaches.  Raises
+    ``numpy.linalg.LinAlgError`` when ``phi`` is row rank deficient (terminal
+    constraint unreachable for every control), and ``ValueError`` when a
+    sample carries neither an L1 nor a quadratic weight.
     A horizon below the minimum time is reported "infeasible_suspected" with
     a Farkas certificate in ``costate``: ``target' p > sum |phi' p|``.
     """
@@ -377,13 +400,17 @@ def solve(program: DiscreteProgram) -> SolveReport:
     tnorm = max(1.0, float(np.linalg.norm(target)))
     root_mn = math.sqrt(mn)
     l1_only = w2 == 0.0
-    p = np.zeros(n)
+    p = np.zeros(n) if _start is None else _start[0]
     iterations = 0
     status = "max_iter"
     for eps in _SMOOTHING:
         w2_stage = np.maximum(w2, eps * w1)
+        last = eps == _SMOOTHING[-1] or np.array_equal(w2_stage, w2)
+        if not last and _start is not None and np.all(w2_stage >= _start[1]):
+            continue
         p, c, u, steps, outcome = _ascend(
-            phi, abs_phi, target, w1, w2_stage, p, _MAX_ITER - iterations
+            phi, abs_phi, target, w1, w2_stage, p, _MAX_ITER - iterations,
+            run_on=last and _start is not None,
         )
         iterations += steps
         if outcome in ("converged", "stalled") and np.any(l1_only):
@@ -407,7 +434,7 @@ def solve(program: DiscreteProgram) -> SolveReport:
             status = "converged"
             break
         # a stalled stage, or one at the program's own weights, is the last
-        if outcome == "stalled" or np.array_equal(w2_stage, w2):
+        if outcome == "stalled" or last:
             break
     if status == "infeasible_suspected":
         # no feasible control, so no gap: the dual is unbounded along p
@@ -477,7 +504,11 @@ def minimum_time(
     Bisection on the feasibility of the transcribed reach condition at
     ``grid_density`` samples per second; the returned horizon is feasible and
     within ``tol_t`` of the infeasible end of the bracket.  Raises
-    ``numpy.linalg.LinAlgError`` for an uncontrollable pair.
+    ``numpy.linalg.LinAlgError`` for an uncontrollable pair, and
+    ``RuntimeError`` when no finite horizon exists: before any bracketing,
+    each unstable mode ``z = v'x`` (``v'A = mu v'``, ``Re mu > 0``) is
+    tested, since ``dz/dt = mu z + v'B u`` can reach 0 under ``|u| <= 1``
+    only from ``|v'x0| < |B'v|_1 / Re mu``.
     """
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     if x0.shape[0] != plant.n:
@@ -490,6 +521,15 @@ def minimum_time(
         controllability_gramian(plant, 1.0),
         "minimum time is undefined for an uncontrollable pair",
     )
+    eigvals, left = np.linalg.eig(plant.a.T)
+    for mu, v in zip(eigvals, left.T):
+        pull = float(np.sum(np.abs(plant.b.T @ v)))
+        if mu.real > 0.0 and abs(v @ x0) * mu.real > (1.0 + _FARKAS_MARGIN) * pull:
+            raise RuntimeError(
+                f"no finite minimum time: the mode of the unstable eigenvalue "
+                f"{mu:.6g} starts {abs(v @ x0) * mu.real / pull:.6g} times as far "
+                "out as |u| <= 1 can bring it back to rest"
+            )
 
     t_lo = 0.0
     t_hi = tol_t

@@ -1,11 +1,13 @@
 """Tests for the sparsity metrics, switching structure, and optimality checks."""
 
 import math
+from dataclasses import replace
 from functools import lru_cache
 
 import numpy as np
 import pytest
 
+import handsoff.solver
 from handsoff import (
     ControlProblem,
     ControlTrajectory,
@@ -17,6 +19,7 @@ from handsoff import (
     l0_measure,
     l0_per_channel,
     solve_l1,
+    solve_problem,
     sweep_tradeoff,
     switching_times,
     ternary_transitions_ok,
@@ -269,3 +272,59 @@ def test_sweep_rejects_bad_weight_lists():
         sweep_tradeoff(problem, [0.0, 1.0])
     with pytest.raises(ValueError):
         sweep_tradeoff(problem, [np.inf])
+
+
+# the chain of the paper's fourth-order example, and a lightly damped
+# three-state plant with two inputs
+SWEEP_PROBLEMS = {
+    "chain": ControlProblem(
+        plant=LtiPlant(
+            a=[[0, -1, 0, 0], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]],
+            b=[[2], [0], [0], [0]],
+        ),
+        x0=[1.0, 1.0, 1.0, 1.0],
+        T=10.0,
+        N=1000,
+        lam=1.0,
+    ),
+    "two_input": ControlProblem(
+        plant=LtiPlant(
+            a=[[-0.3, 2.0, 0.0], [-2.0, -0.3, 0.0], [0.5, 0.0, -0.8]],
+            b=[[1.0, 0.0], [0.2, 0.7], [0.0, 1.0]],
+        ),
+        x0=[1.0, -0.5, 0.8],
+        T=4.0,
+        N=600,
+        lam=[1.0, 0.5],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_PROBLEMS))
+def test_sweep_matches_cold_solves_on_one_transcription(name, monkeypatch):
+    problem = SWEEP_PROBLEMS[name]
+    # unsorted, non-decade ratios, and one weight twice
+    r_values = list(np.logspace(-3.0, 1.0, 9)[::-1]) + [0.1]
+    transcribe = handsoff.solver.transcribe
+    calls = []
+
+    def counting_transcribe(*args, **kwargs):
+        calls.append(args)
+        return transcribe(*args, **kwargs)
+
+    monkeypatch.setattr(handsoff.solver, "transcribe", counting_transcribe)
+    points = sweep_tradeoff(problem, r_values)
+    assert len(calls) == 1
+
+    assert [p.r for p in points] == sorted(r_values)
+    cold = [solve_problem(replace(problem, r=p.r, mode="L1L2")) for p in points]
+    for point, report in zip(points, cold):
+        assert point.status == report.status == "converged", point
+        assert point.l0_seconds == compute_metrics(report.u).l0_seconds, point
+        assert point.derivative_supnorm == pytest.approx(
+            derivative_supnorm(report.u), rel=1e-9
+        ), point
+    # the largest weight starts from zero, like the cold solve; every other
+    # point starts where the one above it converged
+    assert points[-1].iterations == cold[-1].iterations
+    assert sum(p.iterations for p in points) < sum(r.iterations for r in cold)

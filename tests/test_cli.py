@@ -181,12 +181,13 @@ def test_sweep_writes_tradeoff_csv(tmp_path):
     out = tmp_path / "out"
     assert main(["sweep", str(problem), "--r-list", "0.01,1", "--out", str(out)]) == 0
     lines = (out / "tradeoff.csv").read_text().splitlines()
-    assert lines[0] == "r,l0_seconds,derivative_supnorm,status"
+    assert lines[0] == "r,l0_seconds,derivative_supnorm,status,iterations"
     assert len(lines) == 3
     first = lines[1].split(",")
     last = lines[2].split(",")
     assert float(first[0]) == 0.01 and float(last[0]) == 1.0
     assert first[3] == "converged" and last[3] == "converged"
+    assert int(first[4]) >= 0 and int(last[4]) > 0
     # heavier quadratic weight: more support, less slope
     assert float(last[1]) >= float(first[1])
     assert float(last[2]) <= float(first[2])
@@ -231,6 +232,17 @@ def test_mintime_zero_state(tmp_path, capsys):
     assert t_star <= 0.01
 
 
+def test_mintime_without_finite_horizon_exits_2(tmp_path, capsys):
+    # x' = x + u from x0 = 1.5: |u| <= 1 holds x back only from |x0| < 1
+    text = (
+        "n = 1\nm = 1\nA = 1\nB = 1\nx0 = 1.5\nT = 1\nN = 1\n"
+        "lambda = 1\nmode = L1\n"
+    )
+    problem = write_problem(tmp_path, text)
+    assert main(["mintime", str(problem)]) == 2
+    assert "no finite minimum time" in capsys.readouterr().err
+
+
 def test_mintime_uncontrollable_plant_exits_1(tmp_path, capsys):
     problem = write_problem(tmp_path, DOUBLE_INTEGRATOR.replace("B = 0; 1", "B = 0; 0"))
     assert main(["mintime", str(problem)]) == 1
@@ -252,6 +264,18 @@ def solved(tmp_path):
 def test_verify_accepts_solver_output(solved):
     problem, trajectory = solved
     assert main(["verify", str(problem), str(trajectory)]) == 0
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0"])
+@pytest.mark.parametrize("command", ["verify", "mintime"])
+def test_bad_tol_exits_1_before_any_work(solved, capsys, command, tol):
+    problem, trajectory = solved
+    argv = [command, str(problem)] + ([str(trajectory)] if command == "verify" else [])
+    capsys.readouterr()
+    assert main(argv + ["--tol", tol]) == 1
+    captured = capsys.readouterr()
+    assert "--tol must be positive and finite" in captured.err
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("mode", ["L1L2", "L2"])

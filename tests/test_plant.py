@@ -28,6 +28,52 @@ from handsoff.plant import (
 DOUBLE_INTEGRATOR = LtiPlant(a=[[0.0, 1.0], [0.0, 0.0]], b=[0.0, 1.0])
 
 
+def sequential_reachability(ad, bd, n_steps):
+    """Reference ``[Ad^(N-1) Bd, ..., Ad Bd, Bd]``, one product per step."""
+    n, m = bd.shape
+    phi = np.empty((n, m * n_steps))
+    block = bd
+    for k in range(n_steps - 1, -1, -1):
+        phi[:, k * m : (k + 1) * m] = block
+        block = ad @ block
+    return phi
+
+
+def sequential_states(ad, bd, x0, u):
+    """Reference recurrence ``x[k+1] = Ad x[k] + Bd u[k]``, one step at a time."""
+    states = np.empty((u.shape[0] + 1, ad.shape[0]))
+    states[0] = x0
+    for k in range(u.shape[0]):
+        states[k + 1] = ad @ states[k] + bd @ u[k]
+    return states
+
+
+def kernel_battery():
+    """Seeded ``(plant, T)`` pairs: stable, oscillatory and unstable in turn.
+
+    n is 2..4 and m 1..2; the unstable plants have max Re(lambda) * T in
+    (5, 20].
+    """
+    rng = np.random.default_rng(2024)
+    battery = []
+    for i in range(12):
+        n = int(rng.integers(2, 5))
+        m = int(rng.integers(1, 3))
+        a = rng.standard_normal((n, n))
+        kind = i % 3
+        if kind == 1:
+            # lightly damped: eigenvalues just left of the imaginary axis
+            a = a - a.T - 0.01 * np.eye(n)
+        else:
+            lead = float(np.max(np.linalg.eigvals(a).real))
+            shift = -rng.uniform(0.1, 1.5) if kind == 0 else rng.uniform(0.2, 2.0)
+            a = a + (shift - lead) * np.eye(n)
+        lead = float(np.max(np.linalg.eigvals(a).real))
+        horizon = rng.uniform(5.0, 20.0) / lead if kind == 2 else rng.uniform(1.0, 20.0)
+        battery.append((LtiPlant(a=a, b=rng.standard_normal((n, m))), horizon))
+    return battery
+
+
 def taylor_expm(m, terms=30):
     """Truncated exponential series; accurate to ~1e-15 for ||m|| <= 1."""
     out = np.eye(m.shape[0])
@@ -146,6 +192,33 @@ class TestReachability:
         assert np.allclose(
             traj.final_state, free @ x0 + phi @ u.reshape(-1), atol=1e-9
         )
+
+
+class TestDoublingAgainstSequentialLoops:
+    """The loop-free N-step maps against the one-step-at-a-time recurrences."""
+
+    @pytest.mark.parametrize("n_steps", [1, 2, 3, 1000, 4097])
+    def test_battery(self, n_steps):
+        rng = np.random.default_rng(n_steps)
+        for plant, horizon in kernel_battery():
+            h = horizon / n_steps
+            ad, bd = discretize(plant, h)
+            phi, free = reachability_matrix(ad, bd, n_steps)
+            ref = sequential_reachability(ad, bd, n_steps)
+            col_err = np.linalg.norm(phi - ref, axis=0) / np.linalg.norm(ref, axis=0)
+            assert np.max(col_err) <= 1e-11, (plant, horizon)
+
+            x0 = rng.standard_normal(plant.n)
+            u = rng.uniform(-1.0, 1.0, (n_steps, plant.m))
+            states = simulate(plant, x0, ControlTrajectory(h=h, u=u)).states
+            ref = sequential_states(ad, bd, x0, u)
+            state_err = np.linalg.norm(states - ref, axis=1) / np.linalg.norm(ref, axis=1)
+            assert np.max(state_err) <= 1e-11, (plant, horizon)
+
+            terminal = free @ x0 + phi @ u.reshape(-1)
+            assert np.linalg.norm(states[-1] - terminal) <= 1e-11 * np.linalg.norm(
+                terminal
+            ), (plant, horizon)
 
 
 class TestGramian:

@@ -417,6 +417,33 @@ def test_minimum_time_uncontrollable_pair_raises():
         minimum_time(plant, [1.0, 0.0])
 
 
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        ([[1.0]], [[1.0]]),  # unstable real mode, |B'v|_1 / mu = 1
+        ([[0.3, 1.0], [-1.0, 0.3]], [[0.0], [1.0]]),  # unstable pair, bound 1/0.3
+        ([[0.5, 0.0], [0.0, -1.0]], [[0.25, 0.0], [0.3, 1.0]]),  # two inputs, 0.5
+    ],
+)
+def test_minimum_time_beyond_an_unstable_mode_has_no_finite_horizon(a, b):
+    # |v'x0| at 1.01 times the bound: no |u| <= 1 brings that mode to rest
+    plant = LtiPlant(a=a, b=b)
+    eigvals, left = np.linalg.eig(plant.a.T)
+    k = int(np.argmax(eigvals.real))
+    v = left[:, k]
+    bound = np.sum(np.abs(plant.b.T @ v)) / eigvals[k].real
+    x0 = np.real(np.conj(v))
+    x0 *= 1.01 * bound / abs(v @ x0)
+    with pytest.raises(RuntimeError, match="no finite minimum time"):
+        minimum_time(plant, x0, grid_density=1.0)
+    # at half the bound each of these plants is within reach (for a real
+    # mode the bound is exact); the scalar plant takes ln(1 / (1 - 0.5))
+    t_star = minimum_time(plant, 0.5 * x0 / 1.01, grid_density=500.0, tol_t=0.005)
+    assert np.isfinite(t_star)
+    if plant.n == 1:
+        assert abs(t_star - np.log(2.0)) <= 0.01
+
+
 def test_minimum_time_input_validation():
     with pytest.raises(ValueError):
         minimum_time(double_integrator(), [1.0, 0.0, 0.0])
