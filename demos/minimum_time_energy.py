@@ -3,7 +3,7 @@
 Find the shortest feasible horizon, then compare energy solvers on a fixed one.
 
 This script:
-1. Bisects the minimum time needed to drive a double integrator from rest at
+1. Finds the minimum time needed to drive a double integrator from rest at
    position 1 to the origin with |u| <= 1 (the classical answer is T* = 2)
 2. Repeats the search for the fourth-order example plant
 3. Solves a minimum energy problem two ways on a comfortable horizon: the

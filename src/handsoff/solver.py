@@ -32,6 +32,13 @@ recovered after each stage: samples clear of the threshold take their
 dead-zone level, and the few tied samples (``|c| ~ w1``) are fitted to the
 terminal constraint by bounded least squares.  Every returned control
 carries its costate, and the duality gap ``primal(U) - g(p)`` certifies it.
+
+``minimum_time`` works on the same reach condition without an objective:
+the origin is reachable at a horizon iff ``phi @ U = target`` has a solution
+with ``|U_j| <= 1``, iff the least ``sum |phi' p|`` over ``target' p = 1``
+is at least 1.  That gauge of the reachable set is an LP with n rows,
+solved exactly by an exchange method, and the horizon is found by root
+finding on its logarithm.
 """
 
 from __future__ import annotations
@@ -47,8 +54,7 @@ from .plant import (
     ControlProblem,
     ControlTrajectory,
     LtiPlant,
-    _require_controllable,
-    controllability_gramian,
+    controllability_gramian,  # noqa: F401  (perfbench traces it here)
     discretize,
     reachability_matrix,
 )
@@ -102,6 +108,18 @@ _SMOOTHING = 10.0 ** -np.arange(13)
 # target'p exceeds sum |phi' p| by more than this share; the same share
 # guards minimum_time's test of the unstable modes
 _FARKAS_MARGIN = 1e-9
+# minimum_time: a horizon counts as reachable when a control with |u| <= 1
+# misses the target by at most this share of max(1, |target|); a pair is
+# uncontrollable when [A - mu I, B] has a singular value below this share of
+# its largest at an eigenvalue mu
+_REACH_FLOOR = 1e-8
+_HAUTUS = 1e-9
+# the exchange method of _gauge: a sample is tied when |phi_j' p| is within
+# this share of |phi_j|'|p| (rounding), a multiplier is above 1 when it
+# exceeds 1 by more than this share, and the method gives up after this many
+# steps (the benchmark's plants take at most 20)
+_TIE = 1e-12
+_MAX_EXCHANGES = 200
 
 
 @dataclass(frozen=True)
@@ -479,21 +497,115 @@ def solve_l2(problem: ControlProblem) -> SolveReport:
     return solve_problem(replace(problem, mode="L2"))
 
 
-def _reachable(plant: LtiPlant, x0: np.ndarray, horizon: float, density: float) -> bool:
-    """Whether the amplitude-bounded controls can hit the origin at ``horizon``.
+def _gauge(phi, target, p):
+    """Largest multiple of ``target`` that ``phi`` reaches under ``|v| <= 1``.
 
-    Minimizes the terminal-constraint residual under the amplitude bound
-    (bounded least squares) and tests it against a tight relative floor.
+    Returns ``(s, v, p)`` with ``phi @ v = s * target``, ``|v| <= 1`` and
+    ``target' p = 1``, where ``s = sum |phi' p|`` is the least such sum over
+    the costates with ``target' p = 1``; the two programs are dual, so the
+    origin is reachable at this horizon iff ``s >= 1`` (by ``u = v / s``).
+    Returns None when the method stops without an optimal vertex (rank
+    deficient ``phi``, or ``_MAX_EXCHANGES`` steps).  ``target`` must be
+    nonzero.
+
+    Exchange method (simplex on the ray-shooting program), started at ``p``
+    when ``target' p > 0``.  A vertex ties ``n - 1`` samples ``J`` to
+    ``phi_j' p = 0``; there ``[target, phi_J] [-s; v_J] = -phi sign(c)``,
+    ``c = phi' p``, summed over the untied samples, and the vertex is optimal
+    iff ``|v_J| <= 1``.  Otherwise the worst violator ``k`` is released
+    along the ``d`` with ``[target, phi_J]' d = sign(v_k) e_k``: the sum
+    falls at the slope ``1 - |v_k|`` plus ``2 |phi_j' d|`` for each sample
+    ``j`` whose sign flips, and the step ends exactly at the flip that makes
+    it nonnegative, where ``j`` is tied in place of ``k``.  Until ``n - 1``
+    samples are tied, the steps go down the projected gradient instead.
+    A sample within rounding of zero keeps the sign it had, so a vertex with
+    more than ``n - 1`` ties is left by steps of length zero, never by
+    signs that rounding chose.
     """
-    n_steps = max(1, math.ceil(horizon * density))
-    ad, bd = discretize(plant, horizon / n_steps)
-    phi, free = reachability_matrix(ad, bd, n_steps)
-    target = -(free @ x0)
+    n = phi.shape[0]
+    abs_phi_t = np.abs(phi).T
+    if p is None or not target @ p > 0.0:
+        p = target
+    p = p / (target @ p)
+    tied: list[int] = []
+    sign = np.ones(phi.shape[1])
+    for _ in range(_MAX_EXCHANGES):
+        c = phi.T @ p
+        clear = np.abs(c) > _TIE * (abs_phi_t @ np.abs(p))
+        sign = np.where(clear, np.sign(c), sign)
+        sign[tied] = 0.0
+        grad = phi @ sign
+        basis = np.column_stack([target, phi[:, tied]])
+        release = None
+        try:
+            if len(tied) < n - 1:
+                free = np.linalg.qr(basis, mode="complete")[0][:, len(tied) + 1 :]
+                d = -free @ (free.T @ grad)
+                if not np.linalg.norm(d) > _TIE * np.linalg.norm(grad):
+                    d = free[:, 0] * (-1.0 if grad @ free[:, 0] > 0.0 else 1.0)
+                slope = float(grad @ d)
+            else:
+                z = np.linalg.solve(basis, grad)
+                v = -z[1:]
+                if not np.any(np.abs(v) > 1.0 + _TIE):
+                    sign[tied] = v
+                    return float(z[0]), sign, p
+                release = int(np.argmax(np.abs(v)))
+                rhs = np.zeros(n)
+                rhs[release + 1] = np.sign(v[release])
+                d = np.linalg.solve(basis.T, rhs)
+                slope = 1.0 - abs(v[release])
+        except np.linalg.LinAlgError:
+            return None
+        e = phi.T @ d
+        # the samples whose sign flips along d, in order of their flip; one
+        # within rounding of zero flips at once, the largest |e_j| first
+        flips = np.flatnonzero(sign * e < 0.0)
+        at = np.where(clear[flips], -c[flips] / e[flips], 0.0)
+        order = np.lexsort((-np.abs(e[flips]), at))
+        flips, at = flips[order], at[order]
+        turned = np.flatnonzero(slope + 2.0 * np.cumsum(np.abs(e[flips])) >= 0.0)
+        if turned.size == 0:
+            return None
+        stop = turned[0]
+        p = p + at[stop] * d
+        sign[flips[:stop]] *= -1.0
+        if release is None:
+            tied.append(int(flips[stop]))
+        else:
+            sign[tied[release]] = np.sign(v[release])
+            tied[release] = int(flips[stop])
+    return None
+
+
+def _certified_gauge(phi, target, p):
+    """``(log s, p)`` from ``_gauge``, or None unless a certificate backs it.
+
+    ``s >= 1`` counts when the control ``u = clip(v / s)`` misses the target
+    by at most ``_REACH_FLOOR * max(1, |target|)``; the value is then
+    ``log max(s, 1)``.  ``s < 1`` counts when ``p`` is a Farkas certificate:
+    ``target' p`` above ``sum |phi' p|`` by the share ``_FARKAS_MARGIN`` and
+    by a bound on the rounding of both sides.
+    """
     tnorm = float(np.linalg.norm(target))
-    if tnorm == 0.0:
-        return True
-    res = lsq_linear(phi, target, bounds=(-1.0, 1.0), method="bvls")
-    return float(np.linalg.norm(res.fun)) <= 1e-8 * max(1.0, tnorm)
+    if not (math.isfinite(tnorm) and np.all(np.isfinite(phi))):
+        return None
+    found = _gauge(phi, target, p)
+    if found is None:
+        return None
+    s, v, p = found
+    if s > 0.0:
+        u = np.clip(v / s, -1.0, 1.0)
+        miss = float(np.linalg.norm(phi @ u - target))
+        if miss <= _REACH_FLOOR * max(1.0, tnorm):
+            return math.log(max(s, 1.0)), p
+    support = float(np.sum(np.abs(phi.T @ p)))
+    rounding = phi.shape[0] * np.finfo(float).eps * float(
+        np.abs(target) @ np.abs(p) + np.sum(np.abs(phi).T @ np.abs(p))
+    )
+    if target @ p > (1.0 + _FARKAS_MARGIN) * support + rounding:
+        return math.log(support / float(target @ p)), p
+    return None
 
 
 def minimum_time(
@@ -501,14 +613,23 @@ def minimum_time(
 ) -> float:
     """Shortest horizon at which the origin is reachable under ``|u| <= 1``.
 
-    Bisection on the feasibility of the transcribed reach condition at
-    ``grid_density`` samples per second; the returned horizon is feasible and
-    within ``tol_t`` of the infeasible end of the bracket.  Raises
-    ``numpy.linalg.LinAlgError`` for an uncontrollable pair, and
-    ``RuntimeError`` when no finite horizon exists: before any bracketing,
-    each unstable mode ``z = v'x`` (``v'A = mu v'``, ``Re mu > 0``) is
-    tested, since ``dz/dt = mu z + v'B u`` can reach 0 under ``|u| <= 1``
-    only from ``|v'x0| < |B'v|_1 / Re mu``.
+    Root finding on ``log s(T)``, where ``s(T)`` (``_gauge``) is the largest
+    multiple of the required terminal response that the transcribed reach
+    condition attains at ``grid_density`` samples per second, and the origin
+    is reachable iff ``s(T) >= 1``.  The bracket grows at most twofold per
+    step, then regula falsi (Illinois variant) narrows it, each interpolated
+    horizon followed by a probe ``tol_t`` away on the other side.  The
+    returned horizon is certified reachable by a control with ``|u| <= 1``
+    and terminal miss at most ``1e-8 * max(1, |target|)``, and lies within
+    ``tol_t`` of a horizon certified unreachable by a Farkas costate (or of
+    0).  Raises ``numpy.linalg.LinAlgError`` for an uncontrollable pair (the
+    Hautus test, ``[A - mu I, B]`` of rank below n at an eigenvalue ``mu``),
+    and ``RuntimeError`` when no finite horizon exists: before any
+    bracketing, each unstable mode ``z = v'x`` (``v'A = mu v'``,
+    ``Re mu > 0``) is tested, since ``dz/dt = mu z + v'B u`` can reach 0
+    under ``|u| <= 1`` only from ``|v'x0| < |B'v|_1 / Re mu``.  Also raises
+    ``RuntimeError``, naming the horizon, when a horizon verifies neither
+    certificate (rounding on a strongly unstable plant).
     """
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     if x0.shape[0] != plant.n:
@@ -517,11 +638,16 @@ def minimum_time(
         raise ValueError(f"grid_density must be positive, got {grid_density}")
     if not tol_t > 0.0:
         raise ValueError(f"tol_t must be positive, got {tol_t}")
-    _require_controllable(
-        controllability_gramian(plant, 1.0),
-        "minimum time is undefined for an uncontrollable pair",
-    )
     eigvals, left = np.linalg.eig(plant.a.T)
+    for mu in eigvals:
+        sv = np.linalg.svd(
+            np.hstack([plant.a - mu * np.eye(plant.n), plant.b]), compute_uv=False
+        )
+        if not sv[-1] > _HAUTUS * sv[0]:
+            raise np.linalg.LinAlgError(
+                f"[A - mu I, B] is singular at the eigenvalue mu = {mu:.6g}; "
+                "minimum time is undefined for an uncontrollable pair"
+            )
     for mu, v in zip(eigvals, left.T):
         pull = float(np.sum(np.abs(plant.b.T @ v)))
         if mu.real > 0.0 and abs(v @ x0) * mu.real > (1.0 + _FARKAS_MARGIN) * pull:
@@ -530,18 +656,76 @@ def minimum_time(
                 f"{mu:.6g} starts {abs(v @ x0) * mu.real / pull:.6g} times as far "
                 "out as |u| <= 1 can bring it back to rest"
             )
+    if not np.any(x0):
+        return tol_t
+    growth = float(np.max(eigvals.real))
+    p = None
 
-    t_lo = 0.0
-    t_hi = tol_t
-    while not _reachable(plant, x0, t_hi, grid_density):
-        t_lo = t_hi
-        t_hi *= 2.0
-        if t_hi > 1e6:
+    def log_gauge(horizon: float) -> float:
+        nonlocal p
+        n_steps = max(1, math.ceil(horizon * grid_density))
+        # a map that overflows verifies no certificate; the raise below says so
+        with np.errstate(over="ignore", invalid="ignore"):
+            ad, bd = discretize(plant, horizon / n_steps)
+            phi, free = reachability_matrix(ad, bd, n_steps)
+            found = _certified_gauge(phi, -(free @ x0), p)
+        if found is None:
+            raise RuntimeError(
+                f"minimum time undecided: neither certificate verifies at "
+                f"T = {horizon:.6g} (max Re lambda * T = {growth * horizon:.3g})"
+            )
+        value, p = found
+        return value
+
+    # bracket: secant steps on log s against log T, aimed tol_t / 2 past the
+    # root, at most twofold up (further up, max Re lambda * T grows past what
+    # the certificates can verify) and fourfold down
+    lo, y_lo, hi, y_hi = 0.0, -math.inf, math.inf, 0.0
+    t, last = 1.0, None
+    while True:
+        if t > 1e6:
             raise RuntimeError("no feasible horizon found below 1e6 seconds")
-    while t_hi - t_lo > tol_t:
-        mid = 0.5 * (t_lo + t_hi)
-        if _reachable(plant, x0, mid, grid_density):
-            t_hi = mid
+        y = log_gauge(t)
+        if y < 0.0:
+            lo, y_lo = t, y
         else:
-            t_lo = mid
-    return t_hi
+            hi, y_hi = t, y
+        if hi - lo <= tol_t or (lo > 0.0 and hi < math.inf):
+            break
+        ratio = 2.0 if y < 0.0 else 0.5
+        if last is not None:
+            slope = (y - last[1]) / math.log(t / last[0])
+            if slope > 0.0:
+                ratio = math.exp(min(max(-y / slope, math.log(0.25)), math.log(2.0)))
+        last = (t, y)
+        if y < 0.0:
+            t = min(2.0 * t, ratio * t + 0.5 * tol_t)
+        else:
+            t = max(0.25 * t, ratio * t - 0.5 * tol_t, 0.5 * tol_t)
+    # regula falsi (Illinois) inside the bracket, each point at least
+    # tol_t / 2 inside it and followed by a probe tol_t away across the root;
+    # a round that leaves more than 9/10 of the bracket is followed by a
+    # bisection
+    moved = 0
+    bisect = False
+    while hi - lo > tol_t:
+        width = hi - lo
+        t = 0.5 * (lo + hi) if bisect else lo + width * y_lo / (y_lo - y_hi)
+        t = min(max(t, lo + 0.5 * tol_t), hi - 0.5 * tol_t)
+        y = log_gauge(t)
+        if y < 0.0:
+            if moved < 0:
+                y_hi *= 0.5
+            lo, y_lo, moved, probe = t, y, -1, t + tol_t
+        else:
+            if moved > 0:
+                y_lo *= 0.5
+            hi, y_hi, moved, probe = t, y, 1, t - tol_t
+        if lo < probe < hi:
+            y = log_gauge(probe)
+            if y < 0.0:
+                lo, y_lo = probe, y
+            else:
+                hi, y_hi = probe, y
+        bisect = hi - lo > 0.9 * width
+    return hi

@@ -7,11 +7,14 @@ from scipy.optimize import linprog
 import handsoff.solver
 from handsoff import (
     ControlProblem,
+    ControlTrajectory,
     DiscreteProgram,
     LtiPlant,
     dead_zone,
+    discretize,
     min_energy_closed_form,
     minimum_time,
+    reachability_matrix,
     solve,
     solve_l1,
     solve_l1l2,
@@ -109,8 +112,6 @@ def test_transcribe_target_is_negated_free_response():
         plant=plant, x0=[1.0, 1.0, 1.0, 1.0], T=2.0, N=40, lam=1.0, mode="L1"
     )
     program = transcribe(problem)
-    from handsoff import discretize, reachability_matrix
-
     ad, _ = discretize(plant, problem.h)
     free = np.linalg.matrix_power(ad, 40)
     np.testing.assert_allclose(program.target, -(free @ problem.x0), atol=1e-12)
@@ -442,6 +443,154 @@ def test_minimum_time_beyond_an_unstable_mode_has_no_finite_horizon(a, b):
     assert np.isfinite(t_star)
     if plant.n == 1:
         assert abs(t_star - np.log(2.0)) <= 0.01
+
+
+def reach_map(plant, x0, horizon, n_steps):
+    """``(phi, target)`` of the reach condition ``phi U = target`` on N steps."""
+    ad, bd = discretize(plant, horizon / n_steps)
+    phi, free = reachability_matrix(ad, bd, n_steps)
+    return phi, -(free @ np.asarray(x0, dtype=float))
+
+
+def lp_gauge(phi, target) -> float:
+    """``max{sigma : phi v = sigma target, |v| <= 1}`` by HiGHS (rows scaled)."""
+    n, mn = phi.shape
+    rows = np.column_stack([phi, -target])
+    cost = np.zeros(mn + 1)
+    cost[-1] = -1.0
+    res = linprog(
+        cost,
+        A_eq=rows / np.max(np.abs(rows), axis=1)[:, None],
+        b_eq=np.zeros(n),
+        bounds=[(-1.0, 1.0)] * mn + [(0.0, None)],
+        method="highs",
+    )
+    assert res.status == 0, res.message
+    return -float(res.fun)
+
+
+def gauge_battery():
+    """Seeded ``(plant, x0)`` pairs for the reach gauge.
+
+    The rule is fixed before drawing: n in 1..4, m in 1..3, and stable,
+    oscillatory (an undamped pair, or an integrator when n = 1) and unstable
+    plants in turn; an unstable plant's x0 is scaled to half the reach of its
+    unstable modes.  Then the two-input diagonal plant whose unstable mode
+    only the first input moves, so that every sample of the second input is
+    tied at the optimum, and x0 = 0.  No case is re-drawn.
+    """
+    rng = np.random.default_rng(20260)
+    cases = []
+    for i in range(12):
+        n = int(rng.integers(1, 5))
+        m = int(rng.integers(1, 4))
+        a = 0.7 * rng.standard_normal((n, n))
+        if i % 3 == 1:
+            w = rng.uniform(0.5, 3.0)
+            core = np.diag(-rng.uniform(0.2, 2.0, n))
+            if n == 1:
+                core[0, 0] = 0.0
+            else:
+                core[:2, :2] = [[0.0, w], [-w, 0.0]]
+            s = np.eye(n) + 0.4 * rng.standard_normal((n, n))
+            a = s @ core @ np.linalg.inv(s)
+        else:
+            growth = rng.uniform(-1.5, -0.2) if i % 3 == 0 else rng.uniform(0.2, 1.0)
+            a -= (np.max(np.linalg.eigvals(a).real) - growth) * np.eye(n)
+        plant = LtiPlant(a=a, b=rng.standard_normal((n, m)))
+        x0 = rng.standard_normal(n) * rng.uniform(0.5, 2.0)
+        eigvals, left = np.linalg.eig(plant.a.T)
+        reach = [
+            abs(v @ x0) * mu.real / np.sum(np.abs(plant.b.T @ v))
+            for mu, v in zip(eigvals, left.T)
+            if mu.real > 0.0
+        ]
+        if reach:
+            x0 *= 0.5 / max(reach)
+        cases.append((plant, x0))
+    diagonal = LtiPlant(a=[[0.5, 0.0], [0.0, -1.0]], b=[[0.25, 0.0], [0.3, 1.0]])
+    cases.append((diagonal, np.array([0.25, 0.0])))
+    cases.append((oscillator_chain(), np.zeros(4)))
+    return cases
+
+
+def test_gauge_matches_the_lp_and_its_control_reaches_the_origin():
+    density, tol = 40.0, 0.02
+    for plant, x0 in gauge_battery():
+        t_star = minimum_time(plant, x0, grid_density=density, tol_t=tol)
+        x0_norm = max(1.0, float(np.linalg.norm(x0)))
+        for horizon in (0.6 * t_star, t_star, 1.5 * t_star):
+            n_steps = max(1, int(np.ceil(horizon * density)))
+            phi, target = reach_map(plant, x0, horizon, n_steps)
+            if not np.any(target):
+                u = np.zeros(phi.shape[1])
+            else:
+                found = handsoff.solver._gauge(phi, target, None)
+                assert found is not None, (plant, x0, horizon)
+                s, v, p = found
+                lp = lp_gauge(phi, target)
+                assert abs(s - lp) <= 1e-8 * lp, (plant, x0, horizon, s, lp)
+                assert target @ p == pytest.approx(1.0)
+                assert handsoff.solver._certified_gauge(phi, target, p) is not None
+                u = v / max(s, 1.0)
+            if horizon == t_star:
+                assert np.max(np.abs(u)) <= 1.0
+                control = ControlTrajectory(h=horizon / n_steps, u=u.reshape(n_steps, -1))
+                terminal = simulate(plant, x0, control).final_state
+                assert np.linalg.norm(terminal) <= 1e-6 * x0_norm, (plant, x0)
+
+
+def test_minimum_time_raises_when_no_certificate_verifies(monkeypatch):
+    # a gauge that reads 1e-5 of its value, as rounding can make it do on a
+    # strongly unstable plant, leaves the reachable horizons with neither a
+    # control that hits the target nor a Farkas costate
+    gauge = handsoff.solver._gauge
+
+    def misread(phi, target, p):
+        s, v, p = gauge(phi, target, p)
+        return 1e-5 * s, v, p
+
+    monkeypatch.setattr(handsoff.solver, "_gauge", misread)
+    plant = LtiPlant(a=[[0.92]], b=[[1.0]])
+    with pytest.raises(RuntimeError, match=r"T = .*max Re lambda \* T = "):
+        minimum_time(plant, [0.5], grid_density=20.0)
+
+
+def test_minimum_time_of_a_complex_pair_out_of_reach_raises():
+    # x0 at 0.8 of the bound |B'v|_1 / Re mu of the pair 0.3 +- 1i: the bound
+    # is only necessary for a complex pair, and the gauge levels off at 0.76,
+    # certified below 1 up to T ~ 1000 s; further up the map overflows, and
+    # no horizon may then count as reachable
+    plant = LtiPlant(a=[[0.3, 1.0], [-1.0, 0.3]], b=[[0.0], [1.0]])
+    eigvals, left = np.linalg.eig(plant.a.T)
+    k = int(np.argmax(eigvals.real))
+    v = left[:, k]
+    x0 = np.real(np.conj(v))
+    x0 *= 0.8 * np.sum(np.abs(plant.b.T @ v)) / eigvals[k].real / abs(v @ x0)
+    with pytest.raises(RuntimeError, match="neither certificate verifies"):
+        minimum_time(plant, x0, grid_density=20.0)
+
+
+def test_minimum_time_of_a_controllable_pair_with_a_tiny_gramian_eigenvalue():
+    # a stable 4-state plant whose controllability Gramian over 1 s has an
+    # eigenvalue ratio of 9.4e-13; the Hautus test finds it controllable
+    plant = LtiPlant(
+        a=[
+            [-1.294979100750277, 0.6418669850004759, -0.44003372436601157, -0.8415538015713844],
+            [0.008624372296130963, -1.1453842077934806, 0.13325924438727335, 0.21148260065212907],
+            [0.12107831467953468, -0.5159857991428918, -0.42631702805913363, 0.9206734513893161],
+            [-0.33781856707342645, 0.681204726725577, -0.28427825606097473, -1.6768687640006592],
+        ],
+        b=[[-1.4045111498754397], [-0.6947696164052466], [1.670838954380576], [0.637486246971306]],
+    )
+    x0 = [0.18324522016416792, -0.29587475490332427, 1.2478565894097946, -0.42334950925657155]
+    density, tol = 100.0, 0.01
+    t_star = minimum_time(plant, x0, grid_density=density, tol_t=tol)
+    assert 8.3 < t_star < 8.6
+    # the LP agrees: reachable at T*, not at T* - tol
+    for horizon, reachable in ((t_star, True), (t_star - tol, False)):
+        phi, target = reach_map(plant, x0, horizon, int(np.ceil(horizon * density)))
+        assert (lp_gauge(phi, target) >= 1.0 - 1e-9) == reachable
 
 
 def test_minimum_time_input_validation():
