@@ -497,6 +497,14 @@ def solve_l2(problem: ControlProblem) -> SolveReport:
     return solve_problem(replace(problem, mode="L2"))
 
 
+def _solve_consistent(a, b):
+    """``x`` with ``a x = b``: exact when ``a`` is square, otherwise the
+    least-norm least-squares solution (``b`` lies in the span of ``a``)."""
+    if a.shape[0] == a.shape[1]:
+        return np.linalg.solve(a, b)
+    return np.linalg.lstsq(a, b, rcond=None)[0]
+
+
 def _gauge(phi, target, p):
     """Largest multiple of ``target`` that ``phi`` reaches under ``|v| <= 1``.
 
@@ -504,8 +512,8 @@ def _gauge(phi, target, p):
     ``target' p = 1``, where ``s = sum |phi' p|`` is the least such sum over
     the costates with ``target' p = 1``; the two programs are dual, so the
     origin is reachable at this horizon iff ``s >= 1`` (by ``u = v / s``).
-    Returns None when the method stops without an optimal vertex (rank
-    deficient ``phi``, or ``_MAX_EXCHANGES`` steps).  ``target`` must be
+    Returns None when the method stops without an optimal vertex (a
+    singular system, or ``_MAX_EXCHANGES`` steps).  ``target`` must be
     nonzero.
 
     Exchange method (simplex on the ray-shooting program), started at ``p``
@@ -518,6 +526,10 @@ def _gauge(phi, target, p):
     ``j`` whose sign flips, and the step ends exactly at the flip that makes
     it nonnegative, where ``j`` is tied in place of ``k``.  Until ``n - 1``
     samples are tied, the steps go down the projected gradient instead.
+    When ``phi`` and ``target`` span fewer than ``n`` dimensions (fewer
+    samples than states, or a rank deficient ``phi``), a vertex has fewer
+    ties and its systems are solved within that span; ``s = 0`` when
+    ``target`` lies outside the span of ``phi``.
     A sample within rounding of zero keeps the sign it had, so a vertex with
     more than ``n - 1`` ties is left by steps of length zero, never by
     signs that rounding chose.
@@ -536,25 +548,35 @@ def _gauge(phi, target, p):
         sign[tied] = 0.0
         grad = phi @ sign
         basis = np.column_stack([target, phi[:, tied]])
-        release = None
+        release = d = None
         try:
             if len(tied) < n - 1:
                 free = np.linalg.qr(basis, mode="complete")[0][:, len(tied) + 1 :]
                 d = -free @ (free.T @ grad)
                 if not np.linalg.norm(d) > _TIE * np.linalg.norm(grad):
-                    d = free[:, 0] * (-1.0 if grad @ free[:, 0] > 0.0 else 1.0)
-                slope = float(grad @ d)
-            else:
-                z = np.linalg.solve(basis, grad)
+                    # no descent inside the face: head for the tie of the
+                    # sample that reaches furthest out of span(basis); when
+                    # none does (fewer samples than n, or a rank deficient
+                    # phi), p is at a vertex of the span of phi and target
+                    spill = free.T @ phi
+                    share = np.linalg.norm(spill, axis=0) / (
+                        np.linalg.norm(phi, axis=0) + np.finfo(float).tiny
+                    )
+                    j = int(np.argmax(share))
+                    d = -sign[j] * (free @ spill[:, j]) if share[j] > _TIE else None
+            if d is None:
+                z = _solve_consistent(basis, grad)
                 v = -z[1:]
                 if not np.any(np.abs(v) > 1.0 + _TIE):
                     sign[tied] = v
                     return float(z[0]), sign, p
                 release = int(np.argmax(np.abs(v)))
-                rhs = np.zeros(n)
+                rhs = np.zeros(len(tied) + 1)
                 rhs[release + 1] = np.sign(v[release])
-                d = np.linalg.solve(basis.T, rhs)
+                d = _solve_consistent(basis.T, rhs)
                 slope = 1.0 - abs(v[release])
+            else:
+                slope = float(grad @ d)
         except np.linalg.LinAlgError:
             return None
         e = phi.T @ d
@@ -585,7 +607,9 @@ def _certified_gauge(phi, target, p):
     by at most ``_REACH_FLOOR * max(1, |target|)``; the value is then
     ``log max(s, 1)``.  ``s < 1`` counts when ``p`` is a Farkas certificate:
     ``target' p`` above ``sum |phi' p|`` by the share ``_FARKAS_MARGIN`` and
-    by a bound on the rounding of both sides.
+    by a bound on the rounding of both sides; the value is then the log of
+    ``sum |phi' p|``, or of that bound when larger (finite where ``s = 0``),
+    over ``target' p``.
     """
     tnorm = float(np.linalg.norm(target))
     if not (math.isfinite(tnorm) and np.all(np.isfinite(phi))):
@@ -604,7 +628,7 @@ def _certified_gauge(phi, target, p):
         np.abs(target) @ np.abs(p) + np.sum(np.abs(phi).T @ np.abs(p))
     )
     if target @ p > (1.0 + _FARKAS_MARGIN) * support + rounding:
-        return math.log(support / float(target @ p)), p
+        return math.log(max(support, rounding) / float(target @ p)), p
     return None
 
 
@@ -703,14 +727,10 @@ def minimum_time(
         else:
             t = max(0.25 * t, ratio * t - 0.5 * tol_t, 0.5 * tol_t)
     # regula falsi (Illinois) inside the bracket, each point at least
-    # tol_t / 2 inside it and followed by a probe tol_t away across the root;
-    # a round that leaves more than 9/10 of the bracket is followed by a
-    # bisection
+    # tol_t / 2 inside it and followed by a probe tol_t away across the root
     moved = 0
-    bisect = False
     while hi - lo > tol_t:
-        width = hi - lo
-        t = 0.5 * (lo + hi) if bisect else lo + width * y_lo / (y_lo - y_hi)
+        t = lo + (hi - lo) * y_lo / (y_lo - y_hi)
         t = min(max(t, lo + 0.5 * tol_t), hi - 0.5 * tol_t)
         y = log_gauge(t)
         if y < 0.0:
@@ -727,5 +747,4 @@ def minimum_time(
                 lo, y_lo = probe, y
             else:
                 hi, y_hi = probe, y
-        bisect = hi - lo > 0.9 * width
     return hi

@@ -225,6 +225,21 @@ def test_mintime_double_integrator(tmp_path, capsys):
     assert float(values["grid_density"]) == pytest.approx(200 / 4.0)
 
 
+def test_mintime_on_a_coarse_grid(tmp_path, capsys):
+    # demos/problems/fourth_order_l1.txt at N = 10: one sample per second, so
+    # the first horizons searched have fewer samples than states; 6.62 is
+    # the answer of the doubling-and-bisection search this one replaced
+    text = (
+        "n = 4\nm = 1\nA = 0 -1 0 0; 1 0 0 0; 0 1 0 0; 0 0 1 0\nB = 2; 0; 0; 0\n"
+        "x0 = 1 1 1 1\nT = 10\nN = 10\nlambda = 1\nmode = L1\n"
+    )
+    problem = write_problem(tmp_path, text)
+    assert main(["mintime", str(problem)]) == 0
+    values = dict(line.split(" = ") for line in capsys.readouterr().out.strip().splitlines())
+    assert abs(float(values["T_star"]) - 6.62) <= 0.01
+    assert float(values["grid_density"]) == pytest.approx(1.0)
+
+
 def test_mintime_zero_state(tmp_path, capsys):
     problem = write_problem(tmp_path, DOUBLE_INTEGRATOR.replace("x0 = 1 0", "x0 = 0 0"))
     assert main(["mintime", str(problem)]) == 0

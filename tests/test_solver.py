@@ -1,5 +1,7 @@
 """Tests for the transcription, the costate-dual solver, and minimum time."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
@@ -538,6 +540,84 @@ def test_gauge_matches_the_lp_and_its_control_reaches_the_origin():
                 control = ControlTrajectory(h=horizon / n_steps, u=u.reshape(n_steps, -1))
                 terminal = simulate(plant, x0, control).final_state
                 assert np.linalg.norm(terminal) <= 1e-6 * x0_norm, (plant, x0)
+
+
+def two_input_short_chain() -> LtiPlant:
+    """A triple integrator on the first input beside a lag on the second.
+
+    At two samples its reach map has four columns but rank 3.
+    """
+    a = [[0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, -1.0]]
+    return LtiPlant(a=a, b=[[0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+
+
+@pytest.mark.parametrize(
+    "plant, target_in_range, n_steps",
+    [
+        (oscillator_chain(), False, 1),  # m N < n - 1
+        (oscillator_chain(), False, 2),  # m N < n - 1
+        (oscillator_chain(), False, 3),  # m N = n - 1
+        (oscillator_chain(), True, 2),
+        (double_integrator(), False, 1),  # m N = n - 1
+        (two_input_short_chain(), False, 2),  # m N = n, rank n - 1
+        (two_input_short_chain(), True, 2),
+    ],
+    ids=["chain-1", "chain-2", "chain-3", "chain-2-in-span", "double-integrator-1",
+         "two-input-2", "two-input-2-in-span"],
+)
+def test_gauge_of_a_reach_map_that_does_not_span_the_state_space(
+    plant, target_in_range, n_steps
+):
+    # outside the span of phi the gauge is 0 and its costate a Farkas
+    # certificate; inside it the gauge is positive and found within the span
+    phi, _ = reach_map(plant, np.ones(plant.n), 1.0 * n_steps, n_steps)
+    if target_in_range:
+        target = phi @ np.linspace(1.0, 2.0, phi.shape[1])
+    else:
+        target = -np.linalg.matrix_power(discretize(plant, 1.0)[0], n_steps) @ np.ones(plant.n)
+    found = handsoff.solver._gauge(phi, target, None)
+    assert found is not None
+    s, v, p = found
+    lp = lp_gauge(phi, target)
+    assert abs(s - lp) <= 1e-8 * max(lp, 1.0), (s, lp)
+    assert (lp > 0.1) == target_in_range
+    assert target @ p == pytest.approx(1.0)
+    assert np.max(np.abs(v)) <= 1.0 + 1e-12
+    assert np.allclose(phi @ v, s * target, atol=1e-12 * np.linalg.norm(target))
+    certified = handsoff.solver._certified_gauge(phi, target, p)
+    assert certified is not None and math.isfinite(certified[0])
+    assert (certified[0] < 0.0) == (s < 1.0)
+
+
+@pytest.mark.parametrize(
+    "plant, x0, expected",
+    [
+        (oscillator_chain(), np.ones(4), 6.62),
+        (oscillator_chain(), 1e-3 * np.ones(4), 3.01),
+        (two_input_short_chain(), np.array([1.0, 0.5, 0.2, 1.0]), 4.5),
+        (two_input_short_chain(), 1e-3 * np.array([1.0, 0.5, 0.2, 1.0]), 2.01),
+    ],
+    ids=["chain", "chain-small-x0", "two-input", "two-input-small-x0"],
+)
+def test_minimum_time_on_a_coarse_grid(plant, x0, expected):
+    # one sample per second: the first horizons tried have fewer samples
+    # than the state has dimensions (or a rank deficient map), where the
+    # origin is out of reach; expected is the doubling-and-bisection answer
+    # of the BVLS feasibility test this search replaced
+    tol = 0.01
+    t_star = minimum_time(plant, x0, grid_density=1.0, tol_t=tol)
+    assert abs(t_star - expected) <= tol
+    n_steps = math.ceil(t_star)
+    phi, target = reach_map(plant, x0, t_star, n_steps)
+    assert lp_gauge(phi, target) >= 1.0 - 1e-9
+
+
+def test_minimum_time_of_the_double_integrator_on_a_coarse_grid():
+    # at one sample per second, T = 2 is reachable (two samples of length 1,
+    # u = -1 then +1) while T just below it (two shorter samples) and just
+    # above it (three samples) are not; the search starts at T = 1, where
+    # the map has one column and the gauge is 0 up to rounding
+    assert minimum_time(double_integrator(), [1.0, 0.0], grid_density=1.0) == 2.0
 
 
 def test_minimum_time_raises_when_no_certificate_verifies(monkeypatch):
