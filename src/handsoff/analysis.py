@@ -137,18 +137,12 @@ def switching_times(control: ControlTrajectory, epsilon: float = DEFAULT_EPS) ->
     the start of the first sample at the new level.
     """
     _check_eps(epsilon)
-    codes = _quantize(control.u, epsilon)
-    times: set[float] = set()
-    for i in range(control.n_inputs):
-        prev = None
-        for k in range(control.n_steps):
-            c = codes[k, i]
-            if c == _BETWEEN:
-                continue
-            if prev is not None and c != prev:
-                times.add(k * control.h)
-            prev = c
-    return np.array(sorted(times))
+    codes = _quantize(control.u, epsilon).T
+    # the clean samples, channel by channel in time order
+    channel, k = np.nonzero(codes != _BETWEEN)
+    level = codes[channel, k]
+    switch = (channel[1:] == channel[:-1]) & (level[1:] != level[:-1])
+    return np.unique(k[1:][switch] * control.h)
 
 
 def bangoffbang_score(control: ControlTrajectory, delta: float = DEFAULT_EPS) -> float:

@@ -55,6 +55,8 @@ _PROBLEM_KEYS = _REQUIRED_KEYS + ("lambda", "r")
 # significant digits for serialized numbers; enough that re-parsing
 # reproduces every metric to 1e-9
 _FMT = ".15g"
+# rows formatted per write of write_trajectory_csv
+_CSV_BLOCK = 1024
 
 
 class ProblemFileError(ValueError):
@@ -192,16 +194,18 @@ def write_trajectory_csv(path, control: ControlTrajectory, states) -> None:
         + [f"u_{i + 1}" for i in range(m)]
         + [f"x_{j + 1}" for j in range(n)]
     )
+    # one %-template per row: "%.15g" formats a float exactly as _fmt does
+    cell = "%" + _FMT
+    row = ",".join([cell] * (1 + m + n)) + "\n"
+    last = ",".join([cell] + [""] * m + [cell] * n) + "\n"
+    t = np.arange(n_steps + 1) * control.h
+    body = np.column_stack([t[:-1], u, x[:n_steps]])
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
-        for k in range(n_steps + 1):
-            cells = [_fmt(k * control.h)]
-            if k < n_steps:
-                cells += [_fmt(v) for v in u[k]]
-            else:
-                cells += [""] * m
-            cells += [_fmt(v) for v in x[k]]
-            fh.write(",".join(cells) + "\n")
+        # in blocks of rows, so that memory stays bounded on long grids
+        for block in np.array_split(body, range(_CSV_BLOCK, n_steps, _CSV_BLOCK)):
+            fh.write((row * len(block)) % tuple(block.ravel().tolist()))
+        fh.write(last % (t[-1], *x[n_steps].tolist()))
 
 
 def read_trajectory_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -12,6 +12,9 @@ broadcast elementwise; scalar input gives scalar output.  The maps:
   costate it is the optimal L1/L2 and L1 control; with ``c = s*a`` and
   ``w2 = r + s`` it is the proximal map, penalty ``s``, of
   ``w1*|u| + (r/2)*u**2`` on ``[-1, 1]``.
+* ``saturated_shrink`` -- the ``w2 > 0`` branch of ``control_law`` as one
+  unchecked whole-array pass, for callers whose weights are positive by
+  construction (the solver's Newton ascent).
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ __all__ = [
     "shrink",
     "sat",
     "control_law",
+    "saturated_shrink",
 ]
 
 
@@ -66,15 +70,37 @@ def sat(v):
     return _match_input(out, v)
 
 
+def saturated_shrink(c, w1, w2, out=None) -> np.ndarray:
+    """``sat(shrink(c, w1) / w2)`` for ``w2 > 0``, bit for bit, without checks.
+
+    Numerically ``sat((c - clip(c, -w1, w1)) / w2)``; computed as
+    ``sign(c) * min(max(|c| - w1, 0) / w2, 1)``, with no masks or gathers,
+    so that the dead zone keeps the signed zero ``sign(c) * 0`` of ``shrink``.
+    ``w1 >= 0`` and ``w2 > 0`` are the caller's to ensure (``w2 = 0`` gives
+    NaN where ``|c| <= w1``).  The weights broadcast against ``c``; the
+    result is an array of ``c``'s shape, written into ``out`` when given
+    (``out`` must not be ``c``).
+    """
+    if out is None:
+        out = np.empty(np.shape(c))
+    u = np.abs(c, out=out)
+    np.subtract(u, w1, out=u)
+    np.maximum(u, 0.0, out=u)
+    np.divide(u, w2, out=u)
+    np.minimum(u, 1.0, out=u)
+    u *= np.sign(c)
+    return u
+
+
 def control_law(c, w1, w2):
     """Minimizer of ``w1*|u| + (w2/2)*u**2 - c*u`` over ``|u| <= 1``, elementwise.
 
-    ``sat(shrink(c, w1) / w2)`` where ``w2 > 0``, and ``dead_zone(c, w1)``
-    where ``w2 = 0``, which is 0 on the threshold ``|c| = w1`` itself.  The
-    weights broadcast against ``c`` and must be nonnegative; a sample with
-    ``w2 = 0`` needs ``w1 > 0``.  As ``w2 -> 0`` the saturated soft threshold
-    approaches the dead-zone level away from the thresholds, and as
-    ``w1 -> 0`` it approaches ``sat(c / w2)``.
+    ``sat(shrink(c, w1) / w2)`` where ``w2 > 0`` (``saturated_shrink``), and
+    ``dead_zone(c, w1)`` where ``w2 = 0``, which is 0 on the threshold
+    ``|c| = w1`` itself.  The weights broadcast against ``c`` and must be
+    nonnegative; a sample with ``w2 = 0`` needs ``w1 > 0``.  As ``w2 -> 0``
+    the saturated soft threshold approaches the dead-zone level away from
+    the thresholds, and as ``w1 -> 0`` it approaches ``sat(c / w2)``.
     """
     c, w1, w2 = np.broadcast_arrays(
         np.asarray(c, dtype=float), np.asarray(w1, dtype=float), np.asarray(w2, dtype=float)
@@ -83,6 +109,6 @@ def control_law(c, w1, w2):
         raise ValueError("weights w1 and w2 must be nonnegative")
     quad = w2 > 0.0
     u = np.empty(c.shape)
-    u[quad] = sat(shrink(c[quad], w1[quad]) / w2[quad])
+    u[quad] = saturated_shrink(c[quad], w1[quad], w2[quad])
     u[~quad] = dead_zone(c[~quad], w1[~quad])
     return _match_input(u, c)

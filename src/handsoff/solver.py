@@ -58,7 +58,7 @@ from .plant import (
     discretize,
     reachability_matrix,
 )
-from .scalar_ops import control_law
+from .scalar_ops import control_law, saturated_shrink
 
 __all__ = [
     "DiscreteProgram",
@@ -246,11 +246,16 @@ def _line_search(c, e, slope0, w1, w2):
     within ``_WOLFE`` times its value at 0 of zero (the strong Wolfe
     condition), by doubling from 1 to bracket the maximizer and then
     regula falsi (Illinois variant) inside the bracket; returns 0 when
-    rounding leaves no ascent along ``d``.
+    rounding leaves no ascent along ``d``.  The weights are the stage's,
+    ``w2 > 0``; every probe reuses the same two buffers.
     """
+    probe = np.empty_like(c)
+    u = np.empty_like(c)
 
     def slope(t):
-        return slope0 - float(e @ control_law(c + t * e, w1, w2))
+        np.multiply(e, t, out=probe)
+        np.add(c, probe, out=probe)
+        return slope0 - float(e @ saturated_shrink(probe, w1, w2, out=u))
 
     s_lo, lo = slope(0.0), 0.0
     if not s_lo > 0.0:
@@ -294,12 +299,15 @@ def _ascend(phi, abs_phi, target, w1, w2, p, budget, run_on=False):
     the residual stopped falling), "infeasible_suspected" (``p`` is a Farkas
     certificate), or "max_iter" (budget spent).  With ``run_on`` the ascent
     goes past the stopping rule while each step cuts the residual tenfold,
-    down to ``_RUN_ON_REL``, and returns the best point it passed.
+    down to ``_RUN_ON_REL``, and returns the best point it passed.  The
+    stage weights ``w2`` are positive, so the control law is
+    ``saturated_shrink`` throughout.
     """
     reg = _REG * ((phi / w2) @ phi.T)
+    band_hi = w1 + w2
     tsize = max(1.0, float(np.linalg.norm(target)))
     c = phi.T @ p
-    u = control_law(c, w1, w2)
+    u = saturated_shrink(c, w1, w2)
     best = math.inf
     since_best = 0
     steps = 0
@@ -327,7 +335,8 @@ def _ascend(phi, abs_phi, target, w1, w2, p, budget, run_on=False):
             since_best += 1
         if steps == budget:
             return p, c, u, steps, "max_iter"
-        band = (np.abs(c) > w1) & (np.abs(c) < w1 + w2)
+        abs_c = np.abs(c)
+        band = (abs_c > w1) & (abs_c < band_hi)
         phi_b = phi[:, band]
         hess = (phi_b / w2[band]) @ phi_b.T + reg
         try:
@@ -345,7 +354,7 @@ def _ascend(phi, abs_phi, target, w1, w2, p, budget, run_on=False):
             return p, c, u, steps, "stalled" if kept is None else "converged"
         p = p + t * direction
         c = phi.T @ p
-        u = control_law(c, w1, w2)
+        u = saturated_shrink(c, w1, w2)
         steps += 1
 
 

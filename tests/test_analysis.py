@@ -109,6 +109,47 @@ def test_constant_control_never_switches():
     assert switching_times(traj([0.0] * 8)).size == 0
 
 
+def reference_switching_times(control, epsilon=1e-2):
+    """``switching_times`` as a per-sample loop over each channel."""
+    times = set()
+    for i in range(control.n_inputs):
+        prev = None
+        for k in range(control.n_steps):
+            v = control.u[k, i]
+            if abs(v) <= epsilon:
+                c = 0
+            elif abs(v - 1.0) <= epsilon:
+                c = 1
+            elif abs(v + 1.0) <= epsilon:
+                c = -1
+            else:
+                continue  # between the bands: inherits the previous level
+            if prev is not None and c != prev:
+                times.add(k * control.h)
+            prev = c
+    return np.array(sorted(times))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_switching_times_match_the_per_sample_loop(m):
+    rng = np.random.default_rng(40 + m)
+    for trial in range(20):
+        n_steps = int(rng.integers(1, 300))
+        # runs of levels, with between-band samples and near-level noise
+        levels = rng.choice([-1.0, 0.0, 1.0], size=(n_steps, m))
+        keep = rng.random((n_steps, m)) < 0.8
+        for k in range(1, n_steps):
+            levels[k] = np.where(keep[k], levels[k - 1], levels[k])
+        u = levels + rng.uniform(-0.008, 0.008, (n_steps, m))
+        between = rng.random((n_steps, m)) < 0.15
+        u[between] = rng.uniform(-0.98, 0.98, np.count_nonzero(between))
+        control = ControlTrajectory(h=float(rng.uniform(0.001, 0.3)), u=np.clip(u, -1, 1))
+        got = switching_times(control)
+        ref = reference_switching_times(control)
+        assert got.dtype == ref.dtype == float, trial
+        assert got.tobytes() == ref.tobytes(), trial
+
+
 def test_bangoffbang_score_counts_ternary_samples():
     assert bangoffbang_score(traj([-1.0, 0.0, 1.0, 1.0])) == 1.0
     assert bangoffbang_score(traj([0.5, 0.5])) == 0.0

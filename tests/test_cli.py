@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from handsoff import ControlTrajectory, compute_metrics
-from handsoff.cli import main, read_trajectory_csv
+from handsoff.cli import main, read_trajectory_csv, write_trajectory_csv
 
 DOUBLE_INTEGRATOR = """\
 # double integrator, brake-then-thrust test plant
@@ -87,6 +87,33 @@ def test_csv_roundtrip_reproduces_metrics(tmp_path):
     )
     stored_switches = [float(v) for v in report["switching_times"].split()]
     np.testing.assert_allclose(metrics.switching_times, stored_switches, atol=1e-9)
+
+
+def reference_trajectory_csv(control, states):
+    """The trajectory CSV text, one ``format(v, ".15g")`` call per cell."""
+    n_steps, m = control.u.shape
+    n = states.shape[1]
+    header = ["t"] + [f"u_{i + 1}" for i in range(m)] + [f"x_{j + 1}" for j in range(n)]
+    lines = [",".join(header)]
+    for k in range(n_steps + 1):
+        cells = [format(k * control.h, ".15g")]
+        cells += [format(float(v), ".15g") for v in control.u[k]] if k < n_steps else [""] * m
+        cells += [format(float(v), ".15g") for v in states[k]]
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("n_steps", [1, 2, 1023, 1024, 1025, 3000])
+def test_trajectory_csv_matches_per_cell_formatting(tmp_path, n_steps):
+    rng = np.random.default_rng(n_steps)
+    for m, n in ((1, 2), (2, 4)):
+        u = rng.uniform(-1.0, 1.0, (n_steps, m)) * 10.0 ** rng.integers(-20, 3, (n_steps, m))
+        u[::3] = rng.choice([-0.0, 0.0, -1.0, 1.0], (len(u[::3]), m))
+        states = rng.standard_normal((n_steps + 1, n)) * 1e6
+        control = ControlTrajectory(h=float(rng.uniform(1e-4, 0.1)), u=u)
+        path = tmp_path / f"t{m}.csv"
+        write_trajectory_csv(path, control, states)
+        assert path.read_text() == reference_trajectory_csv(control, states)
 
 
 def test_solve_zero_initial_state(tmp_path):
@@ -384,7 +411,6 @@ def test_verify_catches_violated_terminal_state(solved, capsys, tmp_path):
     plant = handsoff.LtiPlant(a=[[0.0, 1.0], [0.0, 0.0]], b=[[0.0], [1.0]])
     control = handsoff.ControlTrajectory(h=4.0 / 200, u=u)
     states = handsoff.simulate(plant, [1.0, 0.0], control).states
-    from handsoff.cli import write_trajectory_csv
 
     drifted = tmp_path / "drifted.csv"
     write_trajectory_csv(drifted, control, states)

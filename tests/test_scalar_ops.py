@@ -12,7 +12,7 @@ saturated soft threshold ``sat(shrink(v, lam / r))``, which is
 import numpy as np
 import pytest
 
-from handsoff.scalar_ops import control_law, dead_zone, sat, shrink
+from handsoff.scalar_ops import control_law, dead_zone, sat, saturated_shrink, shrink
 
 GRID = np.arange(-1.0, 1.0 + 1e-5, 1e-5)
 
@@ -190,3 +190,77 @@ class TestLimits:
                 assert err <= prev + 1e-15
             prev = err
         assert prev <= 1e-8 + 1e-12
+
+
+def reference_control_law(c, w1, w2):
+    """``control_law`` as the composition of the pointwise maps, sample by sample."""
+    c, w1, w2 = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (c, w1, w2)))
+    u = np.empty(c.shape)
+    for j in np.ndindex(c.shape):
+        if w2[j] > 0.0:
+            u[j] = sat(shrink(c[j], w1[j]) / w2[j])
+        else:
+            u[j] = dead_zone(c[j], w1[j])
+    return u
+
+
+def law_draws(seed, size):
+    """Seeded ``(c, w1, w2)`` with ties ``|c| == w1``, signed zeros in ``c`` and
+    ``w1``, saturated and dead-zone samples, and some samples with ``w2 = 0``."""
+    rng = np.random.default_rng(seed)
+    w1 = rng.uniform(0.0, 2.0, size)
+    zero_w1 = rng.random(size) < 0.1
+    w1[zero_w1] = rng.choice([-0.0, 0.0], np.count_nonzero(zero_w1))
+    w2 = rng.uniform(0.0, 2.0, size) * 10.0 ** rng.integers(-12, 2, size)
+    c = rng.uniform(-5.0, 5.0, size)
+    tie = rng.random(size) < 0.2
+    c[tie] = w1[tie] * rng.choice([-1.0, 1.0], np.count_nonzero(tie))
+    zero = rng.random(size) < 0.1
+    c[zero] = rng.choice([-0.0, 0.0], np.count_nonzero(zero))
+    dead = (w2 == 0.0) | (rng.random(size) < 0.1)
+    w2[dead] = 0.0
+    w1[dead & (w1 == 0.0)] = 1.0  # a sample with w2 = 0 needs w1 > 0
+    return c, w1, w2
+
+
+class TestAgainstComposition:
+    """``control_law`` and ``saturated_shrink`` bit for bit against the
+    composition of ``sat``, ``shrink`` and ``dead_zone`` (signed zeros count)."""
+
+    def test_mixed_weights(self):
+        for seed in range(10):
+            c, w1, w2 = law_draws(seed, 500)
+            assert np.any(w2 == 0.0) and np.any(np.signbit(c) & (c == 0.0))
+            got = control_law(c, w1, w2)
+            assert got.tobytes() == reference_control_law(c, w1, w2).tobytes(), seed
+
+    def test_kernel_where_every_w2_is_positive(self):
+        for seed in range(10, 20):
+            c, w1, w2 = law_draws(seed, 500)
+            w2[w2 == 0.0] = 0.5
+            ref = reference_control_law(c, w1, w2).tobytes()
+            assert control_law(c, w1, w2).tobytes() == ref, seed
+            assert saturated_shrink(c, w1, w2).tobytes() == ref, seed
+            out = np.full(c.shape, np.nan)
+            assert saturated_shrink(c, w1, w2, out=out) is out
+            assert out.tobytes() == ref, seed
+
+    def test_dead_zone_keeps_the_sign_of_c(self):
+        got = control_law([-0.5, 0.5, -0.0, 0.0, -1.0, 1.0], 1.0, 1.0)
+        assert np.signbit(got).tolist() == [True, False, False, False, True, False]
+        assert not np.any(got)
+
+    def test_scalar_and_broadcast_input(self):
+        c, w1, w2 = law_draws(30, 200)
+        for j in range(200):
+            got = control_law(float(c[j]), float(w1[j]), float(w2[j]))
+            assert isinstance(got, float)
+            ref = reference_control_law(c[j], w1[j], w2[j])
+            assert np.float64(got).tobytes() == ref.tobytes(), j
+        # a column of costates against a row of weights, and the reverse
+        col = c[:, None]
+        got = control_law(col, w1[:3], w2[:3])
+        assert got.shape == (200, 3)
+        assert got.tobytes() == reference_control_law(col, w1[:3], w2[:3]).tobytes()
+        got = control_law(c[:3], w1[:, None], 1.0)
+        assert got.tobytes() == reference_control_law(c[:3], w1[:, None], 1.0).tobytes()
