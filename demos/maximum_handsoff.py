@@ -27,7 +27,7 @@ from handsoff import (
     LtiPlant,
     compute_metrics,
     simulate,
-    solve_l1,
+    solve_problem,
 )
 from handsoff.cli import write_trajectory_csv
 
@@ -53,7 +53,7 @@ def main() -> None:
     problem = ControlProblem(
         plant=PLANT, x0=X0, T=HORIZON, N=INTERVALS, lam=1.0, mode="L1"
     )
-    report = solve_l1(problem)
+    report = solve_problem(problem)
     metrics = compute_metrics(report.u)
     states = simulate(PLANT, X0, report.u)
 

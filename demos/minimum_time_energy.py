@@ -21,7 +21,7 @@ from handsoff import (
     LtiPlant,
     min_energy_closed_form,
     minimum_time,
-    solve_l2,
+    solve_problem,
 )
 
 DOUBLE_INTEGRATOR = LtiPlant(a=[[0.0, 1.0], [0.0, 0.0]], b=[[0.0], [1.0]])
@@ -46,7 +46,7 @@ def main() -> None:
     # minimum energy on twice the minimal horizon, solver vs closed form
     horizon, n_steps = 4.0, 1000
     exact = min_energy_closed_form(DOUBLE_INTEGRATOR, [1.0, 0.0], horizon, n_steps)
-    report = solve_l2(
+    report = solve_problem(
         ControlProblem(
             plant=DOUBLE_INTEGRATOR,
             x0=[1.0, 0.0],

@@ -23,7 +23,7 @@ Usage:
 
 import numpy as np
 
-from handsoff import ControlProblem, LtiPlant, solve_l1, solve_l1l2, solve_l2
+from handsoff import ControlProblem, LtiPlant, solve_problem
 
 PLANT = LtiPlant(
     a=[
@@ -45,13 +45,13 @@ def problem(**kwargs) -> ControlProblem:
 
 
 def main() -> None:
-    u_sparse = solve_l1(problem(lam=1.0, mode="L1")).u.u.reshape(-1)
-    u_smooth = solve_l2(problem(r=1.0, mode="L2")).u.u.reshape(-1)
+    u_sparse = solve_problem(problem(lam=1.0, mode="L1")).u.u.reshape(-1)
+    u_smooth = solve_problem(problem(r=1.0, mode="L2")).u.u.reshape(-1)
 
     h = HORIZON / INTERVALS
     print("r        max jump   L2|u - sparse|   sup|u - sparse|   sup|u - smooth|")
     for r in R_VALUES:
-        report = solve_l1l2(problem(lam=1.0, r=r, mode="L1L2"))
+        report = solve_problem(problem(lam=1.0, r=r, mode="L1L2"))
         u = report.u.u.reshape(-1)
         jump = float(np.max(np.abs(np.diff(u))))
         l2_to_sparse = float(np.sqrt(h * np.sum((u - u_sparse) ** 2)))
@@ -63,7 +63,7 @@ def main() -> None:
         )
 
     # the other limit: vanishing sparsity weight at fixed r recovers L2
-    report = solve_l1l2(problem(lam=1e-3, r=1.0, mode="L1L2"))
+    report = solve_problem(problem(lam=1e-3, r=1.0, mode="L1L2"))
     gap = float(np.max(np.abs(report.u.u.reshape(-1) - u_smooth)))
     print(f"\nlam=1e-3, r=1: sup|u - smooth| = {gap:.4f}")
 

@@ -30,9 +30,6 @@ from .solver import (
     SolveReport,
     minimum_time,
     solve,
-    solve_l1,
-    solve_l1l2,
-    solve_l2,
     solve_problem,
     transcribe,
 )
@@ -72,9 +69,6 @@ __all__ = [
     "SolveReport",
     "minimum_time",
     "solve",
-    "solve_l1",
-    "solve_l1l2",
-    "solve_l2",
     "solve_problem",
     "transcribe",
     "HandsOffMetrics",

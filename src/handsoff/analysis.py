@@ -3,9 +3,11 @@
 A sampled control is "off" where its magnitude stays below a small threshold
 ``epsilon`` (default 1e-2).  The diagnostics quantify how long the control is
 active, where it switches between the levels {-1, 0, +1}, how close it is to
-a bang-off-bang signal, and how fast it moves between samples; a costate
-check verifies a claimed sparse control against the necessary conditions of
-L1 optimality.
+a bang-off-bang signal, and how fast it moves between samples.
+``costate_consistency`` certifies a control optimal, in any mode, by the
+duality gap of the solver's own program: the costate the solver finds for
+the control's terminal response must price the control's cost to within the
+solver's tolerance.
 """
 
 from __future__ import annotations
@@ -14,19 +16,16 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import linprog
 
-from .plant import (
-    ControlProblem,
-    ControlTrajectory,
-    LtiPlant,
-    expm,
-    reachability_matrix,
-)
+from .plant import ControlProblem, ControlTrajectory
 from . import solver
+
 # not called here: the benchmark's tracer (perfbench/tracing.py) hooks
-# handsoff.analysis.solve_problem, so the name stays importable
-from .solver import solve_problem
+# handsoff.analysis.linprog, .expm and .solve_problem, so the names stay
+# importable
+from scipy.optimize import linprog  # noqa: F401
+from .plant import expm  # noqa: F401
+from .solver import solve_problem  # noqa: F401
 
 __all__ = [
     "HandsOffMetrics",
@@ -260,61 +259,38 @@ def sweep_tradeoff(
 
 
 def costate_consistency(
-    plant: LtiPlant,
-    control: ControlTrajectory,
-    lam=1.0,
-    epsilon: float = DEFAULT_EPS,
+    problem: ControlProblem, control: ControlTrajectory
 ) -> tuple[bool, float]:
-    """Check a control against the sign structure of L1 optimality.
+    """Certify ``control`` optimal for ``problem``'s objective by weak duality.
 
-    An L1-optimal control is ``-dead_zone`` of the input-mapped costate, and
-    the costate of a linear plant is determined by its terminal value, so a
-    candidate control is consistent only if some terminal costate ``p``
-    makes ``w_i(t) = b_i' exp(A'(T-t)) p`` satisfy, at every interval midpoint
-    whose sample quantizes cleanly,
-
-        u ~ +1  ->  w <= -lam,    u ~ -1  ->  w >= lam,    u ~ 0  ->  |w| <= lam.
-
-    The smallest uniform violation over all such constraints is found exactly
-    as a linear program over ``(p, s)``; the check passes when that residual
-    is at most ``1e-2 * max(lam)``.  Returns ``(feasible, residual)``.
+    The control is optimal among those that reach its own terminal response
+    iff a costate ``p`` closes the duality gap of the transcribed program
+    with that response, ``phi @ clip(U, -1, 1)``, as its target: the gap
+    ``primal(U) - g(p)`` is nonnegative for every ``p`` and bounds how far
+    the control's cost is above the optimum.  ``p`` comes from
+    ``solver.solve`` on that program, and the gap is ``solver._gap``'s, so
+    a wrong ``p`` can only reject.  The gap is taken with a bound on its
+    rounding added, and passes when at most ``solver._TOL_DUAL`` times the
+    cost (0 for a zero cost), the bound a converged solve meets.  Returns
+    ``(certified, gap / cost)``, or the gap itself for a zero cost.
     """
-    _check_eps(epsilon)
-    if control.n_inputs != plant.m:
+    if control.n_inputs != problem.plant.m:
         raise ValueError(
-            f"control has {control.n_inputs} channels, plant expects {plant.m}"
+            f"control has {control.n_inputs} channels, plant expects {problem.plant.m}"
         )
-    lam = np.broadcast_to(np.asarray(lam, dtype=float), (plant.m,))
-    if np.any(lam <= 0.0):
-        raise ValueError("lam must be positive")
-
-    n = plant.n
-    h = control.h
-    codes = _quantize(control.u, epsilon).reshape(-1)
-    # row k*m + i maps p to w_i at the midpoint of sample k:
-    # exp(A (T - (k + 1/2) h)) B = Ad^(N-1-k) exp(A h/2) B
-    maps = reachability_matrix(
-        expm(plant.a * h), expm(plant.a * (0.5 * h)) @ plant.b, control.n_steps
-    )[0].T
-    lam_s = np.tile(lam, control.n_steps)
-    bang = (codes == 1) | (codes == -1)
-    off = codes == 0
-    if not (np.any(bang) or np.any(off)):
-        return True, 0.0
-    c = np.vstack([codes[bang, None] * maps[bang], maps[off], -maps[off]])
-    a_ub = np.hstack([c, -np.ones((c.shape[0], 1))])
-    b_ub = np.concatenate([-lam_s[bang], lam_s[off], lam_s[off]])
-
-    cost = np.zeros(n + 1)
-    cost[-1] = 1.0
-    res = linprog(
-        cost,
-        A_ub=a_ub,
-        b_ub=b_ub,
-        bounds=[(None, None)] * n + [(0.0, None)],
-        method="highs",
+    if control.n_steps != problem.N or not math.isclose(control.h, problem.h):
+        raise ValueError(
+            f"control grid {control.n_steps} x {control.h:.6g} s does not match "
+            f"the problem's {problem.N} x {problem.h:.6g} s"
+        )
+    u = np.clip(control.u.reshape(-1), -1.0, 1.0)
+    program = solver.transcribe(problem)
+    program = replace(program, target=program.phi @ u)
+    p = solver.solve(program).costate
+    primal, gap = solver._gap(
+        u, p, program.phi, program.target, program.l1_weights, program.l2_weights
     )
-    if not res.success:
-        raise RuntimeError(f"costate feasibility program failed: {res.message}")
-    residual = float(res.x[-1])
-    return residual <= 1e-2 * float(np.max(lam)), residual
+    # with its rounding added, so that no costate, however large, makes the
+    # gap pass by cancellation
+    gap += solver._rounding(program.phi, program.target, p)
+    return gap <= solver._TOL_DUAL * primal, gap / primal if primal > 0.0 else gap

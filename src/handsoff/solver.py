@@ -44,7 +44,7 @@ finding on its logarithm.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -66,9 +66,6 @@ __all__ = [
     "transcribe",
     "solve",
     "solve_problem",
-    "solve_l1",
-    "solve_l1l2",
-    "solve_l2",
     "minimum_time",
 ]
 
@@ -181,11 +178,12 @@ class SolveReport:
     residual ``||phi U - target||`` and ``primal_residual`` the same per
     root-sample.  ``costate`` is the terminal costate ``p`` of the program
     (the multiplier of ``phi U = target``; away from ties the control is the
-    control law at ``phi' p``, and ``-p`` is the costate in the sign
-    convention of ``costate_consistency``).  ``duality_gap`` is
-    ``primal(U) - g(p)`` under the program weights and ``dual_residual`` the
-    same relative to the objective.  ``iterations`` counts Newton steps.
-    ``status`` is one of "converged", "max_iter", "infeasible_suspected"; on
+    control law at ``phi' p``, and ``-p`` is the costate in the paper's sign
+    convention, where the L1 control is ``-dead_zone`` of its input map).
+    ``duality_gap`` is ``primal(U) - g(p)`` under the program weights and
+    ``dual_residual`` the same relative to the objective (the certificate
+    ``analysis.costate_consistency`` also checks).  ``iterations`` counts
+    Newton steps.  ``status`` is one of "converged", "max_iter", "infeasible_suspected"; on
     "converged" the control satisfies the amplitude bound exactly,
     ``eq_residual <= 1e-6 * max(1, |target|)``, ``primal_residual <= 1e-6``
     and ``dual_residual <= 1e-6``, within 50,000 Newton steps (fixed
@@ -235,6 +233,21 @@ def _dual(p, phi, target, w1, w2) -> float:
     c = phi.T @ p
     u = control_law(c, w1, w2)
     return float(target @ p + np.sum(w1 * np.abs(u) + 0.5 * w2 * u * u - c * u))
+
+
+def _gap(u, p, phi, target, w1, w2) -> tuple[float, float]:
+    """``(primal(u), primal(u) - g(p))``: by weak duality the gap bounds how
+    far ``primal(u)`` is above the optimum when ``phi @ u = target``."""
+    primal = float(w1 @ np.abs(u) + 0.5 * (w2 @ (u * u)))
+    return primal, primal - _dual(p, phi, target, w1, w2)
+
+
+def _rounding(phi, target, p) -> float:
+    """A bound on the rounding of ``target' p`` and ``sum |phi' p|``, the
+    terms that the dual value and the Farkas test cancel against each other."""
+    return phi.shape[0] * np.finfo(float).eps * float(
+        np.abs(target) @ np.abs(p) + np.sum(np.abs(phi).T @ np.abs(p))
+    )
 
 
 def _line_search(c, e, slope0, w1, w2):
@@ -446,10 +459,8 @@ def solve(program: DiscreteProgram, *, _start=None) -> SolveReport:
             exact = _recover(phi, target, p, c, w1, w2, w2_stage)
             if exact is not None:
                 u, p = exact
-        # the duality gap bounds how far primal(u) is above the optimum
         eq_abs = float(np.linalg.norm(phi @ u - target))
-        primal = float(w1 @ np.abs(u) + 0.5 * (w2 @ (u * u)))
-        gap = primal - _dual(p, phi, target, w1, w2)
+        primal, gap = _gap(u, p, phi, target, w1, w2)
         if outcome in ("max_iter", "infeasible_suspected"):
             status = outcome
             break
@@ -489,21 +500,6 @@ def solve(program: DiscreteProgram, *, _start=None) -> SolveReport:
 def solve_problem(problem: ControlProblem) -> SolveReport:
     """Transcribe ``problem`` on its grid and solve it."""
     return solve(transcribe(problem))
-
-
-def solve_l1(problem: ControlProblem) -> SolveReport:
-    """Solve for the sparsest (L1-cost) control; requires ``lam > 0``."""
-    return solve_problem(replace(problem, mode="L1"))
-
-
-def solve_l1l2(problem: ControlProblem) -> SolveReport:
-    """Solve with the mixed L1 plus quadratic cost; requires ``lam > 0, r > 0``."""
-    return solve_problem(replace(problem, mode="L1L2"))
-
-
-def solve_l2(problem: ControlProblem) -> SolveReport:
-    """Solve for the minimum-energy control; requires ``r > 0``."""
-    return solve_problem(replace(problem, mode="L2"))
 
 
 def _solve_consistent(a, b):
@@ -633,9 +629,7 @@ def _certified_gauge(phi, target, p):
         if miss <= _REACH_FLOOR * max(1.0, tnorm):
             return math.log(max(s, 1.0)), p
     support = float(np.sum(np.abs(phi.T @ p)))
-    rounding = phi.shape[0] * np.finfo(float).eps * float(
-        np.abs(target) @ np.abs(p) + np.sum(np.abs(phi).T @ np.abs(p))
-    )
+    rounding = _rounding(phi, target, p)
     if target @ p > (1.0 + _FARKAS_MARGIN) * support + rounding:
         return math.log(max(support, rounding) / float(target @ p)), p
     return None

@@ -26,9 +26,7 @@ from handsoff import (
     minimum_time,
     reachability_matrix,
     simulate,
-    solve_l1,
-    solve_l1l2,
-    solve_l2,
+    solve_problem,
     sweep_tradeoff,
     switching_times,
 )
@@ -59,23 +57,23 @@ def _criterion(num: int, ok: bool, detail: str) -> None:
 @pytest.fixture(scope="module")
 def sparse_1000():
     start = time.perf_counter()
-    report = solve_l1(chain_problem(lam=1.0, mode="L1"))
+    report = solve_problem(chain_problem(lam=1.0, mode="L1"))
     return report, time.perf_counter() - start
 
 
 @pytest.fixture(scope="module")
 def sparse_2000():
-    return solve_l1(chain_problem(N=2000, lam=1.0, mode="L1"))
+    return solve_problem(chain_problem(N=2000, lam=1.0, mode="L1"))
 
 
 @pytest.fixture(scope="module")
 def mixed_unit_1000():
-    return solve_l1l2(chain_problem(lam=1.0, r=1.0, mode="L1L2"))
+    return solve_problem(chain_problem(lam=1.0, r=1.0, mode="L1L2"))
 
 
 @pytest.fixture(scope="module")
 def mixed_unit_2000():
-    return solve_l1l2(chain_problem(N=2000, lam=1.0, r=1.0, mode="L1L2"))
+    return solve_problem(chain_problem(N=2000, lam=1.0, r=1.0, mode="L1L2"))
 
 
 def test_criterion_01_fourth_order_example_reproduction(sparse_1000):
@@ -175,9 +173,9 @@ def test_criterion_05_mixed_solutions_approach_both_limits(sparse_1000, sparse_2
     # grid is refined.  The limit holds in L2(0,T), and in cost on every grid.
     sparse = sparse_1000[0]
     r_small = 1e-3
-    coarse_r = solve_l1l2(chain_problem(lam=1.0, r=1e-2, mode="L1L2"))
-    vanishing_r = solve_l1l2(chain_problem(lam=1.0, r=r_small, mode="L1L2"))
-    fine_r = solve_l1l2(chain_problem(N=2000, lam=1.0, r=r_small, mode="L1L2"))
+    coarse_r = solve_problem(chain_problem(lam=1.0, r=1e-2, mode="L1L2"))
+    vanishing_r = solve_problem(chain_problem(lam=1.0, r=r_small, mode="L1L2"))
+    fine_r = solve_problem(chain_problem(N=2000, lam=1.0, r=r_small, mode="L1L2"))
     l2_coarse_r = _l2_distance(coarse_r.u, sparse.u)
     l2_1000 = _l2_distance(vanishing_r.u, sparse.u)
     l2_2000 = _l2_distance(fine_r.u, sparse_2000.u)
@@ -190,8 +188,8 @@ def test_criterion_05_mixed_solutions_approach_both_limits(sparse_1000, sparse_2
     cost_bound = 0.5 * r_small * sparse.u.h * float(np.sum(sparse.u.u**2))
     cost_slack = handsoff.solver._TOL_EQ * sparse.j1
 
-    u_smooth = solve_l2(chain_problem(r=1.0, mode="L2")).u
-    vanishing_lam = solve_l1l2(chain_problem(lam=1e-3, r=1.0, mode="L1L2"))
+    u_smooth = solve_problem(chain_problem(r=1.0, mode="L2")).u
+    vanishing_lam = solve_problem(chain_problem(lam=1e-3, r=1.0, mode="L1L2"))
     gap_to_smooth = _sup_distance(vanishing_lam.u, u_smooth)
 
     checks = [
@@ -217,7 +215,7 @@ def test_criterion_06_energy_solver_matches_gramian_closed_form():
     plant = LtiPlant(a=[[0.0, 1.0], [0.0, 0.0]], b=[[0.0], [1.0]])
     exact = min_energy_closed_form(plant, [1.0, 0.0], 4.0, 1000).u.reshape(-1)
     peak = float(np.max(np.abs(exact)))
-    report = solve_l2(
+    report = solve_problem(
         ControlProblem(plant=plant, x0=[1.0, 0.0], T=4.0, N=1000, r=1.0, mode="L2")
     )
     rel = float(

@@ -18,7 +18,6 @@ from handsoff import (
     derivative_supnorm,
     l0_measure,
     l0_per_channel,
-    solve_l1,
     solve_problem,
     sweep_tradeoff,
     switching_times,
@@ -42,7 +41,7 @@ def sparse_solution():
     problem = ControlProblem(
         plant=double_integrator(), x0=[1.0, 0.0], T=4.0, N=200, lam=1.0, mode="L1"
     )
-    report = solve_l1(problem)
+    report = solve_problem(problem)
     assert report.status == "converged"
     return report
 
@@ -222,9 +221,15 @@ def test_metrics_of_a_sparse_solve_are_consistent():
 # costate consistency
 
 
+def l1_problem(T=4.0, N=200) -> ControlProblem:
+    return ControlProblem(
+        plant=double_integrator(), x0=[1.0, 0.0], T=T, N=N, lam=1.0, mode="L1"
+    )
+
+
 def test_costate_accepts_the_zero_control():
     feasible, residual = costate_consistency(
-        double_integrator(), traj([0.0] * 20, h=0.1), lam=1.0
+        l1_problem(T=2.0, N=20), traj([0.0] * 20, h=0.1)
     )
     assert feasible
     assert residual <= 1e-9
@@ -232,9 +237,7 @@ def test_costate_accepts_the_zero_control():
 
 def test_costate_accepts_a_converged_sparse_solution():
     report = sparse_solution()
-    feasible, residual = costate_consistency(
-        double_integrator(), report.u, lam=1.0
-    )
+    feasible, residual = costate_consistency(l1_problem(), report.u)
     assert feasible
     assert residual <= 1e-2
 
@@ -244,7 +247,7 @@ def test_costate_rejects_dense_alternation():
     # it cannot alternate across the threshold sample by sample
     u = np.tile([1.0, -1.0], 50)
     feasible, residual = costate_consistency(
-        double_integrator(), traj(u, h=0.02), lam=1.0
+        l1_problem(T=2.0, N=100), traj(u, h=0.02)
     )
     assert not feasible
     assert residual > 0.1
@@ -254,20 +257,47 @@ def test_costate_is_symmetric_under_negation():
     report = sparse_solution()
     control = report.u
     flipped = ControlTrajectory(h=control.h, u=-control.u)
-    _, res_a = costate_consistency(double_integrator(), control, lam=1.0)
-    _, res_b = costate_consistency(double_integrator(), flipped, lam=1.0)
+    _, res_a = costate_consistency(l1_problem(), control)
+    _, res_b = costate_consistency(l1_problem(), flipped)
     assert res_a == pytest.approx(res_b, abs=1e-8)
 
 
 def test_costate_input_validation():
-    plant = double_integrator()
-    control = traj([1.0] * 4)
+    problem = l1_problem(T=0.4, N=4)
     with pytest.raises(ValueError):
-        costate_consistency(plant, ControlTrajectory(h=0.1, u=np.ones((4, 2))))
+        costate_consistency(problem, ControlTrajectory(h=0.1, u=np.ones((4, 2))))
     with pytest.raises(ValueError):
-        costate_consistency(plant, control, lam=0.0)
+        costate_consistency(problem, traj([1.0] * 5))
     with pytest.raises(ValueError):
-        costate_consistency(plant, control, epsilon=0.0)
+        costate_consistency(problem, traj([1.0] * 4, h=0.2))
+
+
+@pytest.mark.parametrize("mode", ["L1", "L1L2", "L2"])
+def test_costate_certifies_each_mode_and_rejects_a_null_space_step(mode):
+    problem = ControlProblem(
+        plant=double_integrator(), x0=[1.0, 0.0], T=4.0, N=200, lam=1.0, r=1.0,
+        mode=mode,
+    )
+    report = solve_problem(problem)
+    assert report.status == "converged"
+    assert costate_consistency(problem, report.u)[0]
+
+    # step 1e-3 along a null-space direction of phi on the samples inside the
+    # box: same terminal response, higher cost
+    u = report.u.u.reshape(-1)
+    phi = handsoff.solver.transcribe(problem).phi
+    free = np.abs(u) < 0.9
+    alternating = np.where(np.arange(u.size) % 2 == 0, 1.0, -1.0)[free]
+    d = np.zeros_like(u)
+    d[free] = alternating - np.linalg.pinv(phi[:, free]) @ (phi[:, free] @ alternating)
+    stepped = u + 1e-3 * d / np.max(np.abs(d))
+    assert np.linalg.norm(phi @ (stepped - u)) <= 1e-12
+    assert np.max(np.abs(stepped)) <= 1.0
+    certified, gap = costate_consistency(
+        problem, ControlTrajectory(h=problem.h, u=stepped[:, None])
+    )
+    assert not certified
+    assert gap > handsoff.solver._TOL_DUAL
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from handsoff import ControlTrajectory, compute_metrics
+from handsoff import ControlTrajectory, LtiPlant, compute_metrics, simulate
 from handsoff.cli import main, read_trajectory_csv, write_trajectory_csv
 
 DOUBLE_INTEGRATOR = """\
@@ -114,6 +114,51 @@ def test_trajectory_csv_matches_per_cell_formatting(tmp_path, n_steps):
         path = tmp_path / f"t{m}.csv"
         write_trajectory_csv(path, control, states)
         assert path.read_text() == reference_trajectory_csv(control, states)
+
+
+@pytest.mark.parametrize("n_steps", [1, 3000])
+def test_trajectory_csv_reads_back_every_cell_exactly(tmp_path, n_steps):
+    rng = np.random.default_rng(n_steps)
+    u = rng.uniform(-1.0, 1.0, (n_steps, 2)) * 10.0 ** rng.integers(-20, 3, (n_steps, 2))
+    u[::3] = rng.choice([-0.0, 0.0, -1.0, 1.0], (len(u[::3]), 2))
+    control = ControlTrajectory(h=float(rng.uniform(1e-4, 0.1)), u=u)
+    states = rng.standard_normal((n_steps + 1, 3)) * 1e6
+    path = tmp_path / "t.csv"
+    write_trajectory_csv(path, control, states)
+    # the reference: one float() call per cell
+    rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+    t, u_read, x = read_trajectory_csv(path)
+    assert t.tobytes() == np.array([float(r[0]) for r in rows]).tobytes()
+    assert u_read.tobytes() == np.array([[float(c) for c in r[1:3]] for r in rows[:-1]]).tobytes()
+    assert x.tobytes() == np.array([[float(c) for c in r[3:]] for r in rows]).tobytes()
+
+
+def test_trajectory_csv_errors_name_the_row(tmp_path):
+    control = ControlTrajectory(h=0.1, u=np.zeros((8, 1)))
+    path = tmp_path / "t.csv"
+    write_trajectory_csv(path, control, np.zeros((9, 2)))
+    lines = path.read_text().splitlines()
+
+    def message(broken):
+        path.write_text("\n".join(broken) + "\n")
+        with pytest.raises(ValueError) as info:
+            read_trajectory_csv(path)
+        return str(info.value)
+
+    for row, col in ((4, 1), (9, 2), (10, 0), (10, 2)):
+        broken = lines.copy()
+        cells = broken[row - 1].split(",")
+        cells[col] = "1.0x"
+        broken[row - 1] = ",".join(cells)
+        assert f"row {row} has a non-numeric cell" in message(broken)
+    broken = lines.copy()
+    broken[6] = broken[6].replace(",", ",,", 1)
+    assert "row 7 has 5 cells, expected 4" in message(broken)
+    assert "at least two data rows" in message(lines[:2])
+    assert "header must be" in message(["t,x_1"] + lines[1:])
+    broken = lines.copy()
+    broken[-1] = broken[-1].replace(",,", ",1,", 1)
+    assert "final row must leave the control blank" in message(broken)
 
 
 def test_solve_zero_initial_state(tmp_path):
@@ -352,6 +397,27 @@ def test_verify_catches_tampered_bang_sample(solved, capsys, tmp_path):
 
     assert main(["verify", str(problem), str(tampered)]) == 2
     assert "bang-off-bang" in capsys.readouterr().err
+
+
+def test_verify_rejects_an_off_sample_moved_by_1e_3(solved, capsys, tmp_path):
+    problem, trajectory = solved
+    _, u, _ = read_trajectory_csv(trajectory)
+    # the middle of the longest off stretch; 1e-3 is inside the quantization
+    # band around 0, so only the duality gap sees the move
+    off = np.flatnonzero(u[:, 0] == 0.0)
+    runs = np.split(off, np.flatnonzero(np.diff(off) > 1) + 1)
+    longest = max(runs, key=len)
+    u[longest[len(longest) // 2], 0] = 1e-3
+    plant = LtiPlant(a=[[0.0, 1.0], [0.0, 0.0]], b=[[0.0], [1.0]])
+    control = ControlTrajectory(h=4.0 / 200, u=u)
+    moved = tmp_path / "moved.csv"
+    write_trajectory_csv(moved, control, simulate(plant, [1.0, 0.0], control).states)
+
+    capsys.readouterr()
+    assert main(["verify", str(problem), str(moved)]) == 2
+    err = capsys.readouterr().err
+    assert "duality gap" in err
+    assert err.count("check failed") == 1
 
 
 def test_verify_wrong_dimension_csv_exits_1(solved, capsys, tmp_path):

@@ -18,9 +18,6 @@ from handsoff import (
     minimum_time,
     reachability_matrix,
     solve,
-    solve_l1,
-    solve_l1l2,
-    solve_l2,
     solve_problem,
     sat,
     shrink,
@@ -145,7 +142,7 @@ def test_zero_initial_state_returns_zero_control():
     problem = ControlProblem(
         plant=double_integrator(), x0=[0.0, 0.0], T=2.0, N=50, lam=1.0, mode="L1"
     )
-    report = solve_l1(problem)
+    report = solve_problem(problem)
     assert report.status == "converged"
     np.testing.assert_array_equal(report.u.u, 0.0)
     assert report.j0 == 0.0
@@ -215,7 +212,7 @@ def test_l2_solution_matches_gramian_closed_form():
     problem = ControlProblem(
         plant=plant, x0=[1.0, 0.0], T=4.0, N=1000, r=1.0, mode="L2"
     )
-    report = solve_l2(problem)
+    report = solve_problem(problem)
     assert report.status == "converged"
     u_solver = report.u.u.reshape(-1)
     u_exact = min_energy_closed_form(plant, [1.0, 0.0], 4.0, 1000).u.reshape(-1)
@@ -228,8 +225,8 @@ def test_each_mode_is_optimal_in_its_own_objective():
     base = dict(plant=oscillator_chain(), x0=[1.0, 1.0, 1.0, 1.0], T=10.0, N=250)
     sparse_problem = ControlProblem(**base, lam=1.0, mode="L1")
     smooth_problem = ControlProblem(**base, r=1.0, mode="L2")
-    u_sparse = solve_l1(sparse_problem).u.u.reshape(-1)
-    u_smooth = solve_l2(smooth_problem).u.u.reshape(-1)
+    u_sparse = solve_problem(sparse_problem).u.u.reshape(-1)
+    u_smooth = solve_problem(smooth_problem).u.u.reshape(-1)
 
     assert l2_cost(smooth_problem, u_smooth) <= l2_cost(smooth_problem, u_sparse) + 1e-9
     assert l1_cost(sparse_problem, u_sparse) <= l1_cost(sparse_problem, u_smooth) + 1e-9
@@ -273,19 +270,19 @@ def test_no_projected_perturbation_beats_a_converged_solution():
 
 def test_mixed_solutions_approach_each_pure_limit():
     base = dict(plant=double_integrator(), x0=[1.0, 0.0], T=4.0, N=200)
-    u_sparse = solve_l1(ControlProblem(**base, lam=1.0, mode="L1")).u.u.reshape(-1)
-    u_smooth = solve_l2(ControlProblem(**base, r=1.0, mode="L2")).u.u.reshape(-1)
+    u_sparse = solve_problem(ControlProblem(**base, lam=1.0, mode="L1")).u.u.reshape(-1)
+    u_smooth = solve_problem(ControlProblem(**base, r=1.0, mode="L2")).u.u.reshape(-1)
 
     # vanishing quadratic weight: distance to the sparse solution nonincreasing
     gaps = []
     for r in (1.0, 1e-1, 1e-2, 1e-3):
-        mixed = solve_l1l2(ControlProblem(**base, lam=1.0, r=r, mode="L1L2"))
+        mixed = solve_problem(ControlProblem(**base, lam=1.0, r=r, mode="L1L2"))
         assert mixed.status == "converged"
         gaps.append(np.max(np.abs(mixed.u.u.reshape(-1) - u_sparse)))
     assert all(gaps[i + 1] <= gaps[i] + 1e-6 for i in range(len(gaps) - 1))
 
     # vanishing L1 weight: the mixed solution lands on the smooth solution
-    mixed = solve_l1l2(ControlProblem(**base, lam=1e-3, r=1.0, mode="L1L2"))
+    mixed = solve_problem(ControlProblem(**base, lam=1e-3, r=1.0, mode="L1L2"))
     assert np.max(np.abs(mixed.u.u.reshape(-1) - u_smooth)) <= 0.05
 
 
@@ -318,7 +315,7 @@ def test_horizon_below_minimum_time_is_flagged():
         plant=oscillator_chain(), x0=[1.0, 1.0, 1.0, 1.0], T=0.1, N=50,
         lam=1.0, mode="L1",
     )
-    report = solve_l1(problem)
+    report = solve_problem(problem)
     assert report.status == "infeasible_suspected"
     # a violated terminal constraint must never be reported as converged
     assert report.eq_residual > 1e-6
