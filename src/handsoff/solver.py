@@ -250,28 +250,29 @@ def _rounding(phi, target, p) -> float:
     )
 
 
-def _line_search(c, e, slope0, w1, w2):
+def _line_search(c, u, e, slope0, w1, w2):
     """Step ``t > 0`` that nearly maximizes the dual along a direction ``d``.
 
-    ``c = phi' p``, ``e = phi' d`` and ``slope0 = target' d``; the slope of
-    the dual along ``d`` is ``slope0 - e' U(c + t e)``, piecewise linear and
-    nonincreasing in ``t``.  Returns the first ``t`` found at which it is
-    within ``_WOLFE`` times its value at 0 of zero (the strong Wolfe
-    condition), by doubling from 1 to bracket the maximizer and then
-    regula falsi (Illinois variant) inside the bracket; returns 0 when
-    rounding leaves no ascent along ``d``.  The weights are the stage's,
-    ``w2 > 0``; every probe reuses the same two buffers.
+    ``c = phi' p``, ``u = U(c)``, ``e = phi' d`` and ``slope0 = target' d``;
+    the slope of the dual along ``d`` is ``slope0 - e' U(c + t e)``,
+    piecewise linear and nonincreasing in ``t``.  Returns the first ``t``
+    found at which it is within ``_WOLFE`` times its value at 0 of zero (the
+    strong Wolfe condition), by doubling from 1 to bracket the maximizer and
+    then regula falsi (Illinois variant) inside the bracket; returns 0 when
+    rounding leaves no ascent along ``d``, or no finite slope at 0 (``e``
+    with an inf or NaN entry).  The weights are the stage's, ``w2 > 0``;
+    every probe reuses the same two buffers.
     """
     probe = np.empty_like(c)
-    u = np.empty_like(c)
+    buf = np.empty_like(c)
 
     def slope(t):
         np.multiply(e, t, out=probe)
         np.add(c, probe, out=probe)
-        return slope0 - float(e @ saturated_shrink(probe, w1, w2, out=u))
+        return slope0 - float(e @ saturated_shrink(probe, w1, w2, out=buf))
 
-    s_lo, lo = slope(0.0), 0.0
-    if not s_lo > 0.0:
+    s_lo, lo = slope0 - float(e @ u), 0.0
+    if not 0.0 < s_lo < math.inf:
         return 0.0
     tol = _WOLFE * s_lo
     hi = 1.0
@@ -360,7 +361,7 @@ def _ascend(phi, abs_phi, target, w1, w2, p, budget, run_on=False):
         # leave no ascent along it; the gradient still ascends
         for direction in (np.sign(newton @ grad) * newton, grad):
             e = phi.T @ direction
-            t = _line_search(c, e, float(target @ direction), w1, w2)
+            t = _line_search(c, u, e, float(target @ direction), w1, w2)
             if t > 0.0:
                 break
         else:
@@ -510,6 +511,57 @@ def _solve_consistent(a, b):
     return np.linalg.lstsq(a, b, rcond=None)[0]
 
 
+def _clear(c, abs_phi_t, p):
+    """Mask of the samples clear of a tie at ``p``: ``|c_j| = |phi_j' p|``
+    above ``_TIE`` times ``|phi_j|'|p|`` (rounding); the others are tied."""
+    return np.abs(c) > _TIE * (abs_phi_t @ np.abs(p))
+
+
+def _tied(phi, p) -> list[int]:
+    """The columns ``j`` that ``p`` ties: ``phi_j' p`` within rounding of 0."""
+    return np.flatnonzero(~_clear(phi.T @ p, np.abs(phi).T, p)).tolist()
+
+
+def _independent(cols) -> bool:
+    """Whether the columns are independent beyond rounding: scaled to unit
+    length, their singular values span less than the ratio ``1 / _TIE``."""
+    unit = cols / (np.linalg.norm(cols, axis=0) + np.finfo(float).tiny)
+    sv = np.linalg.svd(unit, compute_uv=False)
+    return bool(sv[-1] > _TIE * sv[0])
+
+
+def _mapped_vertex(phi, target, m, h, vertex):
+    """Costate tying the samples of another grid's vertex, moved to this grid.
+
+    ``vertex = (h_old, n_old, tied)`` holds the step, the sample count and
+    the tied columns of a vertex of ``_gauge`` on another grid.  Column ``j``
+    is sample ``k = n_old - 1 - j // m`` from the end, channel ``j % m``;
+    here it becomes sample ``round((k + 1/2) h_old / h - 1/2)`` from the end
+    (the same time to go, clamped to the grid), same channel.  Returns the
+    ``p`` with ``target' p = 1`` and ``phi_j' p = 0`` on the moved samples,
+    or None unless they are ``n - 1`` distinct samples whose system is
+    regular with a finite solution.
+    """
+    h_old, n_old, tied = vertex
+    n, mn = phi.shape
+    n_steps = mn // m
+    if len(tied) != n - 1:
+        return None
+    moved = []
+    for j in tied:
+        k = round((n_old - 1 - j // m + 0.5) * (h_old / h) - 0.5)
+        moved.append((n_steps - 1 - min(max(k, 0), n_steps - 1)) * m + j % m)
+    if len(set(moved)) != len(moved):
+        return None
+    rhs = np.zeros(n)
+    rhs[0] = 1.0
+    try:
+        p = np.linalg.solve(np.vstack([target, phi[:, moved].T]), rhs)
+    except np.linalg.LinAlgError:
+        return None
+    return p if np.all(np.isfinite(p)) else None
+
+
 def _gauge(phi, target, p):
     """Largest multiple of ``target`` that ``phi`` reaches under ``|v| <= 1``.
 
@@ -522,7 +574,11 @@ def _gauge(phi, target, p):
     nonzero.
 
     Exchange method (simplex on the ray-shooting program), started at ``p``
-    when ``target' p > 0``.  A vertex ties ``n - 1`` samples ``J`` to
+    when ``target' p > 0``, else at ``target``.  A start that ties exactly
+    ``n - 1`` samples (``_tied``) whose columns are independent of each
+    other and of ``target`` is a vertex, and the exchanges start there;
+    ``minimum_time`` starts each horizon at the vertex of the last one,
+    mapped by ``_mapped_vertex``.  A vertex ties ``n - 1`` samples ``J`` to
     ``phi_j' p = 0``; there ``[target, phi_J] [-s; v_J] = -phi sign(c)``,
     ``c = phi' p``, summed over the untied samples, and the vertex is optimal
     iff ``|v_J| <= 1``.  Otherwise the worst violator ``k`` is released
@@ -544,11 +600,13 @@ def _gauge(phi, target, p):
     if p is None or not target @ p > 0.0:
         p = target
     p = p / (target @ p)
-    tied: list[int] = []
+    tied = np.flatnonzero(~_clear(phi.T @ p, abs_phi_t, p)).tolist()
+    if len(tied) != n - 1 or not _independent(np.column_stack([target, phi[:, tied]])):
+        tied = []
     sign = np.ones(phi.shape[1])
     for _ in range(_MAX_EXCHANGES):
         c = phi.T @ p
-        clear = np.abs(c) > _TIE * (abs_phi_t @ np.abs(p))
+        clear = _clear(c, abs_phi_t, p)
         sign = np.where(clear, np.sign(c), sign)
         sign[tied] = 0.0
         grad = phi @ sign
@@ -643,14 +701,21 @@ def minimum_time(
     Root finding on ``log s(T)``, where ``s(T)`` (``_gauge``) is the largest
     multiple of the required terminal response that the transcribed reach
     condition attains at ``grid_density`` samples per second, and the origin
-    is reachable iff ``s(T) >= 1``.  The bracket grows at most twofold per
-    step, then regula falsi (Illinois variant) narrows it, each interpolated
-    horizon followed by a probe ``tol_t`` away on the other side.  The
-    returned horizon is certified reachable by a control with ``|u| <= 1``
-    and terminal miss at most ``1e-8 * max(1, |target|)``, and lies within
-    ``tol_t`` of a horizon certified unreachable by a Farkas costate (or of
-    0).  Raises ``numpy.linalg.LinAlgError`` for an uncontrollable pair (the
-    Hautus test, ``[A - mu I, B]`` of rank below n at an eigenvalue ``mu``),
+    is reachable iff ``s(T) >= 1``.  Both phases interpolate ``log s``
+    against ``log T``: secant steps grow the bracket at most twofold per step
+    (from a slope of 2 until two horizons give a positive one), then regula
+    falsi (Illinois variant) narrows it, each interpolated horizon followed
+    by a probe ``tol_t`` away on the other side, moved inward by the ulps
+    that make the computed bracket width at most ``tol_t``.  Each horizon's
+    exchange method starts at the optimal vertex of the last one, its tied
+    samples moved to the new grid by their time to go (``_mapped_vertex``),
+    or at the last costate when they do not map to a vertex.  The returned
+    horizon ``T`` is certified reachable by a control with ``|u| <= 1`` and
+    terminal miss at most ``1e-8 * max(1, |target|)``, and a horizon ``L``
+    certified unreachable by a Farkas costate (or 0) has ``T - L <= tol_t``
+    as computed in floating point.  Raises ``numpy.linalg.LinAlgError`` for
+    an uncontrollable pair (the Hautus test, ``[A - mu I, B]`` of rank below
+    n at an eigenvalue ``mu``),
     and ``RuntimeError`` when no finite horizon exists: before any
     bracketing, each unstable mode ``z = v'x`` (``v'A = mu v'``,
     ``Re mu > 0``) is tested, since ``dz/dt = mu z + v'B u`` can reach 0
@@ -686,27 +751,32 @@ def minimum_time(
     if not np.any(x0):
         return tol_t
     growth = float(np.max(eigvals.real))
-    p = None
+    p = vertex = None
 
     def log_gauge(horizon: float) -> float:
-        nonlocal p
+        nonlocal p, vertex
         n_steps = max(1, math.ceil(horizon * grid_density))
+        h = horizon / n_steps
         # a map that overflows verifies no certificate; the raise below says so
         with np.errstate(over="ignore", invalid="ignore"):
-            ad, bd = discretize(plant, horizon / n_steps)
+            ad, bd = discretize(plant, h)
             phi, free = reachability_matrix(ad, bd, n_steps)
-            found = _certified_gauge(phi, -(free @ x0), p)
+            target = -(free @ x0)
+            start = None if vertex is None else _mapped_vertex(phi, target, plant.m, h, vertex)
+            found = _certified_gauge(phi, target, p if start is None else start)
         if found is None:
             raise RuntimeError(
                 f"minimum time undecided: neither certificate verifies at "
                 f"T = {horizon:.6g} (max Re lambda * T = {growth * horizon:.3g})"
             )
         value, p = found
+        vertex = (h, n_steps, _tied(phi, p))
         return value
 
-    # bracket: secant steps on log s against log T, aimed tol_t / 2 past the
-    # root, at most twofold up (further up, max Re lambda * T grows past what
-    # the certificates can verify) and fourfold down
+    # bracket: secant steps on log s against log T (slope 2 until two points
+    # give a positive one), aimed tol_t / 2 past the root, at most twofold up
+    # (further up, max Re lambda * T grows past what the certificates can
+    # verify) and fourfold down
     lo, y_lo, hi, y_hi = 0.0, -math.inf, math.inf, 0.0
     t, last = 1.0, None
     while True:
@@ -719,31 +789,36 @@ def minimum_time(
             hi, y_hi = t, y
         if hi - lo <= tol_t or (lo > 0.0 and hi < math.inf):
             break
-        ratio = 2.0 if y < 0.0 else 0.5
-        if last is not None:
-            slope = (y - last[1]) / math.log(t / last[0])
-            if slope > 0.0:
-                ratio = math.exp(min(max(-y / slope, math.log(0.25)), math.log(2.0)))
+        slope = 2.0 if last is None else (y - last[1]) / math.log(t / last[0])
+        if not slope > 0.0:
+            slope = 2.0
+        ratio = math.exp(min(max(-y / slope, math.log(0.25)), math.log(2.0)))
         last = (t, y)
         if y < 0.0:
             t = min(2.0 * t, ratio * t + 0.5 * tol_t)
         else:
             t = max(0.25 * t, ratio * t - 0.5 * tol_t, 0.5 * tol_t)
-    # regula falsi (Illinois) inside the bracket, each point at least
-    # tol_t / 2 inside it and followed by a probe tol_t away across the root
+    # regula falsi (Illinois) on log s against log T inside the bracket, each
+    # point at least tol_t / 2 inside it and followed by a probe across the
+    # root, placed so that the computed width of the bracket it leaves is at
+    # most tol_t
     moved = 0
     while hi - lo > tol_t:
-        t = lo + (hi - lo) * y_lo / (y_lo - y_hi)
+        t = lo * (hi / lo) ** (y_lo / (y_lo - y_hi))
         t = min(max(t, lo + 0.5 * tol_t), hi - 0.5 * tol_t)
         y = log_gauge(t)
         if y < 0.0:
             if moved < 0:
                 y_hi *= 0.5
             lo, y_lo, moved, probe = t, y, -1, t + tol_t
+            while probe - t > tol_t:
+                probe = math.nextafter(probe, t)
         else:
             if moved > 0:
                 y_lo *= 0.5
             hi, y_hi, moved, probe = t, y, 1, t - tol_t
+            while t - probe > tol_t:
+                probe = math.nextafter(probe, t)
         if lo < probe < hi:
             y = log_gauge(probe)
             if y < 0.0:

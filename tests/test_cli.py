@@ -503,3 +503,25 @@ def test_module_entry_point_help():
     assert result.returncode == 0
     for token in ("solve", "sweep", "mintime", "verify"):
         assert token in result.stdout
+
+
+def test_main_builds_its_parser_once_and_parses_alike(tmp_path, capsys, monkeypatch):
+    import handsoff.cli
+
+    built = []
+    build = handsoff.cli.build_parser
+    monkeypatch.setattr(handsoff.cli, "build_parser", lambda: built.append(1) or build())
+    handsoff.cli._parser.cache_clear()
+    try:
+        outputs = []
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                main(["mintime"])
+            outputs.append((exc.value.code, capsys.readouterr().err))
+            assert main(["mintime", str(write_problem(tmp_path))]) == 0
+            outputs.append(capsys.readouterr().out)
+    finally:
+        handsoff.cli._parser.cache_clear()
+    assert built == [1]
+    assert outputs[:2] == outputs[2:]
+    assert outputs[0][0] == 2 and "the following arguments are required" in outputs[0][1]

@@ -1,6 +1,7 @@
 """Tests for the transcription, the costate-dual solver, and minimum time."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -388,6 +389,18 @@ def test_rank_deficient_reach_map_raises():
         solve(program)
 
 
+def test_line_search_takes_no_step_without_a_finite_slope_at_zero():
+    # the slope at 0 is read off the control the ascent already holds; a
+    # direction with an inf or NaN entry gives no finite slope there
+    c = np.array([0.5, -2.0, 3.0])
+    w1, w2 = np.full(3, 1.0), np.full(3, 0.5)
+    u = handsoff.solver.saturated_shrink(c, w1, w2)
+    for bad in (math.inf, -math.inf, math.nan):
+        e = np.array([1.0, bad, 0.0])
+        assert handsoff.solver._line_search(c, u, e, 1.0, w1, w2) == 0.0
+    assert handsoff.solver._line_search(c, u, np.array([-1.0, 0.0, 0.0]), 1.0, w1, w2) > 0.0
+
+
 # ---------------------------------------------------------------------------
 # minimum time
 
@@ -513,8 +526,16 @@ def gauge_battery():
     return cases
 
 
-def test_gauge_matches_the_lp_and_its_control_reaches_the_origin():
+def test_gauge_matches_the_lp_and_its_control_reaches_the_origin(monkeypatch):
     density, tol = 40.0, 0.02
+    qr = np.linalg.qr
+    qr_calls = []
+
+    def counted_qr(*args, **kwargs):
+        qr_calls.append(1)
+        return qr(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", counted_qr)
     for plant, x0 in gauge_battery():
         t_star = minimum_time(plant, x0, grid_density=density, tol_t=tol)
         x0_norm = max(1.0, float(np.linalg.norm(x0)))
@@ -532,11 +553,93 @@ def test_gauge_matches_the_lp_and_its_control_reaches_the_origin():
                 assert target @ p == pytest.approx(1.0)
                 assert handsoff.solver._certified_gauge(phi, target, p) is not None
                 u = v / max(s, 1.0)
+                # started at the optimal vertex of a neighbouring horizon,
+                # moved to this grid, the exchanges take no projected
+                # gradient step and end at the same gauge; only a degenerate
+                # vertex (more than n - 1 ties, as where every sample of one
+                # input is tied) does not map
+                for near in (0.9 * horizon, 1.1 * horizon):
+                    near_steps = max(1, int(np.ceil(near * density)))
+                    near_phi, near_target = reach_map(plant, x0, near, near_steps)
+                    near_p = handsoff.solver._gauge(near_phi, near_target, None)[2]
+                    vertex = (near / near_steps, near_steps,
+                              handsoff.solver._tied(near_phi, near_p))
+                    start = handsoff.solver._mapped_vertex(
+                        phi, target, plant.m, horizon / n_steps, vertex
+                    )
+                    if start is None:
+                        assert len(vertex[2]) > plant.n - 1, (plant, x0, horizon, near)
+                        continue
+                    del qr_calls[:]
+                    warm = handsoff.solver._gauge(phi, target, start)
+                    assert not qr_calls, (plant, x0, horizon, near)
+                    assert abs(warm[0] - s) <= 1e-8 * s, (plant, x0, horizon, near)
+                    assert abs(warm[0] - lp) <= 1e-8 * lp, (plant, x0, horizon, near)
+                    assert handsoff.solver._certified_gauge(phi, target, start) is not None
             if horizon == t_star:
                 assert np.max(np.abs(u)) <= 1.0
                 control = ControlTrajectory(h=horizon / n_steps, u=u.reshape(n_steps, -1))
                 terminal = simulate(plant, x0, control).final_state
                 assert np.linalg.norm(terminal) <= 1e-6 * x0_norm, (plant, x0)
+
+
+def record_horizons(monkeypatch) -> list:
+    """``[T, reachable]`` of every horizon ``minimum_time`` evaluates, in order.
+
+    Each evaluation calls ``discretize`` once, from the search's evaluation
+    of one horizon, whose local ``horizon`` is the exact ``T``; the verdict is
+    the sign of the certified log gauge.
+    """
+    seen = []
+    discretize_ = handsoff.solver.discretize
+    certified_gauge = handsoff.solver._certified_gauge
+
+    def counted(plant, h):
+        seen.append([sys._getframe(1).f_locals["horizon"], None])
+        return discretize_(plant, h)
+
+    def verdict(phi, target, p):
+        found = certified_gauge(phi, target, p)
+        seen[-1][1] = found is not None and found[0] >= 0.0
+        return found
+
+    monkeypatch.setattr(handsoff.solver, "discretize", counted)
+    monkeypatch.setattr(handsoff.solver, "_certified_gauge", verdict)
+    return seen
+
+
+def test_minimum_time_closes_its_bracket_at_exactly_tol_t(monkeypatch):
+    # a probe tol_t across an interpolated horizon t can leave a computed
+    # bracket width of tol_t plus one rounding; the search must then not
+    # spend a horizon on it: no horizon is evaluated once the bracket is
+    # within rounding of tol_t, and the returned T* is at most tol_t, as
+    # computed, above a horizon certified unreachable
+    seen = record_horizons(monkeypatch)
+    density, tol = 40.0, 0.02
+    for plant, x0 in gauge_battery():
+        del seen[:]
+        t_star = minimum_time(plant, x0, grid_density=density, tol_t=tol)
+        if not np.any(x0):
+            assert not seen
+            continue
+        lo, hi = 0.0, math.inf
+        for horizon, reachable in seen:
+            assert hi - lo > tol * (1.0 + 1e-12), (plant, x0, seen)
+            if reachable:
+                hi = min(hi, horizon)
+            else:
+                lo = max(lo, horizon)
+        assert t_star == hi
+        assert t_star - lo <= tol, (plant, x0, seen)
+
+
+def test_minimum_time_evaluates_fewer_horizons_on_the_gauge_battery(monkeypatch):
+    # 87 horizons when each horizon started from the last costate alone and
+    # the regula falsi ran on s against T
+    seen = record_horizons(monkeypatch)
+    for plant, x0 in gauge_battery():
+        minimum_time(plant, x0, grid_density=40.0, tol_t=0.02)
+    assert len(seen) < 87
 
 
 def two_input_short_chain() -> LtiPlant:
