@@ -5,9 +5,10 @@ A sampled control is "off" where its magnitude stays below a small threshold
 active, where it switches between the levels {-1, 0, +1}, how close it is to
 a bang-off-bang signal, and how fast it moves between samples.
 ``costate_consistency`` certifies a control optimal, in any mode, by the
-duality gap of the solver's own program: the costate the solver finds for
-the control's terminal response must price the control's cost to within the
-solver's tolerance.
+duality gap of the solver's own program: a costate, read off the control's
+samples inside the bound or else found by the solver for the control's
+terminal response, must price the control's cost to within the solver's
+tolerance.
 """
 
 from __future__ import annotations
@@ -267,12 +268,18 @@ def costate_consistency(
     iff a costate ``p`` closes the duality gap of the transcribed program
     with that response, ``phi @ clip(U, -1, 1)``, as its target: the gap
     ``primal(U) - g(p)`` is nonnegative for every ``p`` and bounds how far
-    the control's cost is above the optimum.  ``p`` comes from
-    ``solver.solve`` on that program, and the gap is ``solver._gap``'s, so
-    a wrong ``p`` can only reject.  The gap is taken with a bound on its
-    rounding added, and passes when at most ``solver._TOL_DUAL`` times the
-    cost (0 for a zero cost), the bound a converged solve meets.  Returns
-    ``(certified, gap / cost)``, or the gap itself for a zero cost.
+    the control's cost is above the optimum.  An optimal control carries its
+    costate: on each sample strictly inside the bound, ``0 < |U_j| < 1``,
+    the control law fixes ``phi_j' p = sign(U_j) w1_j + w2_j U_j``, and
+    ``p`` is first read off those samples by least squares
+    (``solver._fit_costate``).  When fewer than n samples are inside, or
+    that ``p`` does not certify, ``p`` comes from ``solver.solve`` on the
+    program instead.  The gap is ``solver._gap``'s either way, so a wrong
+    ``p`` can only reject.  The gap is taken with a bound on its rounding
+    added, and passes when at most ``solver._TOL_DUAL`` times the cost (0
+    for a zero cost), the bound a converged solve meets.  Returns
+    ``(certified, gap / cost)``, or the gap itself for a zero cost, for the
+    costate that decided.
     """
     if control.n_inputs != problem.plant.m:
         raise ValueError(
@@ -285,12 +292,22 @@ def costate_consistency(
         )
     u = np.clip(control.u.reshape(-1), -1.0, 1.0)
     program = solver.transcribe(problem)
-    program = replace(program, target=program.phi @ u)
-    p = solver.solve(program).costate
-    primal, gap = solver._gap(
-        u, p, program.phi, program.target, program.l1_weights, program.l2_weights
-    )
-    # with its rounding added, so that no costate, however large, makes the
-    # gap pass by cancellation
-    gap += solver._rounding(program.phi, program.target, p)
-    return gap <= solver._TOL_DUAL * primal, gap / primal if primal > 0.0 else gap
+    phi, w1, w2 = program.phi, program.l1_weights, program.l2_weights
+    target = phi @ u
+
+    def verdict(p):
+        primal, gap = solver._gap(u, p, phi, target, w1, w2)
+        # with its rounding added, so that no costate, however large, makes
+        # the gap pass by cancellation
+        gap += solver._rounding(phi, target, p)
+        return gap <= solver._TOL_DUAL * primal, gap / primal if primal > 0.0 else gap
+
+    inside = (np.abs(u) > 0.0) & (np.abs(u) < 1.0)
+    if np.count_nonzero(inside) >= phi.shape[0]:
+        read_off = solver._fit_costate(
+            phi, np.zeros(phi.shape[0]), np.zeros_like(u), u, w1, w2, inside
+        )
+        found = verdict(read_off)
+        if found[0]:
+            return found
+    return verdict(solver.solve(replace(program, target=target)).costate)

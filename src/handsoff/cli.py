@@ -451,7 +451,10 @@ def _cmd_verify(args) -> int:
         print(f"check failed: {failure}", file=sys.stderr)
     if failures:
         return 2
-    print(f"verified: {len(u)} samples, terminal norm {terminal:.3g}")
+    print(
+        f"verified: {len(u)} samples, terminal norm {terminal:.3g}, "
+        f"relative duality gap {gap:.3g} <= {_TOL_DUAL:.3g}"
+    )
     return 0
 
 

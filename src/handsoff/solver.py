@@ -372,16 +372,25 @@ def _ascend(phi, abs_phi, target, w1, w2, p, budget, run_on=False):
         steps += 1
 
 
+def _fit_costate(phi, p, c, u, w1, w2, inside):
+    """The costate ``p`` (``c = phi' p``) moved by least squares to where
+    the samples ``inside`` (``0 < |u_j| < 1``) meet their optimality
+    condition ``phi_j' p = sign(u_j) w1_j + w2_j u_j``, the control law
+    read backwards on its unsaturated, nonzero branch."""
+    miss = np.sign(u[inside]) * w1[inside] + w2[inside] * u[inside] - c[inside]
+    return p + np.linalg.lstsq(phi[:, inside].T, miss, rcond=None)[0]
+
+
 def _recover(phi, target, p, c, w1, w2, w2_stage):
     """Exact control and costate from a smoothed stage at costate ``p``, ``c = phi' p``.
 
     On the samples without quadratic weight, those clear of the threshold
     keep their dead-zone level, and the tied ones, ``||c| - w1| <=
     w2_stage``, are fitted to the terminal constraint by bounded least
-    squares within their sign.  The costate then moves, by least squares,
-    to where the fitted samples strictly inside ``(0, 1)`` meet their
-    optimality condition ``c_j = sign(u_j) w1_j``; the move is kept only if
-    it raises the dual.  Returns ``(u, p)``, or None when more than ``2 n``
+    squares within their sign.  The costate then moves, by least squares
+    (``_fit_costate``), to where the fitted samples strictly inside
+    ``(0, 1)`` meet their optimality condition ``c_j = sign(u_j) w1_j``; the
+    move is kept only if it raises the dual.  Returns ``(u, p)``, or None when more than ``2 n``
     samples are tied (the stage is still too smooth to tell).
     """
     tied = (w2 == 0.0) & (np.abs(np.abs(c) - w1) <= w2_stage)
@@ -397,8 +406,7 @@ def _recover(phi, target, p, c, w1, w2, w2_stage):
         u[tied] = sign * fit.x
         inside = tied & (np.abs(u) > 0.0) & (np.abs(u) < 1.0)
         if np.any(inside):
-            miss = np.sign(u[inside]) * w1[inside] - c[inside]
-            q = p + np.linalg.lstsq(phi[:, inside].T, miss, rcond=None)[0]
+            q = _fit_costate(phi, p, c, u, w1, w2, inside)
             if _dual(q, phi, target, w1, w2) > _dual(p, phi, target, w1, w2):
                 p = q
     return u, p
@@ -706,7 +714,10 @@ def minimum_time(
     (from a slope of 2 until two horizons give a positive one), then regula
     falsi (Illinois variant) narrows it, each interpolated horizon followed
     by a probe ``tol_t`` away on the other side, moved inward by the ulps
-    that make the computed bracket width at most ``tol_t``.  Each horizon's
+    that make the computed bracket width at most ``tol_t``; where ``log s``
+    is 0 on a stretch below a horizon (a miss within the reach floor), which
+    no interpolation leaves, the step down doubles and ``log T`` is
+    bisected instead.  Each horizon's
     exchange method starts at the optimal vertex of the last one, its tied
     samples moved to the new grid by their time to go (``_mapped_vertex``),
     or at the last costate when they do not map to a vertex.  The returned
@@ -776,9 +787,11 @@ def minimum_time(
     # bracket: secant steps on log s against log T (slope 2 until two points
     # give a positive one), aimed tol_t / 2 past the root, at most twofold up
     # (further up, max Re lambda * T grows past what the certificates can
-    # verify) and fourfold down
+    # verify) and fourfold down.  log s = 0 (the target hit to rounding) may
+    # hold on a stretch below t, where every secant step is tol_t / 2: the
+    # step down then doubles, drop, while it keeps landing there
     lo, y_lo, hi, y_hi = 0.0, -math.inf, math.inf, 0.0
-    t, last = 1.0, None
+    t, last, drop = 1.0, None, 0.0
     while True:
         if t > 1e6:
             raise RuntimeError("no feasible horizon found below 1e6 seconds")
@@ -796,15 +809,29 @@ def minimum_time(
         last = (t, y)
         if y < 0.0:
             t = min(2.0 * t, ratio * t + 0.5 * tol_t)
-        else:
+        elif y > 0.0:
             t = max(0.25 * t, ratio * t - 0.5 * tol_t, 0.5 * tol_t)
+        else:
+            drop = 2.0 * drop if drop > 0.0 else 0.5 * tol_t
+            t = max(0.25 * t, t - drop, 0.5 * tol_t)
     # regula falsi (Illinois) on log s against log T inside the bracket, each
     # point at least tol_t / 2 inside it and followed by a probe across the
     # root, placed so that the computed width of the bracket it leaves is at
-    # most tol_t
+    # most tol_t.  An interpolation that lands on hi (log s = 0 there, or
+    # |y_hi| negligible) first tests hi - tol_t / 2.  Should it land on hi
+    # again (or the bracket end on such a stretch), log s is flat at 0 below
+    # hi and no halving of y_lo moves it, so from then on, without probes,
+    # the step below hi doubles until it reaches an unreachable horizon, and
+    # log T is bisected
     moved = 0
     while hi - lo > tol_t:
-        t = lo * (hi / lo) ** (y_lo / (y_lo - y_hi))
+        t = lo * (hi / lo) ** (y_lo / (y_lo - y_hi)) if y_hi > 0.0 else hi
+        bisect = drop > 0.0 and not t < hi
+        if bisect:
+            t = max(math.sqrt(lo * hi), hi - drop)
+            drop *= 2.0
+        elif not t < hi:
+            drop = tol_t
         t = min(max(t, lo + 0.5 * tol_t), hi - 0.5 * tol_t)
         y = log_gauge(t)
         if y < 0.0:
@@ -819,7 +846,7 @@ def minimum_time(
             hi, y_hi, moved, probe = t, y, 1, t - tol_t
             while t - probe > tol_t:
                 probe = math.nextafter(probe, t)
-        if lo < probe < hi:
+        if lo < probe < hi and not bisect:
             y = log_gauge(probe)
             if y < 0.0:
                 lo, y_lo = probe, y

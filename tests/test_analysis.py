@@ -300,6 +300,52 @@ def test_costate_certifies_each_mode_and_rejects_a_null_space_step(mode):
     assert gap > handsoff.solver._TOL_DUAL
 
 
+@pytest.mark.parametrize("mode", ["L1", "L1L2", "L2"])
+def test_costate_of_a_solver_output_is_read_off_without_a_solve(monkeypatch, mode):
+    # an optimal control carries its costate on the samples inside the bound
+    problem = ControlProblem(
+        plant=double_integrator(), x0=[1.0, 0.0], T=4.0, N=200, lam=1.0, r=1.0,
+        mode=mode,
+    )
+    report = solve_problem(problem)
+    assert report.status == "converged"
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("costate_consistency solved the program")
+
+    monkeypatch.setattr(handsoff.solver, "solve", no_solve)
+    certified, gap = costate_consistency(problem, report.u)
+    assert certified
+    assert 0.0 <= gap <= handsoff.solver._TOL_DUAL
+
+
+@pytest.mark.parametrize(
+    "u, certified",
+    [
+        (np.zeros(200), True),
+        # one sample inside the bound, fewer than n = 2
+        (np.r_[0.5, np.zeros(199)], True),
+        # the response of +1 everywhere lies on the boundary of the reachable
+        # set, where the dual optimum is not attained: rejected, gap 2.9e-5
+        (np.ones(200), False),
+    ],
+)
+def test_costate_with_fewer_than_n_samples_inside_falls_back_to_a_solve(
+    monkeypatch, u, certified
+):
+    solves = []
+    solve = handsoff.solver.solve
+
+    def counted(*args, **kwargs):
+        solves.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(handsoff.solver, "solve", counted)
+    verdict, _ = costate_consistency(l1_problem(T=20.0, N=200), traj(u, h=0.1))
+    assert verdict == certified
+    assert len(solves) == 1
+
+
 # ---------------------------------------------------------------------------
 # tradeoff sweep
 

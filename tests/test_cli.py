@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import handsoff.solver
 from handsoff import ControlTrajectory, LtiPlant, compute_metrics, simulate
 from handsoff.cli import main, read_trajectory_csv, write_trajectory_csv
 
@@ -373,6 +374,21 @@ def test_verify_accepts_solver_output_without_l1_checks(tmp_path, capsys, mode):
     assert main(["solve", str(problem), "--out", str(out)]) == 0
     assert main(["verify", str(problem), str(out / "trajectory.csv")]) == 0
     assert "verified: 200 samples" in capsys.readouterr().out
+
+
+def test_verify_reads_the_costate_off_solver_output(solved, capsys, monkeypatch):
+    problem, trajectory = solved
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("verify solved the program")
+
+    monkeypatch.setattr(handsoff.solver, "solve", no_solve)
+    capsys.readouterr()
+    assert main(["verify", str(problem), str(trajectory)]) == 0
+    line = capsys.readouterr().out.strip()
+    assert line.startswith("verified: 200 samples, terminal norm ")
+    gap, bound = line.split("relative duality gap ")[1].split(" <= ")
+    assert 0.0 <= float(gap) <= float(bound) == 1e-6
 
 
 def test_verify_catches_tampered_bang_sample(solved, capsys, tmp_path):

@@ -633,6 +633,24 @@ def test_minimum_time_closes_its_bracket_at_exactly_tol_t(monkeypatch):
         assert t_star - lo <= tol, (plant, x0, seen)
 
 
+@pytest.mark.parametrize("x0, t_exact", [([1.0, 0.0], 2.0), ([0.25, 0.0], 1.0)])
+def test_minimum_time_crosses_a_stretch_of_zero_log_gauge_in_few_horizons(
+    monkeypatch, x0, t_exact
+):
+    # at density 100 the double integrator reaches the origin exactly at a
+    # grid horizon, and log s is 0 (a miss within the reach floor) on a
+    # stretch about 1e-8 s below it.  Steps of tol_t / 2 crossed it in 2156
+    # horizons (from [1, 0], ending in ZeroDivisionError) and 39998 horizons
+    # (from [0.25, 0], whose first horizon lands on the stretch)
+    seen = record_horizons(monkeypatch)
+    tol = 1e-12
+    t_star = minimum_time(double_integrator(), x0, grid_density=100.0, tol_t=tol)
+    assert len(seen) <= 40
+    assert t_star == min(horizon for horizon, reachable in seen if reachable)
+    assert 0.0 < t_star - max(horizon for horizon, reachable in seen if not reachable) <= tol
+    assert abs(t_star - t_exact) <= 1e-7
+
+
 def test_minimum_time_evaluates_fewer_horizons_on_the_gauge_battery(monkeypatch):
     # 87 horizons when each horizon started from the last costate alone and
     # the regula falsi ran on s against T
