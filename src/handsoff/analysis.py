@@ -72,7 +72,7 @@ class HandsOffMetrics:
 class TradeoffPoint:
     """One solve of the sparsity/smoothness sweep at quadratic weight ``r``.
 
-    ``iterations`` counts the Newton steps of this point's solve.
+    ``iterations`` counts the Newton steps of this point's solve (``r > 0``).
     """
 
     r: float
@@ -271,15 +271,14 @@ def costate_consistency(
     the control's cost is above the optimum.  An optimal control carries its
     costate: on each sample strictly inside the bound, ``0 < |U_j| < 1``,
     the control law fixes ``phi_j' p = sign(U_j) w1_j + w2_j U_j``, and
-    ``p`` is first read off those samples by least squares
-    (``solver._fit_costate``).  When fewer than n samples are inside, or
-    that ``p`` does not certify, ``p`` comes from ``solver.solve`` on the
-    program instead.  The gap is ``solver._gap``'s either way, so a wrong
-    ``p`` can only reject.  The gap is taken with a bound on its rounding
-    added, and passes when at most ``solver._TOL_DUAL`` times the cost (0
-    for a zero cost), the bound a converged solve meets.  Returns
-    ``(certified, gap / cost)``, or the gap itself for a zero cost, for the
-    costate that decided.
+    ``p`` is first read off those samples by least squares.  When fewer
+    than n samples are inside, or that ``p`` does not certify, ``p`` comes
+    from ``solver.solve`` on the program instead.  The gap is
+    ``solver._gap``'s either way, so a wrong ``p`` can only reject.  The gap
+    is taken with a bound on its rounding added, and passes when at most
+    ``solver._TOL_DUAL`` times the cost (0 for a zero cost), the bound a
+    converged solve meets.  Returns ``(certified, gap / cost)``, or the gap
+    itself for a zero cost, for the costate that decided.
     """
     if control.n_inputs != problem.plant.m:
         raise ValueError(
@@ -304,10 +303,9 @@ def costate_consistency(
 
     inside = (np.abs(u) > 0.0) & (np.abs(u) < 1.0)
     if np.count_nonzero(inside) >= phi.shape[0]:
-        read_off = solver._fit_costate(
-            phi, np.zeros(phi.shape[0]), np.zeros_like(u), u, w1, w2, inside
-        )
-        found = verdict(read_off)
+        # the control law read backwards on its unsaturated, nonzero branch
+        law = np.sign(u[inside]) * w1[inside] + w2[inside] * u[inside]
+        found = verdict(np.linalg.lstsq(phi[:, inside].T, law, rcond=None)[0])
         if found[0]:
             return found
     return verdict(solver.solve(replace(program, target=target)).costate)

@@ -321,9 +321,11 @@ def _cmd_solve(args) -> int:
     write_trajectory_csv(out / "trajectory.csv", report.u, states)
     _write_report(out / "report.txt", problem, report, states, args.eps)
     if report.status != "converged":
+        reason = {"infeasible_suspected": "no control with |u| <= 1 reaches the origin",
+                  "stalled": "rounding holds a residual above its bound"}
         print(
             f"solve did not converge: status={report.status} after "
-            f"{report.iterations} iterations",
+            f"{report.iterations} iterations ({reason.get(report.status, 'budget spent')})",
             file=sys.stderr,
         )
         return 2

@@ -7,38 +7,25 @@ so a control problem becomes
     subject to  phi @ U = target,      |U_j| <= 1,
 
 with per-sample weights ``w1 = lam_i * h`` and ``w2 = r_i * h`` (rectangle
-rule).  Its dual has one variable per state, the terminal costate ``p``
-(the multiplier of ``phi @ U = target``).  Given ``p`` the program separates
-sample by sample: with ``c = phi' p`` the minimizing control is
-``scalar_ops.control_law(c, w1, w2)``, the saturated soft threshold
-``sat(shrink(c, w1) / w2)`` where ``w2 > 0`` and the dead-zone level
-``dead_zone(c, w1)`` where ``w2 = 0``, the optimality conditions of the paper
-in transcribed form.  The dual
-
-    g(p) = target' p + sum_j min_{|u| <= 1} (w1_j |u| + w2_j u**2 / 2 - c_j u)
-
-is concave; for ``w2 > 0`` it is differentiable with gradient
-``target - phi @ U(p)`` and generalized Hessian ``-phi_B diag(1/w2) phi_B'``,
-where ``phi_B`` keeps the columns of the samples inside the unsaturated band
-``w1 < |c| < w1 + w2``.  ``solve`` maximizes it by a damped semismooth
-Newton method; each step solves one n-by-n system.
-
-A small quadratic weight makes the dual nearly piecewise linear, and none
-(pure L1) makes it exactly so.  The ascent therefore runs in stages on the
-weights ``max(w2, eps * w1)``, ``eps`` lowered tenfold per stage from 1 and
-the costate carried from stage to stage, until the program's own weights
-are reached.  Where a sample has no quadratic weight, the exact control is
-recovered after each stage: samples clear of the threshold take their
-dead-zone level, and the few tied samples (``|c| ~ w1``) are fitted to the
-terminal constraint by bounded least squares.  Every returned control
-carries its costate, and the duality gap ``primal(U) - g(p)`` certifies it.
+rule).  Its dual has one variable per state, the terminal costate ``p``.
+Given ``p`` the program separates sample by sample: with ``c = phi' p`` the
+minimizing control is ``scalar_ops.control_law(c, w1, w2)``, the optimality
+conditions of the paper in transcribed form, and the dual ``g(p) = target' p
++ sum_j min_{|u| <= 1} (w1_j |u| + w2_j u**2 / 2 - c_j u)`` is concave.
+Every returned control carries its costate, and the duality gap
+``primal(U) - g(p)`` certifies it.  Pure L1 (``w2 = 0``) is an LP with the
+piecewise-linear dual ``target' p - sum_j max(0, |c_j| - w1_j)``; ``solve``
+finds its optimal vertex exactly by an exchange method, and the control is
+bang-off-bang off the n samples the vertex ties to ``|c_j| = w1_j``.  With
+``w2 > 0`` the dual is differentiable, and ``solve`` maximizes it by a
+damped semismooth Newton method in stages on the weights ``max(w2, eps *
+w1)``, ``eps`` lowered tenfold per stage from 1.
 
 ``minimum_time`` works on the same reach condition without an objective:
-the origin is reachable at a horizon iff ``phi @ U = target`` has a solution
-with ``|U_j| <= 1``, iff the least ``sum |phi' p|`` over ``target' p = 1``
-is at least 1.  That gauge of the reachable set is an LP with n rows,
-solved exactly by an exchange method, and the horizon is found by root
-finding on its logarithm.
+the origin is reachable at a horizon iff the least ``sum |phi' p|`` over
+``target' p = 1`` is at least 1.  That gauge of the reachable set is the
+same exchange method with every threshold at 0, and the horizon is found by
+root finding on its logarithm.
 """
 
 from __future__ import annotations
@@ -48,7 +35,10 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-from scipy.optimize import lsq_linear
+
+# not called here: the benchmark's tracer (perfbench/tracing.py) hooks
+# handsoff.solver.lsq_linear, so the name stays importable
+from scipy.optimize import lsq_linear  # noqa: F401
 
 from .plant import (
     ControlProblem,
@@ -71,10 +61,8 @@ __all__ = [
 
 # the "converged" contract: terminal residual at most _TOL_EQ relative to
 # max(1, |target|) and at most _TOL_PRIMAL per root-sample, duality gap at most
-# _TOL_DUAL relative to the objective, within _MAX_ITER Newton steps summed over
-# all smoothing stages.  Converged solves mostly land at the rounding floor, so
-# tighter bounds change little; looser ones accept a smoothing stage far from
-# the optimum (README, numerical notes)
+# _TOL_DUAL relative to the objective, within _MAX_ITER iterations (README,
+# numerical notes)
 _TOL_PRIMAL = _TOL_DUAL = _TOL_EQ = 1e-6
 _MAX_ITER = 50000
 # the Newton ascent stops once the terminal residual is this small relative to
@@ -111,10 +99,10 @@ _FARKAS_MARGIN = 1e-9
 # its largest at an eigenvalue mu
 _REACH_FLOOR = 1e-8
 _HAUTUS = 1e-9
-# the exchange method of _gauge: a sample is tied when |phi_j' p| is within
-# this share of |phi_j|'|p| (rounding), a multiplier is above 1 when it
-# exceeds 1 by more than this share, and the method gives up after this many
-# steps (the benchmark's plants take at most 20)
+# the exchange method: a sample is tied when |phi_j' p| is within this share
+# of |phi_j|'|p| (rounding) of its threshold, a multiplier is out of its range
+# when by more than this share, and _gauge gives up after this many steps (the
+# benchmark's plants take at most 20)
 _TIE = 1e-12
 _MAX_EXCHANGES = 200
 
@@ -183,13 +171,13 @@ class SolveReport:
     ``duality_gap`` is ``primal(U) - g(p)`` under the program weights and
     ``dual_residual`` the same relative to the objective (the certificate
     ``analysis.costate_consistency`` also checks).  ``iterations`` counts
-    Newton steps.  ``status`` is one of "converged", "max_iter", "infeasible_suspected"; on
-    "converged" the control satisfies the amplitude bound exactly,
-    ``eq_residual <= 1e-6 * max(1, |target|)``, ``primal_residual <= 1e-6``
-    and ``dual_residual <= 1e-6``, within 50,000 Newton steps (fixed
-    tolerances, not settings); on "infeasible_suspected"
-    ``costate`` is a Farkas certificate, ``target' p > sum |phi' p|``,
-    and ``duality_gap`` is NaN.
+    exchanges in pure L1, else Newton steps.  ``status`` "converged": the
+    control meets the amplitude bound exactly, ``eq_residual <= 1e-6 *
+    max(1, |target|)``, ``primal_residual`` and ``dual_residual <= 1e-6``,
+    within 50,000 iterations (fixed, not settings); "infeasible_suspected":
+    ``costate`` is a Farkas certificate, ``target' p > sum |phi' p|``, and
+    ``duality_gap`` is NaN; "stalled": stopped short of a certificate with
+    budget left (rounding held a residual above its bound); "max_iter".
     """
 
     u: ControlTrajectory
@@ -254,14 +242,12 @@ def _line_search(c, u, e, slope0, w1, w2):
     """Step ``t > 0`` that nearly maximizes the dual along a direction ``d``.
 
     ``c = phi' p``, ``u = U(c)``, ``e = phi' d`` and ``slope0 = target' d``;
-    the slope of the dual along ``d`` is ``slope0 - e' U(c + t e)``,
-    piecewise linear and nonincreasing in ``t``.  Returns the first ``t``
-    found at which it is within ``_WOLFE`` times its value at 0 of zero (the
-    strong Wolfe condition), by doubling from 1 to bracket the maximizer and
-    then regula falsi (Illinois variant) inside the bracket; returns 0 when
-    rounding leaves no ascent along ``d``, or no finite slope at 0 (``e``
-    with an inf or NaN entry).  The weights are the stage's, ``w2 > 0``;
-    every probe reuses the same two buffers.
+    the slope along ``d``, ``slope0 - e' U(c + t e)``, is piecewise linear
+    and nonincreasing in ``t``.  Returns the first ``t`` found where it is
+    within ``_WOLFE`` times its value at 0 of zero (strong Wolfe), by
+    doubling from 1 and then regula falsi (Illinois); 0 when rounding leaves
+    no ascent, or no finite slope at 0.  The weights are the stage's, ``w2
+    > 0``; every probe reuses the same two buffers.
     """
     probe = np.empty_like(c)
     buf = np.empty_like(c)
@@ -307,15 +293,13 @@ def _line_search(c, u, e, slope0, w1, w2):
 def _ascend(phi, abs_phi, target, w1, w2, p, budget, run_on=False):
     """Damped semismooth Newton ascent on the dual with weights ``w2 > 0``.
 
-    Starts at ``p`` and takes at most ``budget`` steps.  Returns
-    ``(p, c, u, steps, outcome)`` where ``outcome`` is "converged" (terminal
-    residual at the rounding floor), "stalled" (no ascent direction left, or
-    the residual stopped falling), "infeasible_suspected" (``p`` is a Farkas
-    certificate), or "max_iter" (budget spent).  With ``run_on`` the ascent
-    goes past the stopping rule while each step cuts the residual tenfold,
-    down to ``_RUN_ON_REL``, and returns the best point it passed.  The
-    stage weights ``w2`` are positive, so the control law is
-    ``saturated_shrink`` throughout.
+    Starts at ``p``, takes at most ``budget`` steps, and returns ``(p, c,
+    u, steps, outcome)``: "converged" (terminal residual at the rounding
+    floor), "stalled" (no ascent direction left, or the residual stopped
+    falling), "infeasible_suspected" (``p`` is a Farkas certificate), or
+    "max_iter".  With ``run_on`` it goes past the stopping rule while each
+    step cuts the residual tenfold, down to ``_RUN_ON_REL``, and returns the
+    best point it passed.  The control law is ``saturated_shrink``.
     """
     reg = _REG * ((phi / w2) @ phi.T)
     band_hi = w1 + w2
@@ -372,63 +356,177 @@ def _ascend(phi, abs_phi, target, w1, w2, p, budget, run_on=False):
         steps += 1
 
 
-def _fit_costate(phi, p, c, u, w1, w2, inside):
-    """The costate ``p`` (``c = phi' p``) moved by least squares to where
-    the samples ``inside`` (``0 < |u_j| < 1``) meet their optimality
-    condition ``phi_j' p = sign(u_j) w1_j + w2_j u_j``, the control law
-    read backwards on its unsaturated, nonzero branch."""
-    miss = np.sign(u[inside]) * w1[inside] + w2[inside] * u[inside] - c[inside]
-    return p + np.linalg.lstsq(phi[:, inside].T, miss, rcond=None)[0]
+def _solve_consistent(a, b):
+    """``x`` with ``a x = b``: exact for a square ``a``, else least-norm."""
+    if a.shape[0] == a.shape[1]:
+        return np.linalg.solve(a, b)
+    return np.linalg.lstsq(a, b, rcond=None)[0]
 
 
-def _recover(phi, target, p, c, w1, w2, w2_stage):
-    """Exact control and costate from a smoothed stage at costate ``p``, ``c = phi' p``.
+def _exchange(phi, target, w1, p, budget):
+    """Exchange method (simplex with long steps) on a piecewise-linear dual.
 
-    On the samples without quadratic weight, those clear of the threshold
-    keep their dead-zone level, and the tied ones, ``||c| - w1| <=
-    w2_stage``, are fitted to the terminal constraint by bounded least
-    squares within their sign.  The costate then moves, by least squares
-    (``_fit_costate``), to where the fitted samples strictly inside
-    ``(0, 1)`` meet their optimality condition ``c_j = sign(u_j) w1_j``; the
-    move is kept only if it raises the dual.  Returns ``(u, p)``, or None when more than ``2 n``
-    samples are tied (the stage is still too smooth to tell).
+    Minimizes ``f(p) = sum_j max(0, |c_j| - w1_j) - target' p``, ``c = phi'
+    p``, minus the L1 program's costate dual, or with ``w1 = 0`` ``sum |c_j|``
+    over ``target' p = 1`` (the gauge; ``target`` joins every basis).
+    Returns ``(outcome, p, u, s, steps)``: "optimal", ``u`` an optimal
+    control with ``phi u = s target`` (``s = 1``, or the gauge); "unbounded",
+    ``p`` a ray along which ``f`` falls without bound, a Farkas certificate;
+    "max_iter" after ``budget`` moves of ``p``; or "singular".
+
+    A sample's level is ``sign(c_j)`` outside its thresholds ``+-w1_j``, 0
+    inside.  A vertex ties n samples to ``c_j = side_j w1_j`` (``n - 1``
+    beside ``target``) and is optimal iff the multipliers of ``phi_J u_J = s
+    target - phi level`` have ``side_j u_j`` in ``[0, 1]`` (``|u_j| <= 1`` at
+    0).  Else the worst violator is released along the ``d`` keeping the
+    other ties; ``f`` falls at minus its violation, rising by ``|phi_j' d|``
+    at each threshold crossed, and the step ends at the crossing that turns
+    it, whose sample is tied in its place.  Until a basis has n columns
+    (fewer where ``phi`` and ``target`` span fewer dimensions) the steps go
+    down the projected gradient.  A sample within rounding (``_TIE`` times
+    ``|phi_j|'|p|``) of a threshold keeps its level, so extra ties are left
+    by steps of length zero, never by levels that rounding chose.
     """
-    tied = (w2 == 0.0) & (np.abs(np.abs(c) - w1) <= w2_stage)
-    if np.count_nonzero(tied) > 2 * phi.shape[0]:
-        return None
-    u = control_law(c, w1, w2)
-    if np.any(tied):
-        u[tied] = 0.0
-        sign = np.where(c[tied] < 0.0, -1.0, 1.0)
-        fit = lsq_linear(
-            phi[:, tied] * sign, target - phi @ u, bounds=(0.0, 1.0), method="bvls"
-        )
-        u[tied] = sign * fit.x
-        inside = tied & (np.abs(u) > 0.0) & (np.abs(u) < 1.0)
-        if np.any(inside):
-            q = _fit_costate(phi, p, c, u, w1, w2, inside)
-            if _dual(q, phi, target, w1, w2) > _dual(p, phi, target, w1, w2):
-                p = q
-    return u, p
+    n = phi.shape[0]
+    gauge = not np.any(w1)
+    abs_phi_t = np.abs(phi).T
+    # a basis takes target's column for the gauge, and those of tied samples
+    k0, aug = (1, np.column_stack([target, phi])) if gauge else (0, phi)
+    tied = _tied(phi, p, w1)
+    # a start at a vertex ties a basis of unit columns independent to rounding
+    basis = aug[:, [0] * k0 + [j + k0 for j in tied]]
+    unit = basis / (np.linalg.norm(basis, axis=0) + np.finfo(float).tiny)
+    if basis.shape[1] != n or not np.linalg.cond(unit) < 1.0 / _TIE:
+        tied = []
+    level = np.ones(phi.shape[1])
+    # the threshold each tied sample sits at, as a sign (0 for a threshold 0)
+    side = np.sign(phi.T @ p) * (w1 > 0.0)
+    steps = 0
+    while True:
+        c = phi.T @ p
+        tol = _TIE * (abs_phi_t @ np.abs(p))
+        slack = np.abs(c) - w1
+        np.copysign(slack > 0.0, c, out=level, where=np.abs(slack) > tol)
+        level[tied] = 0.0
+        grad = phi @ level if gauge else phi @ level - target
+        basis = aug[:, [0] * k0 + [j + k0 for j in tied]]
+        release = d = None
+        try:
+            if basis.shape[1] < n:
+                free = np.linalg.qr(basis, mode="complete")[0][:, basis.shape[1] :]
+                d = -free @ (free.T @ grad)
+                if not np.linalg.norm(d) > _TIE * np.linalg.norm(grad):
+                    # no descent inside the face: head for a threshold of the
+                    # sample furthest out of span(basis); with none, p is at a
+                    # vertex of the span of phi and target
+                    spill = free.T @ phi
+                    share = np.linalg.norm(spill, axis=0) / (
+                        np.linalg.norm(phi, axis=0) + np.finfo(float).tiny
+                    )
+                    j = int(np.argmax(share))
+                    d = -(level[j] or -1.0) * (free @ spill[:, j]) if share[j] > _TIE else None
+            if d is None:
+                z = _solve_consistent(basis, grad)
+                v = -z[k0:]
+                # each multiplier's range mid +- half: [0, 1] at w1, [-1, 1] at 0
+                mid = 0.0 if gauge else 0.5 * side[tied]
+                half = 1.0 - np.abs(mid)
+                dev = v - mid
+                if not (np.abs(dev) > half + _TIE).any():
+                    level[tied] = v
+                    return "optimal", p, level, float(z[0]) if gauge else 1.0, steps
+                over = np.abs(dev) - half
+                release = int(np.argmax(over))
+                sigma = 1.0 if dev[release] > 0.0 else -1.0
+                rhs = np.zeros(basis.shape[1])
+                rhs[k0 + release] = sigma
+                d = _solve_consistent(basis.T, rhs)
+                slope = -over[release]
+            else:
+                slope = float(grad @ d)
+        except np.linalg.LinAlgError:
+            return "singular", p, level, math.nan, steps
+        if steps == budget:
+            return "max_iter", p, level, math.nan, steps
+        # the thresholds theta ahead along d, past which a sample's level is
+        # sign(e), or 0 in the dead zone: the gauge's +-0 coincide and are
+        # crossed at twice the rate; an L1 sample heading in meets +-w1 and
+        # then -+w1, one heading out (the released one too, if inward) +-w1
+        e = phi.T @ d
+        if gauge:
+            cols = (level * e < 0.0).nonzero()[0]
+            after, theta, far = -level[cols], np.zeros(cols.size), cols[:0]
+        else:
+            moving = level * e < np.abs(e)
+            moving[tied] = False
+            if release is not None and side[tied[release]] == -sigma:
+                moving[tied[release]] = True
+            cols = moving.nonzero()[0]
+            heading, after = level[cols], np.sign(e[cols])
+            theta = (after + 2.0 * heading) * w1[cols]
+            far = heading.nonzero()[0]
+            cols = np.concatenate([cols, cols[far]])
+            theta = np.concatenate([theta, -theta[far]])
+            after = np.concatenate([after * (heading == 0.0), after[far]])
+        ec = e[cols]
+        ahead = theta - c[cols]
+        at = np.where(np.abs(ahead) > tol[cols], ahead / ec, 0.0)
+        rate = (2.0 if gauge else 1.0) * np.abs(ec)
+        # the long-step ratio test: the crossings by at (ties: the larger rate
+        # first) up to the one that turns the slope, sorted only in a window
+        # of the smallest at, widened eightfold until the slope turns in it
+        window = 256
+        while True:
+            if window < at.size:
+                near = (at <= np.partition(at, window - 1)[window - 1]).nonzero()[0]
+                order = near[np.lexsort((-rate[near], at[near]))]
+            else:
+                order = np.lexsort((-rate, at))
+            turned = (slope + rate[order].cumsum() >= 0.0).nonzero()[0]
+            if turned.size or order.size == at.size:
+                break
+            window *= 8
+        if not turned.size:
+            return "unbounded", d, level, math.nan, steps
+        stop = int(turned[0])
+        p = p + at[order[stop]] * d
+        if release is not None:
+            level[tied[release]] = 0.0 if side[tied[release]] == -sigma else sigma
+        # past a threshold the level is sign(e), or 0 in the dead zone; past
+        # both, beyond the second
+        crossed = order[:stop]
+        level[cols[crossed]] = after[crossed]
+        if far.size:
+            crossed = crossed[crossed >= cols.size - far.size]
+            level[cols[crossed]] = after[crossed]
+        j = int(cols[order[stop]])
+        side[j] = np.sign(theta[order[stop]])
+        if release is None:
+            tied.append(j)
+        else:
+            tied[release] = j
+        steps += 1
 
 
 def solve(program: DiscreteProgram, *, _start=None) -> SolveReport:
-    """Solve ``program`` by semismooth Newton ascent on its costate dual.
+    """Solve ``program`` on its costate dual, deterministically.
 
-    Deterministic: the costate starts at zero, or at ``_start``'s costate,
-    and every step is fixed by the data.  ``_start`` (private, for
-    ``analysis.sweep_tradeoff``) is a pair ``(costate, l2_weights)`` from a
-    converged solve of the same ``phi``, ``target`` and L1 weights under
-    heavier quadratic weights: the ascent then starts from that costate and
-    skips the smoothing stages whose weights all lie at or above those
-    weights, so a path of decreasing quadratic weights continues the
-    smoothing homotopy.  Its last stage runs on past the stopping rule to
-    the residual a cold solve's last step typically reaches.  Raises
-    ``numpy.linalg.LinAlgError`` when ``phi`` is row rank deficient (terminal
-    constraint unreachable for every control), and ``ValueError`` when a
-    sample carries neither an L1 nor a quadratic weight.
-    A horizon below the minimum time is reported "infeasible_suspected" with
-    a Farkas certificate in ``costate``: ``target' p > sum |phi' p|``.
+    A pure-L1 program (every quadratic weight 0) goes to its optimal vertex
+    by the exchange method (``_exchange``) from ``p = 0``; ``iterations``
+    counts exchanges.  Otherwise every quadratic weight must be positive,
+    and the Newton ascent starts at zero, or at ``_start``'s costate.
+    ``_start`` (private, for ``analysis.sweep_tradeoff``) is a pair
+    ``(costate, l2_weights)`` from a converged solve of the same ``phi``,
+    ``target`` and L1 weights under heavier quadratic weights: the ascent
+    then skips the smoothing stages whose weights all lie at or above those,
+    continuing the smoothing homotopy, and its last stage runs on past the
+    stopping rule to the residual a cold solve's last step typically
+    reaches.  Raises ``numpy.linalg.LinAlgError`` when ``phi`` is row rank
+    deficient (terminal constraint unreachable for every control), and
+    ``ValueError`` when a sample carries neither weight or the quadratic
+    weights mix zero and positive.  A horizon below the minimum time is
+    reported "infeasible_suspected" with a Farkas certificate in
+    ``costate``: ``target' p > sum |phi' p|``.
     """
     phi = program.phi
     target = program.target
@@ -437,6 +535,8 @@ def solve(program: DiscreteProgram, *, _start=None) -> SolveReport:
     n, mn = phi.shape
     if np.any((w1 == 0.0) & (w2 == 0.0)):
         raise ValueError("every sample needs a positive L1 or quadratic weight")
+    if np.any(w2 > 0.0) and not np.all(w2 > 0.0):
+        raise ValueError("quadratic weights must be all zero or all positive")
     try:
         scipy.linalg.cho_factor(phi @ phi.T)
     except scipy.linalg.LinAlgError as exc:
@@ -445,44 +545,54 @@ def solve(program: DiscreteProgram, *, _start=None) -> SolveReport:
             "or the grid too short"
         ) from exc
 
-    abs_phi = np.abs(phi)
     tnorm = max(1.0, float(np.linalg.norm(target)))
     root_mn = math.sqrt(mn)
-    l1_only = w2 == 0.0
-    p = np.zeros(n) if _start is None else _start[0]
-    iterations = 0
-    status = "max_iter"
-    for eps in _SMOOTHING:
-        w2_stage = np.maximum(w2, eps * w1)
-        last = eps == _SMOOTHING[-1] or np.array_equal(w2_stage, w2)
-        if not last and _start is not None and np.all(w2_stage >= _start[1]):
-            continue
-        p, c, u, steps, outcome = _ascend(
-            phi, abs_phi, target, w1, w2_stage, p, _MAX_ITER - iterations,
-            run_on=last and _start is not None,
-        )
-        iterations += steps
-        if outcome in ("converged", "stalled") and np.any(l1_only):
-            # with too many ties to recover, the smoothed control itself may
-            # still be certified (for example along a singular arc)
-            exact = _recover(phi, target, p, c, w1, w2, w2_stage)
-            if exact is not None:
-                u, p = exact
+
+    def certificate(u, p):
         eq_abs = float(np.linalg.norm(phi @ u - target))
         primal, gap = _gap(u, p, phi, target, w1, w2)
-        if outcome in ("max_iter", "infeasible_suspected"):
-            status = outcome
-            break
-        if (
-            eq_abs <= _TOL_EQ * tnorm
-            and eq_abs / root_mn <= _TOL_PRIMAL
-            and abs(gap) <= _TOL_DUAL * primal
-        ):
+        reached = eq_abs <= _TOL_EQ * tnorm and eq_abs / root_mn <= _TOL_PRIMAL
+        return eq_abs, primal, gap, reached and abs(gap) <= _TOL_DUAL * primal
+
+    iterations = 0
+    if not np.any(w2):
+        # u = 0 meets a target at the rounding floor (the ascent's stopping
+        # rule at p = 0), where the exact vertex's gap is rounding noise
+        u, p, outcome = np.zeros(mn), np.zeros(n), "optimal"
+        if np.linalg.norm(target) > _STOP_REL:
+            outcome, p, u, _, iterations = _exchange(phi, target, w1, p, _MAX_ITER)
+            u = np.clip(u, -1.0, 1.0) + 0.0  # no -0.0 in the dead zone
+        eq_abs, primal, gap, converged = certificate(u, p)
+        if outcome == "optimal" and converged:
             status = "converged"
-            break
-        # a stalled stage, or one at the program's own weights, is the last
-        if outcome == "stalled" or last:
-            break
+        elif outcome == "unbounded" and _farkas(phi, target, p) is not None:
+            status = "infeasible_suspected"
+        else:
+            status = "max_iter" if outcome == "max_iter" else "stalled"
+    else:
+        abs_phi = np.abs(phi)
+        p = np.zeros(n) if _start is None else _start[0]
+        status = "stalled"
+        for eps in _SMOOTHING:
+            w2_stage = np.maximum(w2, eps * w1)
+            last = eps == _SMOOTHING[-1] or np.array_equal(w2_stage, w2)
+            if not last and _start is not None and np.all(w2_stage >= _start[1]):
+                continue
+            p, _, u, steps, outcome = _ascend(
+                phi, abs_phi, target, w1, w2_stage, p, _MAX_ITER - iterations,
+                run_on=last and _start is not None,
+            )
+            iterations += steps
+            eq_abs, primal, gap, converged = certificate(u, p)
+            if outcome in ("max_iter", "infeasible_suspected"):
+                status = outcome
+                break
+            if converged:
+                status = "converged"
+                break
+            # a stalled stage, or one at the program's own weights, is the last
+            if outcome == "stalled" or last:
+                break
     if status == "infeasible_suspected":
         # no feasible control, so no gap: the dual is unbounded along p
         gap = math.nan
@@ -511,44 +621,23 @@ def solve_problem(problem: ControlProblem) -> SolveReport:
     return solve(transcribe(problem))
 
 
-def _solve_consistent(a, b):
-    """``x`` with ``a x = b``: exact when ``a`` is square, otherwise the
-    least-norm least-squares solution (``b`` lies in the span of ``a``)."""
-    if a.shape[0] == a.shape[1]:
-        return np.linalg.solve(a, b)
-    return np.linalg.lstsq(a, b, rcond=None)[0]
-
-
-def _clear(c, abs_phi_t, p):
-    """Mask of the samples clear of a tie at ``p``: ``|c_j| = |phi_j' p|``
-    above ``_TIE`` times ``|phi_j|'|p|`` (rounding); the others are tied."""
-    return np.abs(c) > _TIE * (abs_phi_t @ np.abs(p))
-
-
-def _tied(phi, p) -> list[int]:
-    """The columns ``j`` that ``p`` ties: ``phi_j' p`` within rounding of 0."""
-    return np.flatnonzero(~_clear(phi.T @ p, np.abs(phi).T, p)).tolist()
-
-
-def _independent(cols) -> bool:
-    """Whether the columns are independent beyond rounding: scaled to unit
-    length, their singular values span less than the ratio ``1 / _TIE``."""
-    unit = cols / (np.linalg.norm(cols, axis=0) + np.finfo(float).tiny)
-    sv = np.linalg.svd(unit, compute_uv=False)
-    return bool(sv[-1] > _TIE * sv[0])
+def _tied(phi, p, w1=0.0) -> list[int]:
+    """The columns ``j`` that ``p`` ties to a threshold: ``|phi_j' p|``
+    within rounding, ``_TIE`` times ``|phi_j|'|p|``, of ``w1_j``."""
+    slack = np.abs(np.abs(phi.T @ p) - w1)
+    return (~(slack > _TIE * (np.abs(phi).T @ np.abs(p)))).nonzero()[0].tolist()
 
 
 def _mapped_vertex(phi, target, m, h, vertex):
     """Costate tying the samples of another grid's vertex, moved to this grid.
 
-    ``vertex = (h_old, n_old, tied)`` holds the step, the sample count and
-    the tied columns of a vertex of ``_gauge`` on another grid.  Column ``j``
-    is sample ``k = n_old - 1 - j // m`` from the end, channel ``j % m``;
-    here it becomes sample ``round((k + 1/2) h_old / h - 1/2)`` from the end
-    (the same time to go, clamped to the grid), same channel.  Returns the
-    ``p`` with ``target' p = 1`` and ``phi_j' p = 0`` on the moved samples,
-    or None unless they are ``n - 1`` distinct samples whose system is
-    regular with a finite solution.
+    ``vertex = (h_old, n_old, tied)``: the step, sample count and tied
+    columns of a ``_gauge`` vertex on another grid.  Column ``j``, sample
+    ``k = n_old - 1 - j // m`` from the end and channel ``j % m``, moves to
+    sample ``round((k + 1/2) h_old / h - 1/2)`` from the end (the same time
+    to go, clamped), same channel.  Returns the ``p`` with ``target' p = 1``
+    and ``phi_j' p = 0`` there, or None unless they are ``n - 1`` distinct
+    samples with a regular system and a finite solution.
     """
     h_old, n_old, tied = vertex
     n, mn = phi.shape
@@ -574,100 +663,26 @@ def _gauge(phi, target, p):
     """Largest multiple of ``target`` that ``phi`` reaches under ``|v| <= 1``.
 
     Returns ``(s, v, p)`` with ``phi @ v = s * target``, ``|v| <= 1`` and
-    ``target' p = 1``, where ``s = sum |phi' p|`` is the least such sum over
-    the costates with ``target' p = 1``; the two programs are dual, so the
-    origin is reachable at this horizon iff ``s >= 1`` (by ``u = v / s``).
-    Returns None when the method stops without an optimal vertex (a
-    singular system, or ``_MAX_EXCHANGES`` steps).  ``target`` must be
-    nonzero.
-
-    Exchange method (simplex on the ray-shooting program), started at ``p``
-    when ``target' p > 0``, else at ``target``.  A start that ties exactly
-    ``n - 1`` samples (``_tied``) whose columns are independent of each
-    other and of ``target`` is a vertex, and the exchanges start there;
-    ``minimum_time`` starts each horizon at the vertex of the last one,
-    mapped by ``_mapped_vertex``.  A vertex ties ``n - 1`` samples ``J`` to
-    ``phi_j' p = 0``; there ``[target, phi_J] [-s; v_J] = -phi sign(c)``,
-    ``c = phi' p``, summed over the untied samples, and the vertex is optimal
-    iff ``|v_J| <= 1``.  Otherwise the worst violator ``k`` is released
-    along the ``d`` with ``[target, phi_J]' d = sign(v_k) e_k``: the sum
-    falls at the slope ``1 - |v_k|`` plus ``2 |phi_j' d|`` for each sample
-    ``j`` whose sign flips, and the step ends exactly at the flip that makes
-    it nonnegative, where ``j`` is tied in place of ``k``.  Until ``n - 1``
-    samples are tied, the steps go down the projected gradient instead.
-    When ``phi`` and ``target`` span fewer than ``n`` dimensions (fewer
-    samples than states, or a rank deficient ``phi``), a vertex has fewer
-    ties and its systems are solved within that span; ``s = 0`` when
-    ``target`` lies outside the span of ``phi``.
-    A sample within rounding of zero keeps the sign it had, so a vertex with
-    more than ``n - 1`` ties is left by steps of length zero, never by
-    signs that rounding chose.
+    ``target' p = 1``, where ``s = sum |phi' p|`` is the least such sum, so
+    the origin is reachable iff ``s >= 1`` (by ``u = v / s``): ``_exchange``
+    with every threshold at 0, from ``p`` when ``target' p > 0``, else from
+    ``target``; None without an optimal vertex.  ``target`` must be nonzero;
+    ``s = 0`` when it lies outside the span of ``phi``.
     """
-    n = phi.shape[0]
-    abs_phi_t = np.abs(phi).T
     if p is None or not target @ p > 0.0:
         p = target
-    p = p / (target @ p)
-    tied = np.flatnonzero(~_clear(phi.T @ p, abs_phi_t, p)).tolist()
-    if len(tied) != n - 1 or not _independent(np.column_stack([target, phi[:, tied]])):
-        tied = []
-    sign = np.ones(phi.shape[1])
-    for _ in range(_MAX_EXCHANGES):
-        c = phi.T @ p
-        clear = _clear(c, abs_phi_t, p)
-        sign = np.where(clear, np.sign(c), sign)
-        sign[tied] = 0.0
-        grad = phi @ sign
-        basis = np.column_stack([target, phi[:, tied]])
-        release = d = None
-        try:
-            if len(tied) < n - 1:
-                free = np.linalg.qr(basis, mode="complete")[0][:, len(tied) + 1 :]
-                d = -free @ (free.T @ grad)
-                if not np.linalg.norm(d) > _TIE * np.linalg.norm(grad):
-                    # no descent inside the face: head for the tie of the
-                    # sample that reaches furthest out of span(basis); when
-                    # none does (fewer samples than n, or a rank deficient
-                    # phi), p is at a vertex of the span of phi and target
-                    spill = free.T @ phi
-                    share = np.linalg.norm(spill, axis=0) / (
-                        np.linalg.norm(phi, axis=0) + np.finfo(float).tiny
-                    )
-                    j = int(np.argmax(share))
-                    d = -sign[j] * (free @ spill[:, j]) if share[j] > _TIE else None
-            if d is None:
-                z = _solve_consistent(basis, grad)
-                v = -z[1:]
-                if not np.any(np.abs(v) > 1.0 + _TIE):
-                    sign[tied] = v
-                    return float(z[0]), sign, p
-                release = int(np.argmax(np.abs(v)))
-                rhs = np.zeros(len(tied) + 1)
-                rhs[release + 1] = np.sign(v[release])
-                d = _solve_consistent(basis.T, rhs)
-                slope = 1.0 - abs(v[release])
-            else:
-                slope = float(grad @ d)
-        except np.linalg.LinAlgError:
-            return None
-        e = phi.T @ d
-        # the samples whose sign flips along d, in order of their flip; one
-        # within rounding of zero flips at once, the largest |e_j| first
-        flips = np.flatnonzero(sign * e < 0.0)
-        at = np.where(clear[flips], -c[flips] / e[flips], 0.0)
-        order = np.lexsort((-np.abs(e[flips]), at))
-        flips, at = flips[order], at[order]
-        turned = np.flatnonzero(slope + 2.0 * np.cumsum(np.abs(e[flips])) >= 0.0)
-        if turned.size == 0:
-            return None
-        stop = turned[0]
-        p = p + at[stop] * d
-        sign[flips[:stop]] *= -1.0
-        if release is None:
-            tied.append(int(flips[stop]))
-        else:
-            sign[tied[release]] = np.sign(v[release])
-            tied[release] = int(flips[stop])
+    outcome, p, v, s, _ = _exchange(phi, target, 0.0, p / (target @ p), _MAX_EXCHANGES)
+    return (s, v, p) if outcome == "optimal" else None
+
+
+def _farkas(phi, target, p):
+    """``max(sum |phi' p|, rounding) / target' p`` if ``p`` proves that no
+    ``|u| <= 1`` reaches ``target``, by the margin ``_FARKAS_MARGIN`` and
+    ``_rounding``; else None."""
+    support = float(np.sum(np.abs(phi.T @ p)))
+    rounding = _rounding(phi, target, p)
+    if target @ p > (1.0 + _FARKAS_MARGIN) * support + rounding:
+        return max(support, rounding) / float(target @ p)
     return None
 
 
@@ -676,11 +691,9 @@ def _certified_gauge(phi, target, p):
 
     ``s >= 1`` counts when the control ``u = clip(v / s)`` misses the target
     by at most ``_REACH_FLOOR * max(1, |target|)``; the value is then
-    ``log max(s, 1)``.  ``s < 1`` counts when ``p`` is a Farkas certificate:
-    ``target' p`` above ``sum |phi' p|`` by the share ``_FARKAS_MARGIN`` and
-    by a bound on the rounding of both sides; the value is then the log of
-    ``sum |phi' p|``, or of that bound when larger (finite where ``s = 0``),
-    over ``target' p``.
+    ``log max(s, 1)``.  ``s < 1`` counts when ``p`` is a Farkas certificate
+    (``_farkas``); the value is then the log of ``sum |phi' p|``, or of the
+    rounding bound when larger (finite where ``s = 0``), over ``target' p``.
     """
     tnorm = float(np.linalg.norm(target))
     if not (math.isfinite(tnorm) and np.all(np.isfinite(phi))):
@@ -694,11 +707,8 @@ def _certified_gauge(phi, target, p):
         miss = float(np.linalg.norm(phi @ u - target))
         if miss <= _REACH_FLOOR * max(1.0, tnorm):
             return math.log(max(s, 1.0)), p
-    support = float(np.sum(np.abs(phi.T @ p)))
-    rounding = _rounding(phi, target, p)
-    if target @ p > (1.0 + _FARKAS_MARGIN) * support + rounding:
-        return math.log(max(support, rounding) / float(target @ p)), p
-    return None
+    ratio = _farkas(phi, target, p)
+    return None if ratio is None else (math.log(ratio), p)
 
 
 def minimum_time(
@@ -707,32 +717,24 @@ def minimum_time(
     """Shortest horizon at which the origin is reachable under ``|u| <= 1``.
 
     Root finding on ``log s(T)``, where ``s(T)`` (``_gauge``) is the largest
-    multiple of the required terminal response that the transcribed reach
-    condition attains at ``grid_density`` samples per second, and the origin
-    is reachable iff ``s(T) >= 1``.  Both phases interpolate ``log s``
-    against ``log T``: secant steps grow the bracket at most twofold per step
-    (from a slope of 2 until two horizons give a positive one), then regula
-    falsi (Illinois variant) narrows it, each interpolated horizon followed
-    by a probe ``tol_t`` away on the other side, moved inward by the ulps
-    that make the computed bracket width at most ``tol_t``; where ``log s``
-    is 0 on a stretch below a horizon (a miss within the reach floor), which
-    no interpolation leaves, the step down doubles and ``log T`` is
-    bisected instead.  Each horizon's
-    exchange method starts at the optimal vertex of the last one, its tied
-    samples moved to the new grid by their time to go (``_mapped_vertex``),
-    or at the last costate when they do not map to a vertex.  The returned
-    horizon ``T`` is certified reachable by a control with ``|u| <= 1`` and
-    terminal miss at most ``1e-8 * max(1, |target|)``, and a horizon ``L``
-    certified unreachable by a Farkas costate (or 0) has ``T - L <= tol_t``
-    as computed in floating point.  Raises ``numpy.linalg.LinAlgError`` for
-    an uncontrollable pair (the Hautus test, ``[A - mu I, B]`` of rank below
-    n at an eigenvalue ``mu``),
-    and ``RuntimeError`` when no finite horizon exists: before any
-    bracketing, each unstable mode ``z = v'x`` (``v'A = mu v'``,
-    ``Re mu > 0``) is tested, since ``dz/dt = mu z + v'B u`` can reach 0
-    under ``|u| <= 1`` only from ``|v'x0| < |B'v|_1 / Re mu``.  Also raises
-    ``RuntimeError``, naming the horizon, when a horizon verifies neither
-    certificate (rounding on a strongly unstable plant).
+    multiple of the required terminal response that the reach condition at
+    ``grid_density`` samples per second attains; the origin is reachable iff
+    ``s(T) >= 1``.  Both phases interpolate ``log s`` against ``log T``:
+    secant steps grow the bracket at most twofold per step, then regula
+    falsi (Illinois) narrows it, each interpolated horizon followed by a
+    probe ``tol_t`` across, moved inward by the ulps that keep the computed
+    bracket width at most ``tol_t``; where ``log s`` is 0 on a stretch below
+    a horizon, the step down doubles and ``log T`` is bisected.  Each
+    horizon's exchanges start at the last one's optimal vertex, its ties
+    moved to the new grid by their time to go (``_mapped_vertex``).  The
+    returned ``T`` is certified reachable (terminal miss at most ``1e-8 *
+    max(1, |target|)``), and a horizon ``L`` certified unreachable by a
+    Farkas costate (or 0) has ``T - L <= tol_t`` in floating point.  Raises
+    ``numpy.linalg.LinAlgError`` for a pair that fails the Hautus test, and
+    ``RuntimeError`` when no finite horizon exists (an unstable mode ``z =
+    v'x``, ``v'A = mu v'``, starts at ``|v'x0| >= |B'v|_1 / Re mu``), or,
+    naming the horizon, when a horizon verifies neither certificate
+    (rounding on a strongly unstable plant).
     """
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     if x0.shape[0] != plant.n:
@@ -786,10 +788,8 @@ def minimum_time(
 
     # bracket: secant steps on log s against log T (slope 2 until two points
     # give a positive one), aimed tol_t / 2 past the root, at most twofold up
-    # (further up, max Re lambda * T grows past what the certificates can
-    # verify) and fourfold down.  log s = 0 (the target hit to rounding) may
-    # hold on a stretch below t, where every secant step is tol_t / 2: the
-    # step down then doubles, drop, while it keeps landing there
+    # (further up, the certificates fail) and fourfold down; where log s = 0
+    # on a stretch below t, the step down doubles, drop, while it lands there
     lo, y_lo, hi, y_hi = 0.0, -math.inf, math.inf, 0.0
     t, last, drop = 1.0, None, 0.0
     while True:
@@ -814,15 +814,12 @@ def minimum_time(
         else:
             drop = 2.0 * drop if drop > 0.0 else 0.5 * tol_t
             t = max(0.25 * t, t - drop, 0.5 * tol_t)
-    # regula falsi (Illinois) on log s against log T inside the bracket, each
-    # point at least tol_t / 2 inside it and followed by a probe across the
-    # root, placed so that the computed width of the bracket it leaves is at
-    # most tol_t.  An interpolation that lands on hi (log s = 0 there, or
-    # |y_hi| negligible) first tests hi - tol_t / 2.  Should it land on hi
-    # again (or the bracket end on such a stretch), log s is flat at 0 below
-    # hi and no halving of y_lo moves it, so from then on, without probes,
-    # the step below hi doubles until it reaches an unreachable horizon, and
-    # log T is bisected
+    # regula falsi (Illinois) on log s against log T, each point at least
+    # tol_t / 2 inside the bracket and followed by a probe across the root
+    # that leaves a computed width of at most tol_t.  An interpolation that
+    # lands on hi first tests hi - tol_t / 2; landing there again, log s is
+    # flat at 0 below hi, so from then on, without probes, the step below hi
+    # doubles until it reaches an unreachable horizon, and log T is bisected
     moved = 0
     while hi - lo > tol_t:
         t = lo * (hi / lo) ** (y_lo / (y_lo - y_hi)) if y_hi > 0.0 else hi

@@ -325,9 +325,10 @@ def test_costate_of_a_solver_output_is_read_off_without_a_solve(monkeypatch, mod
         (np.zeros(200), True),
         # one sample inside the bound, fewer than n = 2
         (np.r_[0.5, np.zeros(199)], True),
-        # the response of +1 everywhere lies on the boundary of the reachable
-        # set, where the dual optimum is not attained: rejected, gap 2.9e-5
-        (np.ones(200), False),
+        # +1 everywhere is the only control that reaches its response, and
+        # that LP's dual optimum is attained (its primal is feasible): the
+        # solve's optimal vertex certifies it, relative gap 3.6e-15
+        (np.ones(200), True),
     ],
 )
 def test_costate_with_fewer_than_n_samples_inside_falls_back_to_a_solve(

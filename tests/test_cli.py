@@ -436,6 +436,24 @@ def test_verify_rejects_an_off_sample_moved_by_1e_3(solved, capsys, tmp_path):
     assert err.count("check failed") == 1
 
 
+def test_verify_certifies_full_thrust_on_every_sample(tmp_path, capsys):
+    # u = +1 on every sample is the only control that reaches its terminal
+    # response, from x0 = [200, -20] of the double integrator at T = 20; the
+    # read-off costate needs n samples inside the bound and there are none,
+    # so the certificate is the solve's optimal vertex
+    text = DOUBLE_INTEGRATOR.replace("x0 = 1 0", "x0 = 200 -20").replace(
+        "T = 4", "T = 20"
+    )
+    problem = write_problem(tmp_path, text)
+    plant = LtiPlant(a=[[0.0, 1.0], [0.0, 0.0]], b=[[0.0], [1.0]])
+    control = ControlTrajectory(h=0.1, u=np.ones((200, 1)))
+    trajectory = tmp_path / "thrust.csv"
+    write_trajectory_csv(trajectory, control, simulate(plant, [200.0, -20.0], control).states)
+    capsys.readouterr()
+    assert main(["verify", str(problem), str(trajectory)]) == 0
+    assert capsys.readouterr().out.startswith("verified: 200 samples")
+
+
 def test_verify_wrong_dimension_csv_exits_1(solved, capsys, tmp_path):
     problem, trajectory = solved
     other = write_problem(

@@ -301,14 +301,20 @@ def test_solver_is_deterministic():
     assert first.status == second.status
 
 
-def test_max_iter_status_when_budget_too_small(monkeypatch):
+@pytest.mark.parametrize(
+    "mode, budget",
+    # the L1 exchanges take 2 steps here, the L1L2 Newton ascent 6
+    [("L1", 1), ("L1L2", 3)],
+)
+def test_max_iter_status_when_budget_too_small(monkeypatch, mode, budget):
     problem = ControlProblem(
-        plant=double_integrator(), x0=[1.0, 0.0], T=4.0, N=100, lam=1.0, mode="L1"
+        plant=double_integrator(), x0=[1.0, 0.0], T=4.0, N=100, lam=1.0, r=0.01,
+        mode=mode,
     )
-    monkeypatch.setattr(handsoff.solver, "_MAX_ITER", 3)
+    monkeypatch.setattr(handsoff.solver, "_MAX_ITER", budget)
     report = solve_problem(problem)
     assert report.status == "max_iter"
-    assert report.iterations == 3
+    assert report.iterations == budget
 
 
 def test_horizon_below_minimum_time_is_flagged():
@@ -374,8 +380,69 @@ def test_status_never_lies_on_a_seeded_battery():
             assert program.target @ p > support
             assert lp.status == 2
         # on these plants no solve may end undecided
-        assert report.status != "max_iter", (problem, report.iterations)
+        assert report.status in ("converged", "infeasible_suspected"), (
+            problem, report.status, report.iterations
+        )
     assert "converged" in outcomes and "infeasible_suspected" in outcomes
+
+
+def b120(seed: int) -> list:
+    """The forty problems of one seed of ROADMAP's battery B120.
+
+    Drawn from ``default_rng(seed)`` in this order: ``n`` in 2..4 and ``m``
+    in 1..3; ``A`` random (``0.7 standard_normal``) when ``random() < 0.5``,
+    else a chain with ones on the superdiagonal and last row ``-0.05
+    random(n)``; ``B``, ``T`` in (5, 50), ``N`` of 1000, 2000, 5000 or
+    10000, mode L1 or L1L2, then ``x0``; ``lam = 1`` and, in L1L2, ``r =
+    0.1``.
+    """
+    rng = np.random.default_rng(seed)
+    problems = []
+    for _ in range(40):
+        n, m = int(rng.integers(2, 5)), int(rng.integers(1, 4))
+        if rng.random() < 0.5:
+            a = 0.7 * rng.standard_normal((n, n))
+        else:
+            a = np.eye(n, k=1)
+            a[-1] = -0.05 * rng.random(n)
+        b = rng.standard_normal((n, m))
+        horizon = float(rng.uniform(5.0, 50.0))
+        n_steps = int(rng.choice([1000, 2000, 5000, 10000]))
+        mode = str(rng.choice(["L1", "L1L2"]))
+        problems.append(
+            ControlProblem(
+                plant=LtiPlant(a=a, b=b), x0=rng.standard_normal(n), T=horizon,
+                N=n_steps, lam=1.0, r=0.1 if mode == "L1L2" else 0.0, mode=mode,
+            )
+        )
+    return problems
+
+
+@pytest.mark.parametrize("seed, case", [(8, 29), (9, 13), (9, 24), (9, 26), (9, 33)])
+def test_b120_l1_cases_that_stalled_reach_a_certified_vertex(seed, case):
+    # max Re lambda * T of 6.7-18, where HiGHS is inexact, so the duality
+    # gap is the certificate; each of these ended max_iter in the Newton
+    # ascent, its control missing the origin by up to 1.5e5
+    problem = b120(seed)[case]
+    assert problem.mode == "L1"
+    program = transcribe(problem)
+    report = solve(program)
+    assert report.status == "converged"
+    rounding = handsoff.solver._rounding(program.phi, program.target, report.costate)
+    assert report.duality_gap + rounding <= 1e-6 * report.j1
+    terminal = simulate(problem.plant, problem.x0, report.u).final_state
+    assert np.linalg.norm(terminal) <= 1e-4 * max(1.0, float(np.linalg.norm(problem.x0)))
+
+
+def test_a_stalled_newton_ascent_says_so():
+    # B120 seed 9 case 15 (n = 2, N = 2000, L1L2, max Re lambda * T = 45):
+    # the ascent stops after a few steps without progress, far from its
+    # budget, and reported max_iter before
+    problem = b120(9)[15]
+    assert problem.mode == "L1L2"
+    report = solve_problem(problem)
+    assert report.status == "stalled"
+    assert report.iterations < handsoff.solver._MAX_ITER
 
 
 def test_rank_deficient_reach_map_raises():
