@@ -35,10 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-
-# not called here: the benchmark's tracer (perfbench/tracing.py) hooks
-# handsoff.solver.lsq_linear, so the name stays importable
-from scipy.optimize import lsq_linear  # noqa: F401
+from scipy.optimize import lsq_linear  # noqa: F401  (perfbench traces it here)
 
 from .plant import (
     ControlProblem,
@@ -99,10 +96,10 @@ _FARKAS_MARGIN = 1e-9
 # its largest at an eigenvalue mu
 _REACH_FLOOR = 1e-8
 _HAUTUS = 1e-9
-# the exchange method: a sample is tied when |phi_j' p| is within this share
-# of |phi_j|'|p| (rounding) of its threshold, a multiplier is out of its range
-# when by more than this share, and _gauge gives up after this many steps (the
-# benchmark's plants take at most 20)
+# the exchange method: a start ties a sample (_tied) when |phi_j' p| is
+# within this share of |phi_j|'|p| of its threshold, a multiplier is out of
+# its range when by more than this share, and _gauge gives up after this many
+# steps (the benchmark's plants take at most 20)
 _TIE = 1e-12
 _MAX_EXCHANGES = 200
 
@@ -383,9 +380,9 @@ def _exchange(phi, target, w1, p, budget):
     at each threshold crossed, and the step ends at the crossing that turns
     it, whose sample is tied in its place.  Until a basis has n columns
     (fewer where ``phi`` and ``target`` span fewer dimensions) the steps go
-    down the projected gradient.  A sample within rounding (``_TIE`` times
-    ``|phi_j|'|p|``) of a threshold keeps its level, so extra ties are left
-    by steps of length zero, never by levels that rounding chose.
+    down the projected gradient.  A sample within the rounding of ``c_j``
+    (``(n + 1) eps |phi_j|'|p|``) of a threshold keeps its level, so extra
+    ties are left by steps of length zero, never by levels rounding chose.
     """
     n = phi.shape[0]
     gauge = not np.any(w1)
@@ -404,7 +401,8 @@ def _exchange(phi, target, w1, p, budget):
     steps = 0
     while True:
         c = phi.T @ p
-        tol = _TIE * (abs_phi_t @ np.abs(p))
+        # the rounding of c (_TIE's margin can reach w1 on unstable plants)
+        tol = (n + 1) * np.finfo(float).eps * (abs_phi_t @ np.abs(p))
         slack = np.abs(c) - w1
         np.copysign(slack > 0.0, c, out=level, where=np.abs(slack) > tol)
         level[tied] = 0.0
@@ -453,6 +451,9 @@ def _exchange(phi, target, w1, p, budget):
         # crossed at twice the rate; an L1 sample heading in meets +-w1 and
         # then -+w1, one heading out (the released one too, if inward) +-w1
         e = phi.T @ d
+        if release is None:
+            # a sample joins the basis only when phi_j' d is above rounding
+            e[np.abs(e) <= _TIE * (abs_phi_t @ np.abs(d))] = 0.0
         if gauge:
             cols = (level * e < 0.0).nonzero()[0]
             after, theta, far = -level[cols], np.zeros(cols.size), cols[:0]

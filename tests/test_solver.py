@@ -434,6 +434,30 @@ def test_b120_l1_cases_that_stalled_reach_a_certified_vertex(seed, case):
     assert np.linalg.norm(terminal) <= 1e-4 * max(1.0, float(np.linalg.norm(problem.x0)))
 
 
+def test_l1_target_at_the_rounding_floor_keeps_the_zero_control():
+    # B120 seed 7 case 9: |target| ~ 1e-12, where the exact vertex's relative
+    # gap would be rounding noise; U = 0 at p = 0 meets the contract as is
+    problem = b120(7)[9]
+    assert problem.mode == "L1"
+    report = solve_problem(problem)
+    assert report.status == "converged"
+    assert report.iterations == 0
+    np.testing.assert_array_equal(report.u.u, 0.0)
+
+
+def test_exchange_does_not_cycle_on_a_strongly_unstable_plant():
+    # b120(15) case 16 (L1, n = 2, m = 3, N = 5000, max Re lambda * T =
+    # 22): |phi_j|'|p| dwarfs c_j, and a tie margin as wide as the
+    # threshold itself left stale levels that cycled for 50,000 exchanges
+    problem = b120(15)[16]
+    assert problem.mode == "L1"
+    report = solve_problem(problem)
+    assert report.status == "converged"
+    assert report.iterations <= 50
+    terminal = simulate(problem.plant, problem.x0, report.u).final_state
+    assert np.linalg.norm(terminal) <= 1e-4 * max(1.0, float(np.linalg.norm(problem.x0)))
+
+
 def test_a_stalled_newton_ascent_says_so():
     # B120 seed 9 case 15 (n = 2, N = 2000, L1L2, max Re lambda * T = 45):
     # the ascent stops after a few steps without progress, far from its
@@ -453,6 +477,14 @@ def test_rank_deficient_reach_map_raises():
         l2_weights=[0.0, 0.0],
     )
     with pytest.raises(np.linalg.LinAlgError):
+        solve(program)
+
+
+def test_mixed_zero_and_positive_quadratic_weights_are_refused():
+    program = DiscreteProgram(
+        phi=np.eye(2), target=[0.5, 0.5], l1_weights=[1.0, 1.0], l2_weights=[0.0, 1.0]
+    )
+    with pytest.raises(ValueError, match="all zero or all positive"):
         solve(program)
 
 
