@@ -248,7 +248,9 @@ def reachability_matrix(
     ``free = Ad^N`` mapping the initial state to its unforced terminal state,
     so that ``x[N] = free @ x0 + phi @ vec(U)``.  Loop-free: the blocks
     ``Ad^k Bd`` come from ceil(log2 N) products, each mapping every block
-    filled so far by the next squared power ``Ad^(2^j)``.
+    filled so far by the next squared power ``Ad^(2^j)``.  ``free`` is the
+    product of the squares at the bits of N, in the order of
+    ``np.linalg.matrix_power`` and so bit for bit its result.
     """
     ad = _as_float_array(ad, "ad")
     bd = _as_float_array(bd, "bd")
@@ -262,18 +264,24 @@ def reachability_matrix(
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
     n, m = bd.shape
     # the last `filled` blocks hold Ad^k Bd for k < filled; the next ones to
-    # the left are Ad^filled times the last `step`, in the same order
+    # the left are Ad^filled times the last `step`, in the same order.  Each
+    # square Ad^(2^j) at a bit of N joins free on the right
     phi = np.empty((n, m * n_steps))
     phi[:, -m:] = bd
     square = ad
     filled = 1
+    free = ad if n_steps % 2 else None
     while filled < n_steps:
         step = min(filled, n_steps - filled)
         end = m * (n_steps - filled)
         np.matmul(square, phi[:, m * (n_steps - step) :], out=phi[:, end - m * step : end])
-        square = square @ square
+        if 2 * filled <= n_steps:
+            square = square @ square
+            if n_steps & (2 * filled):
+                free = square if free is None else free @ square
         filled += step
-    free = np.linalg.matrix_power(ad, n_steps)
+    if n_steps == 3:
+        free = square @ ad  # matrix_power's shortcut for N = 3
     return phi, free
 
 

@@ -712,6 +712,28 @@ def _certified_gauge(phi, target, p):
     return None if ratio is None else (math.log(ratio), p)
 
 
+def _gauge_slope(phi, target, p, ad, bd, free) -> float:
+    """Envelope slope ``d log s / d log T`` of the gauge at its vertex ``p``.
+
+    One more sample at the far end of the map ``phi = reachability_matrix(ad,
+    bd, N)`` adds the columns ``free @ bd`` and turns ``target`` into ``ad @
+    target``.  There ``p``, scaled back to ``target' p = 1``, bounds the gauge
+    by ``(s + |p' free bd|_1) / p' ad target`` with ``s = sum |phi' p|``:
+    exactly the new gauge while ``p`` stays optimal, and to first order (LP
+    sensitivity) at a vertex that is the only optimum.  Returns that change
+    of ``log s`` over the step ``log((N + 1) / N)`` of ``log T``, or 2 where
+    the ratio is not a positive number (``s = 0``, ``p' ad target <= 0``).
+    """
+    support = float(np.sum(np.abs(phi.T @ p)))
+    grown = float(p @ ad @ target)
+    slope = 2.0
+    if support > 0.0 and grown > 0.0:
+        extra = float(np.sum(np.abs(p @ free @ bd)))
+        step = math.log1p(bd.shape[1] / phi.shape[1])
+        slope = (math.log1p(extra / support) - math.log(grown)) / step
+    return slope if 0.0 < slope < math.inf else 2.0
+
+
 def minimum_time(
     plant: LtiPlant, x0, grid_density: float = 100.0, tol_t: float = 0.01
 ) -> float:
@@ -720,14 +742,19 @@ def minimum_time(
     Root finding on ``log s(T)``, where ``s(T)`` (``_gauge``) is the largest
     multiple of the required terminal response that the reach condition at
     ``grid_density`` samples per second attains; the origin is reachable iff
-    ``s(T) >= 1``.  Both phases interpolate ``log s`` against ``log T``:
-    secant steps grow the bracket at most twofold per step, then regula
-    falsi (Illinois) narrows it, each interpolated horizon followed by a
-    probe ``tol_t`` across, moved inward by the ulps that keep the computed
-    bracket width at most ``tol_t``; where ``log s`` is 0 on a stretch below
-    a horizon, the step down doubles and ``log T`` is bisected.  Each
-    horizon's exchanges start at the last one's optimal vertex, its ties
-    moved to the new grid by their time to go (``_mapped_vertex``).  The
+    ``s(T) >= 1``.  Each horizon gives ``log s`` and its slope against
+    ``log T`` (``_gauge_slope``), and the next horizon is a Newton step
+    aimed ``tol_t / 2`` past the predicted root, at most twofold up and
+    fourfold down; a root predicted within ``tol_t`` is tested by a probe
+    ``tol_t`` across, moved inward by the ulps that keep the computed
+    bracket width at most ``tol_t``.  A Newton step that leaves the bracket
+    is replaced by regula falsi (Illinois); where ``log s`` is 0 on a
+    stretch below a horizon, the step down doubles and ``log T`` is
+    bisected.  When the ends have k and k + 1 samples and a horizon lands
+    on the same side again, the last horizon with k samples and the first
+    with k + 1 decide whether the root lies at that jump.  Each horizon's
+    exchanges start at the last one's optimal vertex, its ties moved to the
+    new grid by their time to go (``_mapped_vertex``).  The
     returned ``T`` is certified reachable (terminal miss at most ``1e-8 *
     max(1, |target|)``), and a horizon ``L`` certified unreachable by a
     Farkas costate (or 0) has ``T - L <= tol_t`` in floating point.  Raises
@@ -767,9 +794,12 @@ def minimum_time(
     growth = float(np.max(eigvals.real))
     p = vertex = None
 
-    def log_gauge(horizon: float) -> float:
+    def samples(horizon: float) -> int:
+        return max(1, math.ceil(horizon * grid_density))
+
+    def log_gauge(horizon: float) -> tuple[float, float]:
         nonlocal p, vertex
-        n_steps = max(1, math.ceil(horizon * grid_density))
+        n_steps = samples(horizon)
         h = horizon / n_steps
         # a map that overflows verifies no certificate; the raise below says so
         with np.errstate(over="ignore", invalid="ignore"):
@@ -778,6 +808,7 @@ def minimum_time(
             target = -(free @ x0)
             start = None if vertex is None else _mapped_vertex(phi, target, plant.m, h, vertex)
             found = _certified_gauge(phi, target, p if start is None else start)
+            slope = None if found is None else _gauge_slope(phi, target, found[1], ad, bd, free)
         if found is None:
             raise RuntimeError(
                 f"minimum time undecided: neither certificate verifies at "
@@ -785,69 +816,61 @@ def minimum_time(
             )
         value, p = found
         vertex = (h, n_steps, _tied(phi, p))
-        return value
+        return value, slope
 
-    # bracket: secant steps on log s against log T (slope 2 until two points
-    # give a positive one), aimed tol_t / 2 past the root, at most twofold up
-    # (further up, the certificates fail) and fourfold down; where log s = 0
-    # on a stretch below t, the step down doubles, drop, while it lands there
+    # each step starts from the latest horizon t, an end of the bracket.
+    # Newton steps go at most twofold up (further up, the certificates fail)
+    # and fourfold down.  Illinois: an end that stays while the other moves
+    # twice counts half.  While log s is 0 at t, the step down doubles, drop,
+    # and once an unreachable horizon is below, log T is bisected
     lo, y_lo, hi, y_hi = 0.0, -math.inf, math.inf, 0.0
-    t, last, drop = 1.0, None, 0.0
+    t, drop, moved = 1.0, 0.0, 0
     while True:
         if t > 1e6:
             raise RuntimeError("no feasible horizon found below 1e6 seconds")
-        y = log_gauge(t)
+        y, slope = log_gauge(t)
+        side = -1 if y < 0.0 else 1
+        same, moved = side == moved, side
         if y < 0.0:
             lo, y_lo = t, y
+            if same:
+                y_hi *= 0.5
         else:
             hi, y_hi = t, y
-        if hi - lo <= tol_t or (lo > 0.0 and hi < math.inf):
-            break
-        slope = 2.0 if last is None else (y - last[1]) / math.log(t / last[0])
-        if not slope > 0.0:
-            slope = 2.0
+            if same:
+                y_lo *= 0.5
+        if hi - lo <= tol_t:
+            return hi
+        # ends with k and k + 1 samples: test the last horizon with k samples,
+        # then (unreachable) the first with k + 1
+        k = samples(lo)
+        if lo > 0.0 and hi < math.inf and samples(hi) == k + 1:
+            edge = k / grid_density
+            while samples(edge) > k:
+                edge = math.nextafter(edge, 0.0)
+            while samples(math.nextafter(edge, math.inf)) == k:
+                edge = math.nextafter(edge, math.inf)
+            if same or lo == edge:
+                t = edge if lo < edge else math.nextafter(edge, math.inf)
+                continue
+        probe = t + tol_t if y < 0.0 else t - tol_t
+        while abs(probe - t) > tol_t:
+            probe = math.nextafter(probe, t)
         ratio = math.exp(min(max(-y / slope, math.log(0.25)), math.log(2.0)))
-        last = (t, y)
         if y < 0.0:
             t = min(2.0 * t, ratio * t + 0.5 * tol_t)
         elif y > 0.0:
             t = max(0.25 * t, ratio * t - 0.5 * tol_t, 0.5 * tol_t)
         else:
             drop = 2.0 * drop if drop > 0.0 else 0.5 * tol_t
-            t = max(0.25 * t, t - drop, 0.5 * tol_t)
-    # regula falsi (Illinois) on log s against log T, each point at least
-    # tol_t / 2 inside the bracket and followed by a probe across the root
-    # that leaves a computed width of at most tol_t.  An interpolation that
-    # lands on hi first tests hi - tol_t / 2; landing there again, log s is
-    # flat at 0 below hi, so from then on, without probes, the step below hi
-    # doubles until it reaches an unreachable horizon, and log T is bisected
-    moved = 0
-    while hi - lo > tol_t:
-        t = lo * (hi / lo) ** (y_lo / (y_lo - y_hi)) if y_hi > 0.0 else hi
-        bisect = drop > 0.0 and not t < hi
-        if bisect:
-            t = max(math.sqrt(lo * hi), hi - drop)
-            drop *= 2.0
-        elif not t < hi:
-            drop = tol_t
+            t = max(math.sqrt(lo * hi) if lo > 0.0 else 0.25 * t, t - drop, 0.5 * tol_t)
+        if not lo < t < hi:
+            t = lo * (hi / lo) ** (y_lo / (y_lo - y_hi)) if y_hi > 0.0 else hi
+            if not t < hi and drop > 0.0:
+                t = max(math.sqrt(lo * hi), hi - drop)
+                drop *= 2.0
+        elif abs(t - probe) <= 0.5 * tol_t and lo < probe < hi:
+            # the predicted root is within tol_t of the latest horizon
+            t = probe
+            continue
         t = min(max(t, lo + 0.5 * tol_t), hi - 0.5 * tol_t)
-        y = log_gauge(t)
-        if y < 0.0:
-            if moved < 0:
-                y_hi *= 0.5
-            lo, y_lo, moved, probe = t, y, -1, t + tol_t
-            while probe - t > tol_t:
-                probe = math.nextafter(probe, t)
-        else:
-            if moved > 0:
-                y_lo *= 0.5
-            hi, y_hi, moved, probe = t, y, 1, t - tol_t
-            while t - probe > tol_t:
-                probe = math.nextafter(probe, t)
-        if lo < probe < hi and not bisect:
-            y = log_gauge(probe)
-            if y < 0.0:
-                lo, y_lo = probe, y
-            else:
-                hi, y_hi = probe, y
-    return hi

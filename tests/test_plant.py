@@ -193,6 +193,16 @@ class TestReachability:
             traj.final_state, free @ x0 + phi @ u.reshape(-1), atol=1e-9
         )
 
+    def test_free_response_is_bit_for_bit_matrix_power(self):
+        # free reuses the squares that fill phi, multiplied in the order of
+        # np.linalg.matrix_power (its N <= 3 shortcuts included), so it is
+        # the same array to the last bit on every sample count
+        for plant, horizon in kernel_battery()[:3]:
+            for n_steps in range(1, 601):
+                ad, bd = discretize(plant, horizon / n_steps)
+                _, free = reachability_matrix(ad, bd, n_steps)
+                assert np.array_equal(free, np.linalg.matrix_power(ad, n_steps)), n_steps
+
 
 class TestDoublingAgainstSequentialLoops:
     """The loop-free N-step maps against the one-step-at-a-time recurrences."""

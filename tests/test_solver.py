@@ -682,6 +682,44 @@ def test_gauge_matches_the_lp_and_its_control_reaches_the_origin(monkeypatch):
                 assert np.linalg.norm(terminal) <= 1e-6 * x0_norm, (plant, x0)
 
 
+def test_gauge_slope_is_the_envelope_of_one_more_sample():
+    # the vertex p of N samples stays feasible when one sample is added at
+    # the far end, so the slope bounds the one-sample rise of log s; where p
+    # stays optimal (the premise of the envelope theorem) it is that rise,
+    # and then within 5% of a central difference of log s on the same grid
+    density = 40.0
+
+    def gauge_at(plant, x0, h, n_steps):
+        ad, bd = discretize(plant, h)
+        phi, free = reachability_matrix(ad, bd, n_steps)
+        target = -(free @ x0)
+        s, _, p = handsoff.solver._gauge(phi, target, None)
+        return s, handsoff.solver._gauge_slope(phi, target, p, ad, bd, free)
+
+    matched = 0
+    for plant, x0 in gauge_battery():
+        if not np.any(x0):
+            continue
+        t_star = minimum_time(plant, x0, grid_density=density, tol_t=0.02)
+        for horizon in (0.5 * t_star, 0.75 * t_star, t_star, 1.5 * t_star, 2.0 * t_star):
+            n_steps = math.ceil(horizon * density)
+            h = horizon / n_steps
+            s, slope = gauge_at(plant, x0, h, n_steps)
+            rise = math.log(gauge_at(plant, x0, h, n_steps + 1)[0] / s)
+            bound = slope * math.log1p(1.0 / n_steps)
+            assert rise <= bound + 1e-12, (plant, x0, horizon)
+            if bound - rise > 1e-9 * bound:
+                continue
+            matched += 1
+            d = 1e-6
+            difference = math.log(
+                gauge_at(plant, x0, h * (1.0 + d), n_steps)[0]
+                / gauge_at(plant, x0, h * (1.0 - d), n_steps)[0]
+            ) / math.log((1.0 + d) / (1.0 - d))
+            assert abs(slope - difference) <= 0.05 * difference, (plant, x0, horizon)
+    assert matched >= 40
+
+
 def record_horizons(monkeypatch) -> list:
     """``[T, reachable]`` of every horizon ``minimum_time`` evaluates, in order.
 
@@ -750,13 +788,41 @@ def test_minimum_time_crosses_a_stretch_of_zero_log_gauge_in_few_horizons(
     assert abs(t_star - t_exact) <= 1e-7
 
 
+def test_minimum_time_decides_a_jump_of_the_sample_count(monkeypatch):
+    # at 100 samples per second log s jumps from about -2.2e-4 (58 samples)
+    # to +2.5e-5 (59 samples) at T = 0.58, and the root lies at the jump;
+    # regula falsi crept down the 59-sample side and took 67 horizons
+    plant = LtiPlant(
+        a=[
+            [-0.727043317546176, -0.11268902622207475, -0.6805729160778526],
+            [2.187930112517281, -0.8636408117338313, -2.966077882406045],
+            [-0.26082503216629466, 2.8608480758259125, 0.41703020110066386],
+        ],
+        b=[
+            [-0.40118460558290003, -2.701204555783338],
+            [0.25070133064239036, -0.8431258465119923],
+            [0.022973877811125868, 2.8792830210903633],
+        ],
+    )
+    x0 = [0.42069806698731815, 0.13516030185813482, -1.188538511775104]
+    seen = record_horizons(monkeypatch)
+    density, tol = 100.0, 1e-10
+    t_star = minimum_time(plant, x0, grid_density=density, tol_t=tol)
+    assert len(seen) <= 15
+    assert t_star == min(horizon for horizon, reachable in seen if reachable)
+    below = max(horizon for horizon, reachable in seen if not reachable)
+    assert 0.0 < t_star - below <= tol
+    assert (math.ceil(below * density), math.ceil(t_star * density)) == (58, 59)
+
+
 def test_minimum_time_evaluates_fewer_horizons_on_the_gauge_battery(monkeypatch):
     # 87 horizons when each horizon started from the last costate alone and
-    # the regula falsi ran on s against T
+    # the regula falsi ran on s against T, 69 with secant steps on log s
+    # (slope 2 until two horizons gave one) instead of the envelope slope
     seen = record_horizons(monkeypatch)
     for plant, x0 in gauge_battery():
         minimum_time(plant, x0, grid_density=40.0, tol_t=0.02)
-    assert len(seen) < 87
+    assert len(seen) <= 54
 
 
 def two_input_short_chain() -> LtiPlant:
