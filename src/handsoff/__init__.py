@@ -5,10 +5,11 @@ origin over a fixed horizon under a unit amplitude bound, minimizing either
 the L1 control cost (which yields maximally sparse, bang-off-bang "hands-off"
 controls), a mixed L1 plus quadratic cost (sparse and continuous), or the
 control energy.  The continuous problem is transcribed exactly under a
-zero-order hold to a finite convex program, which is solved by semismooth
-Newton ascent on its dual, whose only unknown is the terminal costate.
-Analysis utilities quantify sparsity and switching structure and verify
-solutions against the optimality conditions.
+zero-order hold to a finite convex program, which is solved on its dual,
+whose only unknown is the terminal costate: exactly by an exchange method
+for the L1 cost, and by semismooth Newton ascent when a quadratic term is
+present.  Analysis utilities quantify sparsity and switching structure and
+verify solutions against the optimality conditions.
 """
 
 from .scalar_ops import control_law, dead_zone, sat, shrink

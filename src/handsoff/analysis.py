@@ -221,11 +221,10 @@ def sweep_tradeoff(
     measure, the largest control slope and its Newton steps.  The sweep is
     one continuation path: the problem is transcribed once and only the
     quadratic weights change per point; the points are solved from the
-    largest ``r`` down, each starting from the costate of the last converged
-    point and skipping the smoothing stages it has passed (the same homotopy
-    ``solver.solve`` follows inside one solve).  Points come back ordered by
-    increasing ``r``; a point whose solve does not converge keeps its solver
-    status and NaN metrics so callers can mark it.
+    largest ``r`` down, each Newton ascent starting from the costate of the
+    last converged point.  Points come back ordered by increasing ``r``; a
+    point whose solve does not converge keeps its solver status and NaN
+    metrics so callers can mark it.
     """
     _check_eps(epsilon)
     r_values = np.asarray(r_values, dtype=float).reshape(-1)
@@ -242,7 +241,7 @@ def sweep_tradeoff(
         report = solver.solve(program, _start=start)
         converged = report.status == "converged"
         if converged:
-            start = (report.costate, program.l2_weights)
+            start = report.costate
         points.append(
             TradeoffPoint(
                 r=float(r),

@@ -493,7 +493,8 @@ def build_parser() -> argparse.ArgumentParser:
     mintime.add_argument("problem", help="path to the problem file")
     mintime.add_argument("--tol", type=float, default=0.01,
                          help="tolerance on the horizon, seconds: the printed horizon is "
-                         "certified reachable and within this of one certified unreachable")
+                         "certified reachable and within this, or one ulp when that is "
+                         "wider, of one certified unreachable")
     mintime.set_defaults(func=_cmd_mintime)
 
     verify = sub.add_parser("verify", help="re-check a stored trajectory")

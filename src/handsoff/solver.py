@@ -17,9 +17,8 @@ Every returned control carries its costate, and the duality gap
 piecewise-linear dual ``target' p - sum_j max(0, |c_j| - w1_j)``; ``solve``
 finds its optimal vertex exactly by an exchange method, and the control is
 bang-off-bang off the n samples the vertex ties to ``|c_j| = w1_j``.  With
-``w2 > 0`` the dual is differentiable, and ``solve`` maximizes it by a
-damped semismooth Newton method in stages on the weights ``max(w2, eps *
-w1)``, ``eps`` lowered tenfold per stage from 1.
+``w2 > 0`` the dual is differentiable, and ``solve`` maximizes it at the
+program's own weights by a damped semismooth Newton method.
 
 ``minimum_time`` works on the same reach condition without an objective:
 the origin is reachable at a horizon iff the least ``sum |phi' p|`` over
@@ -66,10 +65,10 @@ _MAX_ITER = 50000
 # the size of the terms it is made of, |target| and || |phi| |U| ||; rounding
 # keeps it from reaching a bound relative to |target| alone
 _STOP_REL = 1e-10
-# a warm-started last stage (solve's _start) enters close to the optimum, so
-# its last step tends to land just under _STOP_REL where a cold solve's lands
-# far below; it runs on while each step still cuts the residual tenfold, down
-# to this share
+# a warm start (solve's _start) enters close to the optimum, so its last step
+# tends to land just under _STOP_REL where a cold one's lands far below; every
+# ascent runs on while each step still cuts the residual tenfold, down to this
+# share, so that both stop at the same point
 _RUN_ON_REL = 1e-13
 # share of the full-band curvature added to every Newton system, so that a
 # band with fewer than n samples still gives a well-scaled ascent direction
@@ -80,12 +79,11 @@ _MAX_STEP = 2.0**40
 _SEARCH_EVALS = 50
 # the ascent also counts as stalled when this many steps in a row fail to cut
 # the smallest terminal residual seen so far by the factor _PROGRESS: on
-# strongly unstable plants rounding sets a floor above the stopping rule
-_PATIENCE = 30
+# strongly unstable plants rounding sets a floor above the stopping rule.  The
+# longest such run in an ascent that went on to converge is 37 steps (a
+# three-state plant at r = 1e-3, N = 200, converged at step 41)
+_PATIENCE = 40
 _PROGRESS = 0.99
-# the smallest quadratic weight of each Newton stage, as a multiple of the L1
-# weight, largest first
-_SMOOTHING = 10.0 ** -np.arange(13)
 # a dual point p is a Farkas certificate of infeasibility when
 # target'p exceeds sum |phi' p| by more than this share; the same share
 # guards minimum_time's test of the unstable modes
@@ -243,7 +241,7 @@ def _line_search(c, u, e, slope0, w1, w2):
     and nonincreasing in ``t``.  Returns the first ``t`` found where it is
     within ``_WOLFE`` times its value at 0 of zero (strong Wolfe), by
     doubling from 1 and then regula falsi (Illinois); 0 when rounding leaves
-    no ascent, or no finite slope at 0.  The weights are the stage's, ``w2
+    no ascent, or no finite slope at 0.  The weights are the program's, ``w2
     > 0``; every probe reuses the same two buffers.
     """
     probe = np.empty_like(c)
@@ -287,17 +285,20 @@ def _line_search(c, u, e, slope0, w1, w2):
     return t
 
 
-def _ascend(phi, abs_phi, target, w1, w2, p, budget, run_on=False):
+def _ascend(phi, target, w1, w2, p, budget):
     """Damped semismooth Newton ascent on the dual with weights ``w2 > 0``.
 
-    Starts at ``p``, takes at most ``budget`` steps, and returns ``(p, c,
-    u, steps, outcome)``: "converged" (terminal residual at the rounding
+    Starts at ``p``, takes at most ``budget`` steps, and returns ``(p, u,
+    steps, outcome)``: "converged" (terminal residual at the rounding
     floor), "stalled" (no ascent direction left, or the residual stopped
-    falling), "infeasible_suspected" (``p`` is a Farkas certificate), or
-    "max_iter".  With ``run_on`` it goes past the stopping rule while each
-    step cuts the residual tenfold, down to ``_RUN_ON_REL``, and returns the
-    best point it passed.  The control law is ``saturated_shrink``.
+    falling), "unbounded" (``p`` escapes along a Farkas direction, which
+    ``solve`` verifies), or "max_iter".  Past the stopping rule it runs on
+    while each step cuts the residual tenfold, down to ``_RUN_ON_REL``, and
+    returns the best point it passed.  The control law is
+    ``saturated_shrink``: with ``w2 > 0`` it makes the dual differentiable
+    with a semismooth gradient (Qi and Sun, Math. Programming 58, 1993).
     """
+    abs_phi = np.abs(phi)
     reg = _REG * ((phi / w2) @ phi.T)
     band_hi = w1 + w2
     tsize = max(1.0, float(np.linalg.norm(target)))
@@ -311,25 +312,25 @@ def _ascend(phi, abs_phi, target, w1, w2, p, budget, run_on=False):
         grad = target - phi @ u
         gnorm = float(np.linalg.norm(grad))
         size = max(tsize, float(np.linalg.norm(abs_phi @ np.abs(u))))
-        if kept is not None and not gnorm <= 0.1 * kept[3]:
-            if not gnorm < kept[3]:
-                p, c, u = kept[:3]
-            return p, c, u, steps, "converged"
+        if kept is not None and not gnorm <= 0.1 * kept[2]:
+            if not gnorm < kept[2]:
+                p, u = kept[:2]
+            return p, u, steps, "converged"
         if gnorm <= _STOP_REL * size:
-            if not run_on or gnorm <= _RUN_ON_REL * size or steps == budget:
-                return p, c, u, steps, "converged"
-            kept = (p, c, u, gnorm)
+            if gnorm <= _RUN_ON_REL * size or steps == budget:
+                return p, u, steps, "converged"
+            kept = (p, u, gnorm)
         # an ascent that escapes to infinity leaves along a certificate
         if target @ p > (1.0 + _FARKAS_MARGIN) * float(np.sum(np.abs(c))):
-            return p, c, u, steps, "infeasible_suspected"
+            return p, u, steps, "unbounded"
         if gnorm < _PROGRESS * best:
             best, since_best = gnorm, 0
         elif since_best == _PATIENCE:
-            return p, c, u, steps, "stalled"
+            return p, u, steps, "stalled"
         else:
             since_best += 1
         if steps == budget:
-            return p, c, u, steps, "max_iter"
+            return p, u, steps, "max_iter"
         abs_c = np.abs(c)
         band = (abs_c > w1) & (abs_c < band_hi)
         phi_b = phi[:, band]
@@ -346,7 +347,7 @@ def _ascend(phi, abs_phi, target, w1, w2, p, budget, run_on=False):
             if t > 0.0:
                 break
         else:
-            return p, c, u, steps, "stalled" if kept is None else "converged"
+            return p, u, steps, "stalled" if kept is None else "converged"
         p = p + t * direction
         c = phi.T @ p
         u = saturated_shrink(c, w1, w2)
@@ -515,15 +516,17 @@ def solve(program: DiscreteProgram, *, _start=None) -> SolveReport:
     A pure-L1 program (every quadratic weight 0) goes to its optimal vertex
     by the exchange method (``_exchange``) from ``p = 0``; ``iterations``
     counts exchanges.  Otherwise every quadratic weight must be positive,
-    and the Newton ascent starts at zero, or at ``_start``'s costate.
-    ``_start`` (private, for ``analysis.sweep_tradeoff``) is a pair
-    ``(costate, l2_weights)`` from a converged solve of the same ``phi``,
-    ``target`` and L1 weights under heavier quadratic weights: the ascent
-    then skips the smoothing stages whose weights all lie at or above those,
-    continuing the smoothing homotopy, and its last stage runs on past the
-    stopping rule to the residual a cold solve's last step typically
-    reaches.  Raises ``numpy.linalg.LinAlgError`` when ``phi`` is row rank
-    deficient (terminal constraint unreachable for every control), and
+    and one Newton ascent (``_ascend``) runs at the program's own weights
+    from ``p = 0``, or from ``_start`` (private, for
+    ``analysis.sweep_tradeoff``: the costate of a converged solve of the
+    same ``phi``, ``target`` and L1 weights under other quadratic weights);
+    ``iterations`` counts Newton steps.  Either way the status is
+    "max_iter" when the method spent its budget, "infeasible_suspected"
+    when ``_farkas`` verifies the direction it escaped along,
+    "converged" when the residual and gap contract holds, and "stalled"
+    otherwise (with its finite ``duality_gap``).  Raises
+    ``numpy.linalg.LinAlgError`` when ``phi`` is row rank deficient
+    (terminal constraint unreachable for every control), and
     ``ValueError`` when a sample carries neither weight or the quadratic
     weights mix zero and positive.  A horizon below the minimum time is
     reported "infeasible_suspected" with a Farkas certificate in
@@ -546,57 +549,32 @@ def solve(program: DiscreteProgram, *, _start=None) -> SolveReport:
             "or the grid too short"
         ) from exc
 
-    tnorm = max(1.0, float(np.linalg.norm(target)))
-    root_mn = math.sqrt(mn)
-
-    def certificate(u, p):
-        eq_abs = float(np.linalg.norm(phi @ u - target))
-        primal, gap = _gap(u, p, phi, target, w1, w2)
-        reached = eq_abs <= _TOL_EQ * tnorm and eq_abs / root_mn <= _TOL_PRIMAL
-        return eq_abs, primal, gap, reached and abs(gap) <= _TOL_DUAL * primal
-
-    iterations = 0
-    if not np.any(w2):
+    if np.any(w2):
+        p = np.zeros(n) if _start is None else _start
+        p, u, iterations, outcome = _ascend(phi, target, w1, w2, p, _MAX_ITER)
+    else:
         # u = 0 meets a target at the rounding floor (the ascent's stopping
         # rule at p = 0), where the exact vertex's gap is rounding noise
-        u, p, outcome = np.zeros(mn), np.zeros(n), "optimal"
+        p, u, iterations, outcome = np.zeros(n), np.zeros(mn), 0, "optimal"
         if np.linalg.norm(target) > _STOP_REL:
             outcome, p, u, _, iterations = _exchange(phi, target, w1, p, _MAX_ITER)
             u = np.clip(u, -1.0, 1.0) + 0.0  # no -0.0 in the dead zone
-        eq_abs, primal, gap, converged = certificate(u, p)
-        if outcome == "optimal" and converged:
-            status = "converged"
-        elif outcome == "unbounded" and _farkas(phi, target, p) is not None:
-            status = "infeasible_suspected"
-        else:
-            status = "max_iter" if outcome == "max_iter" else "stalled"
-    else:
-        abs_phi = np.abs(phi)
-        p = np.zeros(n) if _start is None else _start[0]
-        status = "stalled"
-        for eps in _SMOOTHING:
-            w2_stage = np.maximum(w2, eps * w1)
-            last = eps == _SMOOTHING[-1] or np.array_equal(w2_stage, w2)
-            if not last and _start is not None and np.all(w2_stage >= _start[1]):
-                continue
-            p, _, u, steps, outcome = _ascend(
-                phi, abs_phi, target, w1, w2_stage, p, _MAX_ITER - iterations,
-                run_on=last and _start is not None,
-            )
-            iterations += steps
-            eq_abs, primal, gap, converged = certificate(u, p)
-            if outcome in ("max_iter", "infeasible_suspected"):
-                status = outcome
-                break
-            if converged:
-                status = "converged"
-                break
-            # a stalled stage, or one at the program's own weights, is the last
-            if outcome == "stalled" or last:
-                break
-    if status == "infeasible_suspected":
+    eq_abs = float(np.linalg.norm(phi @ u - target))
+    root_mn = math.sqrt(mn)
+    primal, gap = _gap(u, p, phi, target, w1, w2)
+    if outcome == "max_iter":
+        status = outcome
+    elif outcome == "unbounded" and _farkas(phi, target, p) is not None:
         # no feasible control, so no gap: the dual is unbounded along p
-        gap = math.nan
+        status, gap = "infeasible_suspected", math.nan
+    elif (
+        eq_abs <= _TOL_EQ * max(1.0, float(np.linalg.norm(target)))
+        and eq_abs / root_mn <= _TOL_PRIMAL
+        and abs(gap) <= _TOL_DUAL * primal
+    ):
+        status = "converged"
+    else:
+        status = "stalled"
     # imported here because analysis imports this module at load time
     from .analysis import l0_measure
 
@@ -749,15 +727,17 @@ def minimum_time(
     ``tol_t`` across, moved inward by the ulps that keep the computed
     bracket width at most ``tol_t``.  A Newton step that leaves the bracket
     is replaced by regula falsi (Illinois); where ``log s`` is 0 on a
-    stretch below a horizon, the step down doubles and ``log T`` is
-    bisected.  When the ends have k and k + 1 samples and a horizon lands
-    on the same side again, the last horizon with k samples and the first
-    with k + 1 decide whether the root lies at that jump.  Each horizon's
-    exchanges start at the last one's optimal vertex, its ties moved to the
-    new grid by their time to go (``_mapped_vertex``).  The
-    returned ``T`` is certified reachable (terminal miss at most ``1e-8 *
-    max(1, |target|)``), and a horizon ``L`` certified unreachable by a
-    Farkas costate (or 0) has ``T - L <= tol_t`` in floating point.  Raises
+    stretch below a horizon, the step down doubles from ``tol_t / 2`` (or
+    one ulp of the horizon) and ``log T`` is bisected.  When the ends have
+    k and k + 1 samples and a horizon lands on the same side again, the
+    last horizon with k samples and the first with k + 1 decide whether the
+    root lies at that jump.  Each horizon's exchanges start at the last
+    one's optimal vertex, its ties moved to the new grid by their time to go
+    (``_mapped_vertex``).  The returned ``T`` is certified reachable
+    (terminal miss at most ``1e-8 * max(1, |target|)``), and a horizon
+    ``L`` certified unreachable by a Farkas costate (or 0) has ``T - L <=
+    tol_t`` in floating point, or ``T`` the next double above ``L`` when
+    ``tol_t`` is below their spacing.  Raises
     ``numpy.linalg.LinAlgError`` for a pair that fails the Hautus test, and
     ``RuntimeError`` when no finite horizon exists (an unstable mode ``z =
     v'x``, ``v'A = mu v'``, starts at ``|v'x0| >= |B'v|_1 / Re mu``), or,
@@ -839,7 +819,8 @@ def minimum_time(
             hi, y_hi = t, y
             if same:
                 y_lo *= 0.5
-        if hi - lo <= tol_t:
+        # a bracket with no double strictly inside is as narrow as it gets
+        if hi - lo <= tol_t or math.nextafter(lo, math.inf) >= hi:
             return hi
         # ends with k and k + 1 samples: test the last horizon with k samples,
         # then (unreachable) the first with k + 1
@@ -862,7 +843,8 @@ def minimum_time(
         elif y > 0.0:
             t = max(0.25 * t, ratio * t - 0.5 * tol_t, 0.5 * tol_t)
         else:
-            drop = 2.0 * drop if drop > 0.0 else 0.5 * tol_t
+            # a step under one ulp of t would evaluate t again
+            drop = 2.0 * drop if drop > 0.0 else max(0.5 * tol_t, math.ulp(t))
             t = max(math.sqrt(lo * hi) if lo > 0.0 else 0.25 * t, t - drop, 0.5 * tol_t)
         if not lo < t < hi:
             t = lo * (hi / lo) ** (y_lo / (y_lo - y_hi)) if y_hi > 0.0 else hi
