@@ -5,8 +5,9 @@ Solve a maximum hands-off (sparsest) control problem and describe the result.
 This script:
 1. Builds a fourth-order single-input plant with an oscillatory pair and a
    double integrator tail, steered from x0 = [1, 1, 1, 1] to the origin in 10 s
-2. Solves the L1 relaxation on a 1000-interval grid by semismooth Newton
-   ascent on the costate dual, then recovers the exact bang-off-bang control
+2. Solves the L1 relaxation on a 1000-interval grid exactly: an exchange
+   method on the costate dual goes to its optimal vertex, whose control is
+   bang-off-bang
 3. Prints the support measure, hands-off fraction, switching times, and the
    terminal accuracy of the resimulated trajectory
 4. Optionally writes the sampled trajectory to CSV

@@ -17,8 +17,9 @@ that certifies the control optimal (``analysis.costate_consistency``).
 ``--eps`` (``solve``, ``sweep``, ``verify``) must lie in (0, 0.5) and
 ``--tol`` (``mintime``, ``verify``) must be positive and finite; both are
 checked before any file is read or written.
-Exit codes: 0 success, 1 malformed input, 2 solve or check failure.  All
-diagnostics go to standard error; data goes to files or standard output.
+Exit codes: 0 success, 1 malformed input or an uncontrollable pair, 2 solve or
+check failure.  All diagnostics go to standard error; data goes to files or
+standard output.
 """
 
 from __future__ import annotations
@@ -181,6 +182,11 @@ def parse_problem_file(path) -> ControlProblem:
 # trajectory CSV
 
 
+def _csv_header(m: int, n: int) -> list[str]:
+    """Column names of a trajectory CSV: t, u_1..u_m, x_1..x_n."""
+    return ["t"] + [f"u_{i + 1}" for i in range(m)] + [f"x_{j + 1}" for j in range(n)]
+
+
 def write_trajectory_csv(path, control: ControlTrajectory, states) -> None:
     """Serialize a solved trajectory: t, u_1..u_m, x_1..x_n; N+1 rows.
 
@@ -192,11 +198,6 @@ def write_trajectory_csv(path, control: ControlTrajectory, states) -> None:
     x = np.asarray(states, dtype=float)
     n_steps, m = u.shape
     n = x.shape[1]
-    header = (
-        ["t"]
-        + [f"u_{i + 1}" for i in range(m)]
-        + [f"x_{j + 1}" for j in range(n)]
-    )
     # one %-template per row: "%.15g" formats a float exactly as _fmt does
     cell = "%" + _FMT
     row = ",".join([cell] * (1 + m + n)) + "\n"
@@ -204,7 +205,7 @@ def write_trajectory_csv(path, control: ControlTrajectory, states) -> None:
     t = np.arange(n_steps + 1) * control.h
     body = np.column_stack([t[:-1], u, x[:n_steps]])
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
+        fh.write(",".join(_csv_header(m, n)) + "\n")
         # in blocks of rows, so that memory stays bounded on long grids
         for block in np.array_split(body, range(_CSV_BLOCK, n_steps, _CSV_BLOCK)):
             fh.write((row * len(block)) % tuple(block.ravel().tolist()))
@@ -228,12 +229,7 @@ def read_trajectory_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     header = lines[0].split(",")
     m = sum(1 for name in header if name.startswith("u_"))
     n = sum(1 for name in header if name.startswith("x_"))
-    expected = (
-        ["t"]
-        + [f"u_{i + 1}" for i in range(m)]
-        + [f"x_{j + 1}" for j in range(n)]
-    )
-    if m == 0 or n == 0 or header != expected:
+    if m == 0 or n == 0 or header != _csv_header(m, n):
         raise TrajectoryFormatError(
             f"{path}: header must be t,u_1..u_m,x_1..x_n, got {lines[0]!r}"
         )
@@ -309,11 +305,7 @@ def _write_report(path, problem: ControlProblem, report, states, epsilon) -> Non
 def _cmd_solve(args) -> int:
     problem = parse_problem_file(args.problem)
     if args.mode is not None:
-        try:
-            problem = replace(problem, mode=args.mode)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
+        problem = replace(problem, mode=args.mode)
     report = solve_problem(problem)
     states = simulate(problem.plant, problem.x0, report.u).states
     out = Path(args.out)
@@ -349,13 +341,10 @@ def _cmd_sweep(args) -> int:
         print("error: --r-list is empty", file=sys.stderr)
         return 1
 
+    # looked up at call time, so that a hook on analysis.sweep_tradeoff sees it
     from .analysis import sweep_tradeoff
 
-    try:
-        points = sweep_tradeoff(problem, r_values, epsilon=args.eps)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    points = sweep_tradeoff(problem, r_values, epsilon=args.eps)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "tradeoff.csv", "w", encoding="utf-8") as fh:
@@ -394,11 +383,7 @@ def _cmd_mintime(args) -> int:
 
 def _cmd_verify(args) -> int:
     problem = parse_problem_file(args.problem)
-    try:
-        t, u, x = read_trajectory_csv(args.trajectory)
-    except TrajectoryFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    t, u, x = read_trajectory_csv(args.trajectory)
 
     plant = problem.plant
     if u.shape != (problem.N, plant.m) or x.shape[1] != plant.n:

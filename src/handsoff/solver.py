@@ -33,7 +33,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 from scipy.optimize import lsq_linear  # noqa: F401  (perfbench traces it here)
 
 from .plant import (
@@ -42,6 +41,7 @@ from .plant import (
     LtiPlant,
     controllability_gramian,  # noqa: F401  (perfbench traces it here)
     discretize,
+    hautus_test,
     reachability_matrix,
 )
 from .scalar_ops import control_law, saturated_shrink
@@ -89,11 +89,8 @@ _PROGRESS = 0.99
 # guards minimum_time's test of the unstable modes
 _FARKAS_MARGIN = 1e-9
 # minimum_time: a horizon counts as reachable when a control with |u| <= 1
-# misses the target by at most this share of max(1, |target|); a pair is
-# uncontrollable when [A - mu I, B] has a singular value below this share of
-# its largest at an eigenvalue mu
+# misses the target by at most this share of max(1, |target|)
 _REACH_FLOOR = 1e-8
-_HAUTUS = 1e-9
 # the exchange method: a start ties a sample (_tied) when |phi_j' p| is
 # within this share of |phi_j|'|p| of its threshold, a multiplier is out of
 # its range when by more than this share, and _gauge gives up after this many
@@ -193,8 +190,12 @@ def transcribe(problem: ControlProblem) -> DiscreteProgram:
 
     Mode "L1" drops the quadratic weights, mode "L2" drops the L1 weights,
     mode "L1L2" keeps both.  Objective weights carry the rectangle-rule factor
-    ``h``.
+    ``h``.  Raises ``numpy.linalg.LinAlgError`` for a plant that fails
+    ``plant.hautus_test``; a controllable plant can still give a rank
+    deficient map (a grid shorter than the state, or rounding), which
+    ``solve`` decides like any other.
     """
+    hautus_test(problem.plant)
     h = problem.h
     ad, bd = discretize(problem.plant, h)
     phi, free = reachability_matrix(ad, bd, problem.N)
@@ -428,7 +429,7 @@ def _exchange(phi, target, w1, p, budget):
                 z = _solve_consistent(basis, grad)
                 v = -z[k0:]
                 # each multiplier's range mid +- half: [0, 1] at w1, [-1, 1] at 0
-                mid = 0.0 if gauge else 0.5 * side[tied]
+                mid = 0.5 * side[tied]
                 half = 1.0 - np.abs(mid)
                 dev = v - mid
                 if not (np.abs(dev) > half + _TIE).any():
@@ -524,13 +525,12 @@ def solve(program: DiscreteProgram, *, _start=None) -> SolveReport:
     "max_iter" when the method spent its budget, "infeasible_suspected"
     when ``_farkas`` verifies the direction it escaped along,
     "converged" when the residual and gap contract holds, and "stalled"
-    otherwise (with its finite ``duality_gap``).  Raises
-    ``numpy.linalg.LinAlgError`` when ``phi`` is row rank deficient
-    (terminal constraint unreachable for every control), and
-    ``ValueError`` when a sample carries neither weight or the quadratic
-    weights mix zero and positive.  A horizon below the minimum time is
-    reported "infeasible_suspected" with a Farkas certificate in
-    ``costate``: ``target' p > sum |phi' p|``.
+    otherwise (with its finite ``duality_gap``).  Raises ``ValueError``
+    when a sample carries neither weight or the quadratic weights mix zero
+    and positive.  A horizon below the minimum time, or a target outside
+    the span of a rank deficient ``phi``, is reported
+    "infeasible_suspected" with a Farkas certificate in ``costate``:
+    ``target' p > sum |phi' p|``.
     """
     phi = program.phi
     target = program.target
@@ -541,14 +541,6 @@ def solve(program: DiscreteProgram, *, _start=None) -> SolveReport:
         raise ValueError("every sample needs a positive L1 or quadratic weight")
     if np.any(w2 > 0.0) and not np.all(w2 > 0.0):
         raise ValueError("quadratic weights must be all zero or all positive")
-    try:
-        scipy.linalg.cho_factor(phi @ phi.T)
-    except scipy.linalg.LinAlgError as exc:
-        raise np.linalg.LinAlgError(
-            "reachability map is rank deficient; the plant may be uncontrollable "
-            "or the grid too short"
-        ) from exc
-
     if np.any(w2):
         p = np.zeros(n) if _start is None else _start
         p, u, iterations, outcome = _ascend(phi, target, w1, w2, p, _MAX_ITER)
@@ -737,12 +729,12 @@ def minimum_time(
     (terminal miss at most ``1e-8 * max(1, |target|)``), and a horizon
     ``L`` certified unreachable by a Farkas costate (or 0) has ``T - L <=
     tol_t`` in floating point, or ``T`` the next double above ``L`` when
-    ``tol_t`` is below their spacing.  Raises
-    ``numpy.linalg.LinAlgError`` for a pair that fails the Hautus test, and
-    ``RuntimeError`` when no finite horizon exists (an unstable mode ``z =
-    v'x``, ``v'A = mu v'``, starts at ``|v'x0| >= |B'v|_1 / Re mu``), or,
-    naming the horizon, when a horizon verifies neither certificate
-    (rounding on a strongly unstable plant).
+    ``tol_t`` is below their spacing.  Raises ``numpy.linalg.LinAlgError``
+    for a pair that fails ``plant.hautus_test``, and ``RuntimeError`` when
+    no finite horizon exists (an unstable mode ``z = v'x``, ``v'A = mu v'``,
+    starts at ``|v'x0| >= |B'v|_1 / Re mu``), or, naming the horizon, when a
+    horizon verifies neither certificate (rounding on a strongly unstable
+    plant).
     """
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     if x0.shape[0] != plant.n:
@@ -751,16 +743,8 @@ def minimum_time(
         raise ValueError(f"grid_density must be positive, got {grid_density}")
     if not tol_t > 0.0:
         raise ValueError(f"tol_t must be positive, got {tol_t}")
+    hautus_test(plant)
     eigvals, left = np.linalg.eig(plant.a.T)
-    for mu in eigvals:
-        sv = np.linalg.svd(
-            np.hstack([plant.a - mu * np.eye(plant.n), plant.b]), compute_uv=False
-        )
-        if not sv[-1] > _HAUTUS * sv[0]:
-            raise np.linalg.LinAlgError(
-                f"[A - mu I, B] is singular at the eigenvalue mu = {mu:.6g}; "
-                "minimum time is undefined for an uncontrollable pair"
-            )
     for mu, v in zip(eigvals, left.T):
         pull = float(np.sum(np.abs(plant.b.T @ v)))
         if mu.real > 0.0 and abs(v @ x0) * mu.real > (1.0 + _FARKAS_MARGIN) * pull:

@@ -331,6 +331,17 @@ def test_mintime_without_finite_horizon_exits_2(tmp_path, capsys):
     assert "no finite minimum time" in capsys.readouterr().err
 
 
+def test_solve_uncontrollable_plant_exits_1(tmp_path, capsys):
+    problem = write_problem(
+        tmp_path, DOUBLE_INTEGRATOR.replace("A = 0 1; 0 0", "A = -1 0; 0 -1").replace(
+            "B = 0; 1", "B = 1; 1"
+        )
+    )
+    assert main(["solve", str(problem), "--out", str(tmp_path / "out")]) == 1
+    assert "eigenvalue mu = -1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_mintime_uncontrollable_plant_exits_1(tmp_path, capsys):
     problem = write_problem(tmp_path, DOUBLE_INTEGRATOR.replace("B = 0; 1", "B = 0; 0"))
     assert main(["mintime", str(problem)]) == 1

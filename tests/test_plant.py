@@ -20,6 +20,7 @@ from handsoff.plant import (
     controllability_gramian,
     discretize,
     expm,
+    hautus_test,
     min_energy_closed_form,
     reachability_matrix,
     simulate,
@@ -315,6 +316,26 @@ class TestMinEnergy:
         plant = LtiPlant(a=[[0.0, 1.0], [0.0, 0.0]], b=[1.0, 0.0])
         with pytest.raises(np.linalg.LinAlgError):
             min_energy_closed_form(plant, [1.0, 0.0], 2.0, 100)
+
+    def test_ill_conditioned_gramian_of_a_controllable_pair_raises_by_its_ratio(self):
+        # a stable plant that passes the Hautus test, but whose Gramian over
+        # 1 s has an eigenvalue ratio of 9.4e-13; the closed form refuses it
+        # for its conditioning, not as an uncontrollable pair
+        plant = LtiPlant(
+            a=[
+                [-1.294979100750277, 0.6418669850004759, -0.44003372436601157, -0.8415538015713844],
+                [0.008624372296130963, -1.1453842077934806, 0.13325924438727335, 0.21148260065212907],
+                [0.12107831467953468, -0.5159857991428918, -0.42631702805913363, 0.9206734513893161],
+                [-0.33781856707342645, 0.681204726725577, -0.28427825606097473, -1.6768687640006592],
+            ],
+            b=[-1.4045111498754397, -0.6947696164052466, 1.670838954380576, 0.637486246971306],
+        )
+        hautus_test(plant)
+        with pytest.raises(np.linalg.LinAlgError) as raised:
+            min_energy_closed_form(plant, [1.0, 0.0, 0.0, 0.0], 1.0, 100)
+        message = str(raised.value)
+        assert "eigenvalue ratio 9.4" in message
+        assert "controllab" not in message
 
 
 class TestTypes:

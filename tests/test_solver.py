@@ -26,6 +26,7 @@ from handsoff import (
     simulate,
     transcribe,
 )
+from handsoff.plant import hautus_test
 
 
 def double_integrator() -> LtiPlant:
@@ -474,15 +475,75 @@ def test_a_stalled_newton_ascent_says_so():
     assert report.iterations < handsoff.solver._MAX_ITER
 
 
-def test_rank_deficient_reach_map_raises():
-    program = DiscreteProgram(
-        phi=[[1.0, 1.0], [0.0, 0.0]],
-        target=[1.0, 0.0],
-        l1_weights=[1.0, 1.0],
-        l2_weights=[0.0, 0.0],
-    )
-    with pytest.raises(np.linalg.LinAlgError):
-        solve(program)
+@pytest.mark.parametrize("w2", [0.0, 1.0], ids=["L1", "L1L2"])
+def test_rank_deficient_reach_map_is_decided(w2):
+    # phi spans only e1: a target on it has an optimum (J1 = 1, at u = [1, 0]
+    # in L1 and u = [1/2, 1/2] in L1L2), and one off it is out of reach
+    def program(target):
+        return DiscreteProgram(
+            phi=[[1.0, 1.0], [0.0, 0.0]], target=target, l1_weights=[1.0, 1.0],
+            l2_weights=[w2, w2],
+        )
+
+    reached = solve(program([1.0, 0.0]))
+    assert reached.status == "converged"
+    assert reached.j1 == pytest.approx(1.0, rel=1e-12)
+    assert reached.j2 == pytest.approx(0.25 * w2, rel=1e-12)
+    assert abs(reached.duality_gap) <= 1e-9 * (reached.j1 + reached.j2)
+    out_of_reach = program([0.0, 1.0])
+    report = solve(out_of_reach)
+    assert report.status == "infeasible_suspected"
+    p = report.costate
+    assert out_of_reach.target @ p > np.sum(np.abs(out_of_reach.phi.T @ p))
+
+
+def test_an_uncontrollable_pair_is_refused_by_the_hautus_test():
+    # both states obey x' = -x + u: [A - mu I, B] has rank 1 at mu = -1
+    plant = LtiPlant(a=-np.eye(2), b=[[1.0], [1.0]])
+    for mode in ("L1", "L1L2", "L2"):
+        problem = ControlProblem(
+            plant=plant, x0=[1.0, 0.0], T=2.0, N=50, lam=1.0, r=0.1, mode=mode
+        )
+        with pytest.raises(np.linalg.LinAlgError, match="eigenvalue mu = -1"):
+            solve_problem(problem)
+
+
+@pytest.mark.parametrize(
+    "seed, case",
+    [(7, 3), (7, 10), (7, 17), (7, 32), (7, 34), (7, 37), (8, 24), (8, 26), (8, 27),
+     (9, 8), (9, 12), (9, 14), (9, 16), (9, 35)],
+)
+def test_b120_maps_once_refused_as_rank_deficient_are_decided(seed, case):
+    # controllable plants (max Re lambda * T up to 87) whose forward maps
+    # are rank deficient to rounding; solve used to refuse them.  Three are
+    # out of reach and say so with a certificate; the rest are left to a
+    # better conditioned transcription
+    problem = b120(seed)[case]
+    hautus_test(problem.plant)
+    program = transcribe(problem)
+    report = solve(program)
+    assert report.iterations <= 100
+    if (seed, case) in ((7, 10), (7, 17), (7, 32)):
+        assert report.status == "infeasible_suspected"
+        assert handsoff.solver._farkas(program.phi, program.target, report.costate) is not None
+    else:
+        assert report.status == "stalled"
+
+
+@pytest.mark.parametrize(
+    "plant, x0, n_steps",
+    [(oscillator_chain(), np.ones(4), 1), (oscillator_chain(), np.ones(4), 2),
+     (oscillator_chain(), np.ones(4), 3), (double_integrator(), [1.0, 0.0], 1)],
+    ids=["chain-1", "chain-2", "chain-3", "double-integrator-1"],
+)
+def test_a_grid_shorter_than_the_state_is_certified_out_of_reach(plant, x0, n_steps):
+    # fewer samples than states: the map is rank deficient and misses x0's
+    # free response, which solve used to refuse as a singular map
+    problem = ControlProblem(plant=plant, x0=x0, T=10.0, N=n_steps, lam=1.0, mode="L1")
+    program = transcribe(problem)
+    report = solve(program)
+    assert report.status == "infeasible_suspected"
+    assert handsoff.solver._farkas(program.phi, program.target, report.costate) is not None
 
 
 def test_mixed_zero_and_positive_quadratic_weights_are_refused():
