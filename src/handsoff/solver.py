@@ -91,10 +91,12 @@ _FARKAS_MARGIN = 1e-9
 # minimum_time: a horizon counts as reachable when a control with |u| <= 1
 # misses the target by at most this share of max(1, |target|)
 _REACH_FLOOR = 1e-8
-# the exchange method: a start ties a sample (_tied) when |phi_j' p| is
-# within this share of |phi_j|'|p| of its threshold, a multiplier is out of
-# its range when by more than this share, and _gauge gives up after this many
-# steps (the benchmark's plants take at most 20)
+# the exchange method: the share of its size below which a quantity is
+# rounding (a multiplier's excess over its range, a descent inside a face, a
+# column's part outside a basis, phi_j' d); a basis of unit columns is
+# independent to rounding when its condition number is below the inverse;
+# and _gauge gives up after this many steps (the benchmark's plants take at
+# most 20)
 _TIE = 1e-12
 _MAX_EXCHANGES = 200
 
@@ -152,14 +154,13 @@ class SolveReport:
     """Solver output: the control, objective values, and convergence data.
 
     ``j1`` and ``j2`` are the weighted L1 and quadratic costs of the returned
-    control under the program weights; ``j0`` is ``analysis.l0_measure`` of it
-    at the default threshold, weighted by the per-channel L1 weight when one
-    is present.  ``eq_residual`` is the absolute terminal-constraint
-    residual ``||phi U - target||`` and ``primal_residual`` the same per
-    root-sample.  ``costate`` is the terminal costate ``p`` of the program
-    (the multiplier of ``phi U = target``; away from ties the control is the
-    control law at ``phi' p``, and ``-p`` is the costate in the paper's sign
-    convention, where the L1 control is ``-dead_zone`` of its input map).
+    control under the program weights.  ``eq_residual`` is the absolute
+    terminal-constraint residual ``||phi U - target||`` and
+    ``primal_residual`` the same per root-sample.  ``costate`` is the
+    terminal costate ``p`` of the program (the multiplier of ``phi U =
+    target``; away from ties the control is the control law at ``phi' p``,
+    and ``-p`` is the costate in the paper's sign convention, where the L1
+    control is ``-dead_zone`` of its input map).
     ``duality_gap`` is ``primal(U) - g(p)`` under the program weights and
     ``dual_residual`` the same relative to the objective (the certificate
     ``analysis.costate_consistency`` also checks).  ``iterations`` counts
@@ -175,7 +176,6 @@ class SolveReport:
     u: ControlTrajectory
     j1: float
     j2: float
-    j0: float
     iterations: int
     primal_residual: float
     dual_residual: float
@@ -362,16 +362,19 @@ def _solve_consistent(a, b):
     return np.linalg.lstsq(a, b, rcond=None)[0]
 
 
-def _exchange(phi, target, w1, p, budget):
+def _exchange(phi, target, w1, budget, tied=()):
     """Exchange method (simplex with long steps) on a piecewise-linear dual.
 
     Minimizes ``f(p) = sum_j max(0, |c_j| - w1_j) - target' p``, ``c = phi'
-    p``, minus the L1 program's costate dual, or with ``w1 = 0`` ``sum |c_j|``
-    over ``target' p = 1`` (the gauge; ``target`` joins every basis).
-    Returns ``(outcome, p, u, s, steps)``: "optimal", ``u`` an optimal
-    control with ``phi u = s target`` (``s = 1``, or the gauge); "unbounded",
-    ``p`` a ray along which ``f`` falls without bound, a Farkas certificate;
-    "max_iter" after ``budget`` moves of ``p``; or "singular".
+    p``, minus the L1 program's costate dual, from ``p = 0``; or with ``w1 =
+    0`` ``sum |c_j|`` over ``target' p = 1`` (the gauge; ``target`` joins
+    every basis), from ``target / target' target``, or from the vertex that
+    ties the columns ``tied`` when there are some and they and ``target``
+    make a basis of n unit columns independent to rounding.  Returns ``(outcome, p, u, s,
+    steps, tied)``: "optimal", ``u`` an optimal control with ``phi u = s
+    target`` (``s = 1``, or the gauge); "unbounded", ``p`` a ray along which
+    ``f`` falls without bound, a Farkas certificate; "max_iter" after
+    ``budget`` moves of ``p``; or "singular"; ``tied`` is the last basis.
 
     A sample's level is ``sign(c_j)`` outside its thresholds ``+-w1_j``, 0
     inside.  A vertex ties n samples to ``c_j = side_j w1_j`` (``n - 1``
@@ -389,27 +392,37 @@ def _exchange(phi, target, w1, p, budget):
     n = phi.shape[0]
     gauge = not np.any(w1)
     abs_phi_t = np.abs(phi).T
-    # a basis takes target's column for the gauge, and those of tied samples
-    k0, aug = (1, np.column_stack([target, phi])) if gauge else (0, phi)
-    tied = _tied(phi, p, w1)
-    # a start at a vertex ties a basis of unit columns independent to rounding
-    basis = aug[:, [0] * k0 + [j + k0 for j in tied]]
-    unit = basis / (np.linalg.norm(basis, axis=0) + np.finfo(float).tiny)
-    if basis.shape[1] != n or not np.linalg.cond(unit) < 1.0 / _TIE:
-        tied = []
+    # a gauge basis puts target's column before those of the tied samples
+    k0 = int(gauge)
+
+    def basis_of(tied):
+        return np.column_stack([target, phi[:, tied]]) if gauge else phi[:, tied]
+
+    tied, p = list(tied), np.zeros(n)
+    if gauge:
+        # a start at a vertex ties a basis of unit columns independent to rounding
+        basis = basis_of(tied)
+        unit = basis / (np.linalg.norm(basis, axis=0) + np.finfo(float).tiny)
+        if tied and basis.shape[1] == n and np.linalg.cond(unit) < 1.0 / _TIE:
+            p = np.linalg.solve(basis.T, np.eye(n)[0])
+        else:
+            p, tied = target, []
+        p = p / (target @ p)
     level = np.ones(phi.shape[1])
-    # the threshold each tied sample sits at, as a sign (0 for a threshold 0)
-    side = np.sign(phi.T @ p) * (w1 > 0.0)
+    # the threshold each tied sample sits at, as a sign: 0 at the start (the
+    # gauge's thresholds are 0, and p = 0 ties no sample)
+    side = np.zeros(phi.shape[1])
     steps = 0
     while True:
         c = phi.T @ p
-        # the rounding of c (_TIE's margin can reach w1 on unstable plants)
+        # the rounding of c (a _TIE share of |phi_j|'|p| can reach w1 on
+        # unstable plants)
         tol = (n + 1) * np.finfo(float).eps * (abs_phi_t @ np.abs(p))
         slack = np.abs(c) - w1
         np.copysign(slack > 0.0, c, out=level, where=np.abs(slack) > tol)
         level[tied] = 0.0
         grad = phi @ level if gauge else phi @ level - target
-        basis = aug[:, [0] * k0 + [j + k0 for j in tied]]
+        basis = basis_of(tied)
         release = d = None
         try:
             if basis.shape[1] < n:
@@ -434,7 +447,7 @@ def _exchange(phi, target, w1, p, budget):
                 dev = v - mid
                 if not (np.abs(dev) > half + _TIE).any():
                     level[tied] = v
-                    return "optimal", p, level, float(z[0]) if gauge else 1.0, steps
+                    return "optimal", p, level, float(z[0]) if gauge else 1.0, steps, tied
                 over = np.abs(dev) - half
                 release = int(np.argmax(over))
                 sigma = 1.0 if dev[release] > 0.0 else -1.0
@@ -445,9 +458,9 @@ def _exchange(phi, target, w1, p, budget):
             else:
                 slope = float(grad @ d)
         except np.linalg.LinAlgError:
-            return "singular", p, level, math.nan, steps
+            return "singular", p, level, math.nan, steps, tied
         if steps == budget:
-            return "max_iter", p, level, math.nan, steps
+            return "max_iter", p, level, math.nan, steps, tied
         # the thresholds theta ahead along d, past which a sample's level is
         # sign(e), or 0 in the dead zone: the gauge's +-0 coincide and are
         # crossed at twice the rate; an L1 sample heading in meets +-w1 and
@@ -490,7 +503,7 @@ def _exchange(phi, target, w1, p, budget):
                 break
             window *= 8
         if not turned.size:
-            return "unbounded", d, level, math.nan, steps
+            return "unbounded", d, level, math.nan, steps, tied
         stop = int(turned[0])
         p = p + at[order[stop]] * d
         if release is not None:
@@ -549,7 +562,7 @@ def solve(program: DiscreteProgram, *, _start=None) -> SolveReport:
         # rule at p = 0), where the exact vertex's gap is rounding noise
         p, u, iterations, outcome = np.zeros(n), np.zeros(mn), 0, "optimal"
         if np.linalg.norm(target) > _STOP_REL:
-            outcome, p, u, _, iterations = _exchange(phi, target, w1, p, _MAX_ITER)
+            outcome, p, u, _, iterations, _ = _exchange(phi, target, w1, _MAX_ITER)
             u = np.clip(u, -1.0, 1.0) + 0.0  # no -0.0 in the dead zone
     eq_abs = float(np.linalg.norm(phi @ u - target))
     root_mn = math.sqrt(mn)
@@ -567,16 +580,10 @@ def solve(program: DiscreteProgram, *, _start=None) -> SolveReport:
         status = "converged"
     else:
         status = "stalled"
-    # imported here because analysis imports this module at load time
-    from .analysis import l0_measure
-
-    control = ControlTrajectory(h=program.h, u=u.reshape(program.n_samples, program.m))
-    lam = program.l1_weights[: program.m] / program.h
     return SolveReport(
-        u=control,
+        u=ControlTrajectory(h=program.h, u=u.reshape(program.n_samples, program.m)),
         j1=float(w1 @ np.abs(u)),
         j2=0.5 * float(w2 @ u**2),
-        j0=l0_measure(control, weights=lam if np.any(lam > 0.0) else None),
         iterations=iterations,
         primal_residual=eq_abs / root_mn,
         dual_residual=abs(gap) / primal if primal > 0.0 else abs(gap),
@@ -592,58 +599,37 @@ def solve_problem(problem: ControlProblem) -> SolveReport:
     return solve(transcribe(problem))
 
 
-def _tied(phi, p, w1=0.0) -> list[int]:
-    """The columns ``j`` that ``p`` ties to a threshold: ``|phi_j' p|``
-    within rounding, ``_TIE`` times ``|phi_j|'|p|``, of ``w1_j``."""
-    slack = np.abs(np.abs(phi.T @ p) - w1)
-    return (~(slack > _TIE * (np.abs(phi).T @ np.abs(p)))).nonzero()[0].tolist()
+def _mapped_vertex(m, n_steps, h, vertex):
+    """The columns of another grid's vertex, moved to a grid of ``n_steps``
+    samples of length ``h``, in column order.
 
-
-def _mapped_vertex(phi, target, m, h, vertex):
-    """Costate tying the samples of another grid's vertex, moved to this grid.
-
-    ``vertex = (h_old, n_old, tied)``: the step, sample count and tied
+    ``vertex = (h_old, n_old, tied)``: the step, sample count and basis
     columns of a ``_gauge`` vertex on another grid.  Column ``j``, sample
     ``k = n_old - 1 - j // m`` from the end and channel ``j % m``, moves to
     sample ``round((k + 1/2) h_old / h - 1/2)`` from the end (the same time
-    to go, clamped), same channel.  Returns the ``p`` with ``target' p = 1``
-    and ``phi_j' p = 0`` there, or None unless they are ``n - 1`` distinct
-    samples with a regular system and a finite solution.
+    to go, clamped), same channel; ``()`` when two land on one sample.
     """
     h_old, n_old, tied = vertex
-    n, mn = phi.shape
-    n_steps = mn // m
-    if len(tied) != n - 1:
-        return None
-    moved = []
+    moved = set()
     for j in tied:
         k = round((n_old - 1 - j // m + 0.5) * (h_old / h) - 0.5)
-        moved.append((n_steps - 1 - min(max(k, 0), n_steps - 1)) * m + j % m)
-    if len(set(moved)) != len(moved):
-        return None
-    rhs = np.zeros(n)
-    rhs[0] = 1.0
-    try:
-        p = np.linalg.solve(np.vstack([target, phi[:, moved].T]), rhs)
-    except np.linalg.LinAlgError:
-        return None
-    return p if np.all(np.isfinite(p)) else None
+        moved.add((n_steps - 1 - min(max(k, 0), n_steps - 1)) * m + j % m)
+    return sorted(moved) if len(moved) == len(tied) else ()
 
 
-def _gauge(phi, target, p):
+def _gauge(phi, target, tied=()):
     """Largest multiple of ``target`` that ``phi`` reaches under ``|v| <= 1``.
 
-    Returns ``(s, v, p)`` with ``phi @ v = s * target``, ``|v| <= 1`` and
-    ``target' p = 1``, where ``s = sum |phi' p|`` is the least such sum, so
-    the origin is reachable iff ``s >= 1`` (by ``u = v / s``): ``_exchange``
-    with every threshold at 0, from ``p`` when ``target' p > 0``, else from
-    ``target``; None without an optimal vertex.  ``target`` must be nonzero;
-    ``s = 0`` when it lies outside the span of ``phi``.
+    Returns ``(s, v, p, tied)`` with ``phi @ v = s * target``, ``|v| <= 1``
+    and ``target' p = 1``, where ``s = sum |phi' p|`` is the least such sum,
+    so the origin is reachable iff ``s >= 1`` (by ``u = v / s``), and
+    ``tied`` the optimal basis in column order: ``_exchange`` with every
+    threshold at 0, from the vertex of the columns ``tied`` or cold; None
+    without an optimal vertex.  ``target`` must be nonzero; ``s = 0`` when
+    it lies outside the span of ``phi``.
     """
-    if p is None or not target @ p > 0.0:
-        p = target
-    outcome, p, v, s, _ = _exchange(phi, target, 0.0, p / (target @ p), _MAX_EXCHANGES)
-    return (s, v, p) if outcome == "optimal" else None
+    outcome, p, v, s, _, tied = _exchange(phi, target, 0.0, _MAX_EXCHANGES, tied)
+    return (s, v, p, sorted(tied)) if outcome == "optimal" else None
 
 
 def _farkas(phi, target, p):
@@ -657,8 +643,9 @@ def _farkas(phi, target, p):
     return None
 
 
-def _certified_gauge(phi, target, p):
-    """``(log s, p)`` from ``_gauge``, or None unless a certificate backs it.
+def _certified_gauge(phi, target, tied=()):
+    """``(log s, p, tied)`` from ``_gauge``, or None unless a certificate
+    backs it.
 
     ``s >= 1`` counts when the control ``u = clip(v / s)`` misses the target
     by at most ``_REACH_FLOOR * max(1, |target|)``; the value is then
@@ -669,17 +656,17 @@ def _certified_gauge(phi, target, p):
     tnorm = float(np.linalg.norm(target))
     if not (math.isfinite(tnorm) and np.all(np.isfinite(phi))):
         return None
-    found = _gauge(phi, target, p)
+    found = _gauge(phi, target, tied)
     if found is None:
         return None
-    s, v, p = found
+    s, v, p, tied = found
     if s > 0.0:
         u = np.clip(v / s, -1.0, 1.0)
         miss = float(np.linalg.norm(phi @ u - target))
         if miss <= _REACH_FLOOR * max(1.0, tnorm):
-            return math.log(max(s, 1.0)), p
+            return math.log(max(s, 1.0)), p, tied
     ratio = _farkas(phi, target, p)
-    return None if ratio is None else (math.log(ratio), p)
+    return None if ratio is None else (math.log(ratio), p, tied)
 
 
 def _gauge_slope(phi, target, p, ad, bd, free) -> float:
@@ -724,23 +711,27 @@ def minimum_time(
     k and k + 1 samples and a horizon lands on the same side again, the
     last horizon with k samples and the first with k + 1 decide whether the
     root lies at that jump.  Each horizon's exchanges start at the last
-    one's optimal vertex, its ties moved to the new grid by their time to go
-    (``_mapped_vertex``).  The returned ``T`` is certified reachable
-    (terminal miss at most ``1e-8 * max(1, |target|)``), and a horizon
-    ``L`` certified unreachable by a Farkas costate (or 0) has ``T - L <=
-    tol_t`` in floating point, or ``T`` the next double above ``L`` when
-    ``tol_t`` is below their spacing.  Raises ``numpy.linalg.LinAlgError``
+    one's optimal basis, its columns moved to the new grid by their time to
+    go (``_mapped_vertex``); that basis is all a horizon passes on.  The
+    returned ``T`` is certified reachable (terminal miss at most ``1e-8 *
+    max(1, |target|)``), and a horizon ``L`` certified unreachable by a
+    Farkas costate (or 0) has ``T - L <= tol_t`` in floating point, or
+    ``T`` the next double above ``L`` when ``tol_t`` is below their
+    spacing.  Raises ``numpy.linalg.LinAlgError``
     for a pair that fails ``plant.hautus_test``, and ``RuntimeError`` when
     no finite horizon exists (an unstable mode ``z = v'x``, ``v'A = mu v'``,
     starts at ``|v'x0| >= |B'v|_1 / Re mu``), or, naming the horizon, when a
     horizon verifies neither certificate (rounding on a strongly unstable
-    plant).
+    plant), and ``ValueError`` for a non-finite ``x0`` or a ``grid_density``
+    that is not positive and finite.
     """
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     if x0.shape[0] != plant.n:
         raise ValueError(f"x0 must have length {plant.n}, got {x0.shape[0]}")
-    if not grid_density > 0.0:
-        raise ValueError(f"grid_density must be positive, got {grid_density}")
+    if not np.all(np.isfinite(x0)):
+        raise ValueError("x0 must be finite")
+    if not 0.0 < grid_density < math.inf:
+        raise ValueError(f"grid_density must be positive and finite, got {grid_density}")
     if not tol_t > 0.0:
         raise ValueError(f"tol_t must be positive, got {tol_t}")
     hautus_test(plant)
@@ -756,13 +747,13 @@ def minimum_time(
     if not np.any(x0):
         return tol_t
     growth = float(np.max(eigvals.real))
-    p = vertex = None
+    vertex = None
 
     def samples(horizon: float) -> int:
         return max(1, math.ceil(horizon * grid_density))
 
     def log_gauge(horizon: float) -> tuple[float, float]:
-        nonlocal p, vertex
+        nonlocal vertex
         n_steps = samples(horizon)
         h = horizon / n_steps
         # a map that overflows verifies no certificate; the raise below says so
@@ -770,16 +761,16 @@ def minimum_time(
             ad, bd = discretize(plant, h)
             phi, free = reachability_matrix(ad, bd, n_steps)
             target = -(free @ x0)
-            start = None if vertex is None else _mapped_vertex(phi, target, plant.m, h, vertex)
-            found = _certified_gauge(phi, target, p if start is None else start)
+            tied = () if vertex is None else _mapped_vertex(plant.m, n_steps, h, vertex)
+            found = _certified_gauge(phi, target, tied)
             slope = None if found is None else _gauge_slope(phi, target, found[1], ad, bd, free)
         if found is None:
             raise RuntimeError(
                 f"minimum time undecided: neither certificate verifies at "
                 f"T = {horizon:.6g} (max Re lambda * T = {growth * horizon:.3g})"
             )
-        value, p = found
-        vertex = (h, n_steps, _tied(phi, p))
+        value, _, tied = found
+        vertex = (h, n_steps, tied)
         return value, slope
 
     # each step starts from the latest horizon t, an end of the bracket.

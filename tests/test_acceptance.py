@@ -110,7 +110,7 @@ def test_criterion_02_bang_off_bang_structure(sparse_1000):
 
 def test_criterion_03_support_measure_shadows_l1_cost(sparse_1000):
     report, _ = sparse_1000
-    gap = abs(report.j0 - report.j1)
+    gap = abs(l0_measure(report.u) - report.j1)
     ok_solution = gap <= 0.05 * T
 
     # on any admissible control the L1 cost never exceeds the support measure

@@ -210,7 +210,7 @@ def test_metrics_are_symmetric_under_negation():
 def test_metrics_of_a_sparse_solve_are_consistent():
     report = sparse_solution()
     metrics = compute_metrics(report.u)
-    assert metrics.l0_seconds == pytest.approx(report.j0, abs=1e-12)
+    assert metrics.l0_seconds == pytest.approx(l0_measure(report.u), abs=1e-12)
     assert 0.0 < metrics.l0_seconds < 4.0
     assert metrics.bangoffbang_score >= 0.98
     assert np.all(np.diff(metrics.switching_times) > 0.0)

@@ -237,6 +237,19 @@ def test_bad_eps_exits_1_before_any_work(tmp_path, capsys, command, eps):
         assert not (out / name).exists()
 
 
+def test_report_j0_follows_eps(tmp_path):
+    # one input and lambda = 1: J0_seconds and l0_seconds are the same
+    # measure; J0 used to be taken at the default threshold whatever --eps
+    problem = Path(__file__).resolve().parents[1] / "demos/problems/double_integrator_l1l2.txt"
+    out = tmp_path / "out"
+    assert main(["solve", str(problem), "--out", str(out), "--eps", "0.45"]) == 0
+    report = read_report(out / "report.txt")
+    assert float(report["J0_seconds"]) == float(report["l0_seconds"])
+    _, u, _ = read_trajectory_csv(out / "trajectory.csv")
+    control = ControlTrajectory(h=4.0 / 400, u=u)
+    assert float(report["J0_seconds"]) < compute_metrics(control).l0_seconds
+
+
 def test_mode_override_needing_absent_weight_exits_1(tmp_path, capsys):
     text = DOUBLE_INTEGRATOR.replace("r = 1\n", "")
     problem = write_problem(tmp_path, text)
@@ -329,6 +342,14 @@ def test_mintime_without_finite_horizon_exits_2(tmp_path, capsys):
     problem = write_problem(tmp_path, text)
     assert main(["mintime", str(problem)]) == 2
     assert "no finite minimum time" in capsys.readouterr().err
+
+
+def test_mintime_with_an_infinite_grid_density_exits_1(tmp_path, capsys):
+    # N / T overflows to an infinite density, which math.ceil raised on
+    text = DOUBLE_INTEGRATOR.replace("T = 4", "T = 5e-324").replace("N = 200", "N = 1")
+    problem = write_problem(tmp_path, text)
+    assert main(["mintime", str(problem)]) == 1
+    assert "error: grid_density must be positive and finite, got inf" in capsys.readouterr().err
 
 
 def test_solve_uncontrollable_plant_exits_1(tmp_path, capsys):

@@ -16,6 +16,7 @@ from handsoff import (
     costate_consistency,
     dead_zone,
     discretize,
+    l0_measure,
     min_energy_closed_form,
     minimum_time,
     reachability_matrix,
@@ -148,7 +149,7 @@ def test_zero_initial_state_returns_zero_control():
     report = solve_problem(problem)
     assert report.status == "converged"
     np.testing.assert_array_equal(report.u.u, 0.0)
-    assert report.j0 == 0.0
+    assert l0_measure(report.u) == 0.0
     assert report.j1 == 0.0
     assert report.j2 == 0.0
 
@@ -710,31 +711,28 @@ def test_gauge_matches_the_lp_and_its_control_reaches_the_origin(monkeypatch):
             if not np.any(target):
                 u = np.zeros(phi.shape[1])
             else:
-                found = handsoff.solver._gauge(phi, target, None)
+                found = handsoff.solver._gauge(phi, target)
                 assert found is not None, (plant, x0, horizon)
-                s, v, p = found
+                s, v, p, basis = found
                 lp = lp_gauge(phi, target)
                 assert abs(s - lp) <= 1e-8 * lp, (plant, x0, horizon, s, lp)
                 assert target @ p == pytest.approx(1.0)
-                assert handsoff.solver._certified_gauge(phi, target, p) is not None
+                assert handsoff.solver._certified_gauge(phi, target, basis) is not None
                 u = v / max(s, 1.0)
-                # started at the optimal vertex of a neighbouring horizon,
+                # started at the optimal basis of a neighbouring horizon,
                 # moved to this grid, the exchanges take no projected
-                # gradient step and end at the same gauge; only a degenerate
-                # vertex (more than n - 1 ties, as where every sample of one
-                # input is tied) does not map
+                # gradient step and end at the same gauge, also where the
+                # vertex is degenerate (every sample of one input tied)
                 for near in (0.9 * horizon, 1.1 * horizon):
                     near_steps = max(1, int(np.ceil(near * density)))
                     near_phi, near_target = reach_map(plant, x0, near, near_steps)
-                    near_p = handsoff.solver._gauge(near_phi, near_target, None)[2]
-                    vertex = (near / near_steps, near_steps,
-                              handsoff.solver._tied(near_phi, near_p))
+                    near_basis = handsoff.solver._gauge(near_phi, near_target)[3]
+                    assert len(near_basis) == plant.n - 1, (plant, x0, horizon, near)
+                    vertex = (near / near_steps, near_steps, near_basis)
                     start = handsoff.solver._mapped_vertex(
-                        phi, target, plant.m, horizon / n_steps, vertex
+                        plant.m, n_steps, horizon / n_steps, vertex
                     )
-                    if start is None:
-                        assert len(vertex[2]) > plant.n - 1, (plant, x0, horizon, near)
-                        continue
+                    assert len(start) == plant.n - 1, (plant, x0, horizon, near)
                     del qr_calls[:]
                     warm = handsoff.solver._gauge(phi, target, start)
                     assert not qr_calls, (plant, x0, horizon, near)
@@ -759,7 +757,7 @@ def test_gauge_slope_is_the_envelope_of_one_more_sample():
         ad, bd = discretize(plant, h)
         phi, free = reachability_matrix(ad, bd, n_steps)
         target = -(free @ x0)
-        s, _, p = handsoff.solver._gauge(phi, target, None)
+        s, _, p, _ = handsoff.solver._gauge(phi, target)
         return s, handsoff.solver._gauge_slope(phi, target, p, ad, bd, free)
 
     matched = 0
@@ -801,8 +799,8 @@ def record_horizons(monkeypatch) -> list:
         seen.append([sys._getframe(1).f_locals["horizon"], None])
         return discretize_(plant, h)
 
-    def verdict(phi, target, p):
-        found = certified_gauge(phi, target, p)
+    def verdict(phi, target, tied):
+        found = certified_gauge(phi, target, tied)
         seen[-1][1] = found is not None and found[0] >= 0.0
         return found
 
@@ -951,16 +949,16 @@ def test_gauge_of_a_reach_map_that_does_not_span_the_state_space(
         target = phi @ np.linspace(1.0, 2.0, phi.shape[1])
     else:
         target = -np.linalg.matrix_power(discretize(plant, 1.0)[0], n_steps) @ np.ones(plant.n)
-    found = handsoff.solver._gauge(phi, target, None)
+    found = handsoff.solver._gauge(phi, target)
     assert found is not None
-    s, v, p = found
+    s, v, p, basis = found
     lp = lp_gauge(phi, target)
     assert abs(s - lp) <= 1e-8 * max(lp, 1.0), (s, lp)
     assert (lp > 0.1) == target_in_range
     assert target @ p == pytest.approx(1.0)
     assert np.max(np.abs(v)) <= 1.0 + 1e-12
     assert np.allclose(phi @ v, s * target, atol=1e-12 * np.linalg.norm(target))
-    certified = handsoff.solver._certified_gauge(phi, target, p)
+    certified = handsoff.solver._certified_gauge(phi, target, basis)
     assert certified is not None and math.isfinite(certified[0])
     assert (certified[0] < 0.0) == (s < 1.0)
 
@@ -1002,9 +1000,9 @@ def test_minimum_time_raises_when_no_certificate_verifies(monkeypatch):
     # control that hits the target nor a Farkas costate
     gauge = handsoff.solver._gauge
 
-    def misread(phi, target, p):
-        s, v, p = gauge(phi, target, p)
-        return 1e-5 * s, v, p
+    def misread(phi, target, tied):
+        s, v, p, tied = gauge(phi, target, tied)
+        return 1e-5 * s, v, p, tied
 
     monkeypatch.setattr(handsoff.solver, "_gauge", misread)
     plant = LtiPlant(a=[[0.92]], b=[[1.0]])
@@ -1056,3 +1054,36 @@ def test_minimum_time_input_validation():
         minimum_time(double_integrator(), [1.0, 0.0], grid_density=0.0)
     with pytest.raises(ValueError):
         minimum_time(double_integrator(), [1.0, 0.0], tol_t=0.0)
+
+
+@pytest.mark.parametrize(
+    "x0, density",
+    [([1.0, 0.0], math.inf), ([1.0, 0.0], math.nan), ([math.inf, 0.0], 100.0)],
+    ids=["inf-density", "nan-density", "inf-x0"],
+)
+def test_minimum_time_rejects_non_finite_inputs_before_building_a_map(monkeypatch, x0, density):
+    # an infinite density passed the positivity check and then overflowed
+    # math.ceil; an infinite x0 ended in "minimum time undecided"
+    def unreached(plant, h):
+        pytest.fail("minimum_time built a map")
+
+    monkeypatch.setattr(handsoff.solver, "discretize", unreached)
+    with pytest.raises(ValueError, match="finite"):
+        minimum_time(double_integrator(), x0, grid_density=density)
+
+
+def test_minimum_time_gives_up_above_1e6_seconds(monkeypatch):
+    # a double integrator a million times slower, T* about 2e6 s: the search
+    # doubles past 1e6 s on coarse grids (at most 83 samples) and stops there
+    reach = handsoff.solver.reachability_matrix
+    calls = []
+
+    def counted(ad, bd, n_steps):
+        calls.append(n_steps)
+        return reach(ad, bd, n_steps)
+
+    monkeypatch.setattr(handsoff.solver, "reachability_matrix", counted)
+    plant = LtiPlant(a=[[0.0, 1e-6], [0.0, 0.0]], b=[[0.0], [1e-6]])
+    with pytest.raises(RuntimeError, match="no feasible horizon found below 1e6 seconds"):
+        minimum_time(plant, [1.0, 0.0], grid_density=1e-4)
+    assert len(calls) <= 30 and max(calls) <= 100
