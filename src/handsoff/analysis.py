@@ -87,10 +87,15 @@ def _check_eps(epsilon: float) -> None:
         raise ValueError(f"epsilon must lie in (0, 0.5), got {epsilon}")
 
 
+def _off(u: np.ndarray, epsilon: float) -> np.ndarray:
+    """The off band: where ``|u| <= epsilon``; a sample outside it is active."""
+    return np.abs(u) <= epsilon
+
+
 def l0_per_channel(control: ControlTrajectory, epsilon: float = DEFAULT_EPS) -> np.ndarray:
     """Active time ``h * #{k : |u_i[k]| > epsilon}`` of each channel, seconds."""
     _check_eps(epsilon)
-    counts = np.count_nonzero(np.abs(control.u) > epsilon, axis=0)
+    counts = np.count_nonzero(~_off(control.u, epsilon), axis=0)
     return control.h * counts.astype(float)
 
 
@@ -116,14 +121,13 @@ def l0_measure(
 
 def _union_support_seconds(control: ControlTrajectory, epsilon: float) -> float:
     """Time at least one channel is active, seconds."""
-    active = np.any(np.abs(control.u) > epsilon, axis=1)
-    return control.h * float(np.count_nonzero(active))
+    return control.h * float(np.count_nonzero(~_off(control.u, epsilon).all(axis=1)))
 
 
 def _quantize(u: np.ndarray, epsilon: float) -> np.ndarray:
     """Codes -1/0/+1 within ``epsilon`` of each level, _BETWEEN elsewhere."""
     codes = np.full(u.shape, _BETWEEN, dtype=int)
-    codes[np.abs(u) <= epsilon] = 0
+    codes[_off(u, epsilon)] = 0
     codes[np.abs(u - 1.0) <= epsilon] = 1
     codes[np.abs(u + 1.0) <= epsilon] = -1
     return codes
@@ -181,7 +185,8 @@ def ternary_transitions_ok(
 
 
 def _max_jump(control: ControlTrajectory) -> float:
-    return float(np.max(np.abs(np.diff(control.u, axis=0))))
+    """Largest adjacent-sample change ``max |u[k+1] - u[k]|``; 0 for N = 1."""
+    return float(np.max(np.abs(np.diff(control.u, axis=0)), initial=0.0))
 
 
 def derivative_supnorm(control: ControlTrajectory) -> float:
@@ -199,7 +204,7 @@ def compute_metrics(
     _check_eps(epsilon)
     l0 = _union_support_seconds(control, epsilon)
     duration = control.duration
-    jump = _max_jump(control) if control.n_steps >= 2 else 0.0
+    jump = _max_jump(control)
     return HandsOffMetrics(
         l0_seconds=l0,
         handsoff_fraction=1.0 - l0 / duration,
@@ -239,22 +244,12 @@ def sweep_tradeoff(
     for r in r_values[::-1]:
         program = replace(program, l2_weights=np.full(program.phi.shape[1], r * program.h))
         report = solver.solve(program, _start=start)
-        converged = report.status == "converged"
-        if converged:
+        l0, slope = math.nan, math.nan
+        if report.status == "converged":
             start = report.costate
-        points.append(
-            TradeoffPoint(
-                r=float(r),
-                l0_seconds=_union_support_seconds(report.u, epsilon)
-                if converged
-                else math.nan,
-                derivative_supnorm=derivative_supnorm(report.u)
-                if converged
-                else math.nan,
-                status=report.status,
-                iterations=report.iterations,
-            )
-        )
+            l0 = _union_support_seconds(report.u, epsilon)
+            slope = _max_jump(report.u) / report.u.h
+        points.append(TradeoffPoint(float(r), l0, slope, report.status, report.iterations))
     return points[::-1]
 
 

@@ -50,6 +50,14 @@ def _as_float_array(value, name: str) -> np.ndarray:
     return arr
 
 
+def _initial_state(x0, n: int) -> np.ndarray:
+    """``x0`` as a flat float vector, checked finite and of length ``n``."""
+    x0 = _as_float_array(x0, "x0").reshape(-1)
+    if x0.shape[0] != n:
+        raise ValueError(f"x0 must have length {n}, got {x0.shape[0]}")
+    return x0
+
+
 @dataclass(frozen=True)
 class LtiPlant:
     """Continuous-time linear plant ``dx/dt = A x + B u``.
@@ -160,9 +168,7 @@ class ControlProblem:
     mode: str = "L1"
 
     def __post_init__(self) -> None:
-        x0 = _as_float_array(self.x0, "x0").reshape(-1)
-        if x0.shape[0] != self.plant.n:
-            raise ValueError(f"x0 must have length {self.plant.n}, got {x0.shape[0]}")
+        x0 = _initial_state(self.x0, self.plant.n)
         if not self.T > 0.0:
             raise ValueError(f"T must be positive, got {self.T}")
         if not (isinstance(self.N, (int, np.integer)) and self.N >= 1):
@@ -220,9 +226,7 @@ def simulate(plant: LtiPlant, x0, control: ControlTrajectory) -> StateTrajectory
     scan ``y[d:] += y[:-d] Ad^d'`` for ``d = 1, 2, 4, ...`` (one batched
     product and one squaring of ``Ad`` per doubling of ``d``).
     """
-    x0 = _as_float_array(x0, "x0").reshape(-1)
-    if x0.shape[0] != plant.n:
-        raise ValueError(f"x0 must have length {plant.n}, got {x0.shape[0]}")
+    x0 = _initial_state(x0, plant.n)
     if control.n_inputs != plant.m:
         raise ValueError(
             f"control has {control.n_inputs} channels, plant expects {plant.m}"
@@ -345,9 +349,7 @@ def min_energy_closed_form(
     conditioned to invert: its smallest eigenvalue at most 1e-12 of the
     largest (or of 1).
     """
-    x0 = _as_float_array(x0, "x0").reshape(-1)
-    if x0.shape[0] != plant.n:
-        raise ValueError(f"x0 must have length {plant.n}, got {x0.shape[0]}")
+    x0 = _initial_state(x0, plant.n)
     if not horizon > 0.0:
         raise ValueError(f"horizon must be positive, got {horizon}")
     if not n_steps >= 1:

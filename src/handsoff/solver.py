@@ -39,6 +39,7 @@ from .plant import (
     ControlProblem,
     ControlTrajectory,
     LtiPlant,
+    _initial_state,
     controllability_gramian,  # noqa: F401  (perfbench traces it here)
     discretize,
     hautus_test,
@@ -84,9 +85,10 @@ _SEARCH_EVALS = 50
 # three-state plant at r = 1e-3, N = 200, converged at step 41)
 _PATIENCE = 40
 _PROGRESS = 0.99
-# a dual point p is a Farkas certificate of infeasibility when
-# target'p exceeds sum |phi' p| by more than this share; the same share
-# guards minimum_time's test of the unstable modes
+# a dual point p is a Farkas certificate of infeasibility when target'p
+# exceeds sum |phi' p| by more than this share plus its rounding (_farkas).
+# minimum_time's unstable-mode test is that inequality at p = +-v as T -> inf:
+# at a real mode mu, |target'v| / sum |phi'v| = mu |v'x0| / (|B'v|_1 (1 - e^(-mu T)))
 _FARKAS_MARGIN = 1e-9
 # minimum_time: a horizon counts as reachable when a control with |u| <= 1
 # misses the target by at most this share of max(1, |target|)
@@ -234,6 +236,20 @@ def _rounding(phi, target, p) -> float:
     )
 
 
+def _farkas(phi, target, p, c=None):
+    """``max(sum |phi' p|, rounding) / target' p`` if ``p`` proves that no
+    ``|u| <= 1`` reaches ``target``, by the margin ``_FARKAS_MARGIN`` and
+    ``_rounding`` (a pass over ``phi``, made only past the margin); else
+    None.  ``c``, when given, is ``phi' p``."""
+    support = float(np.sum(np.abs(phi.T @ p if c is None else c)))
+    excess, bound = float(target @ p), (1.0 + _FARKAS_MARGIN) * support
+    if excess > bound:
+        rounding = _rounding(phi, target, p)
+        if excess > bound + rounding:
+            return max(support, rounding) / excess
+    return None
+
+
 def _line_search(c, u, e, slope0, w1, w2):
     """Step ``t > 0`` that nearly maximizes the dual along a direction ``d``.
 
@@ -292,12 +308,12 @@ def _ascend(phi, target, w1, w2, p, budget):
     Starts at ``p``, takes at most ``budget`` steps, and returns ``(p, u,
     steps, outcome)``: "converged" (terminal residual at the rounding
     floor), "stalled" (no ascent direction left, or the residual stopped
-    falling), "unbounded" (``p`` escapes along a Farkas direction, which
-    ``solve`` verifies), or "max_iter".  Past the stopping rule it runs on
-    while each step cuts the residual tenfold, down to ``_RUN_ON_REL``, and
-    returns the best point it passed.  The control law is
-    ``saturated_shrink``: with ``w2 > 0`` it makes the dual differentiable
-    with a semismooth gradient (Qi and Sun, Math. Programming 58, 1993).
+    falling), "unbounded" (``p`` is a Farkas certificate, ``_farkas``), or
+    "max_iter".  Past the stopping rule it runs on while each step cuts the
+    residual tenfold, down to ``_RUN_ON_REL``, and returns the best point it
+    passed.  The control law is ``saturated_shrink``: with ``w2 > 0`` it
+    makes the dual differentiable with a semismooth gradient (Qi and Sun,
+    Math. Programming 58, 1993).
     """
     abs_phi = np.abs(phi)
     reg = _REG * ((phi / w2) @ phi.T)
@@ -322,7 +338,7 @@ def _ascend(phi, target, w1, w2, p, budget):
                 return p, u, steps, "converged"
             kept = (p, u, gnorm)
         # an ascent that escapes to infinity leaves along a certificate
-        if target @ p > (1.0 + _FARKAS_MARGIN) * float(np.sum(np.abs(c))):
+        if _farkas(phi, target, p, c) is not None:
             return p, u, steps, "unbounded"
         if gnorm < _PROGRESS * best:
             best, since_best = gnorm, 0
@@ -373,8 +389,9 @@ def _exchange(phi, target, w1, budget, tied=()):
     make a basis of n unit columns independent to rounding.  Returns ``(outcome, p, u, s,
     steps, tied)``: "optimal", ``u`` an optimal control with ``phi u = s
     target`` (``s = 1``, or the gauge); "unbounded", ``p`` a ray along which
-    ``f`` falls without bound, a Farkas certificate; "max_iter" after
-    ``budget`` moves of ``p``; or "singular"; ``tied`` is the last basis.
+    ``f`` falls without bound, a Farkas certificate ("stalled" if ``_farkas``
+    rejects it); "max_iter" after ``budget`` moves; "singular"; ``tied`` is
+    the last basis.
 
     A sample's level is ``sign(c_j)`` outside its thresholds ``+-w1_j``, 0
     inside.  A vertex ties n samples to ``c_j = side_j w1_j`` (``n - 1``
@@ -503,7 +520,8 @@ def _exchange(phi, target, w1, budget, tied=()):
                 break
             window *= 8
         if not turned.size:
-            return "unbounded", d, level, math.nan, steps, tied
+            outcome = "unbounded" if _farkas(phi, target, d) is not None else "stalled"
+            return outcome, d, level, math.nan, steps, tied
         stop = int(turned[0])
         p = p + at[order[stop]] * d
         if release is not None:
@@ -536,7 +554,7 @@ def solve(program: DiscreteProgram, *, _start=None) -> SolveReport:
     same ``phi``, ``target`` and L1 weights under other quadratic weights);
     ``iterations`` counts Newton steps.  Either way the status is
     "max_iter" when the method spent its budget, "infeasible_suspected"
-    when ``_farkas`` verifies the direction it escaped along,
+    when it ended "unbounded" (on a ``p`` that ``_farkas`` verified),
     "converged" when the residual and gap contract holds, and "stalled"
     otherwise (with its finite ``duality_gap``).  Raises ``ValueError``
     when a sample carries neither weight or the quadratic weights mix zero
@@ -569,7 +587,7 @@ def solve(program: DiscreteProgram, *, _start=None) -> SolveReport:
     primal, gap = _gap(u, p, phi, target, w1, w2)
     if outcome == "max_iter":
         status = outcome
-    elif outcome == "unbounded" and _farkas(phi, target, p) is not None:
+    elif outcome == "unbounded":
         # no feasible control, so no gap: the dual is unbounded along p
         status, gap = "infeasible_suspected", math.nan
     elif (
@@ -630,17 +648,6 @@ def _gauge(phi, target, tied=()):
     """
     outcome, p, v, s, _, tied = _exchange(phi, target, 0.0, _MAX_EXCHANGES, tied)
     return (s, v, p, sorted(tied)) if outcome == "optimal" else None
-
-
-def _farkas(phi, target, p):
-    """``max(sum |phi' p|, rounding) / target' p`` if ``p`` proves that no
-    ``|u| <= 1`` reaches ``target``, by the margin ``_FARKAS_MARGIN`` and
-    ``_rounding``; else None."""
-    support = float(np.sum(np.abs(phi.T @ p)))
-    rounding = _rounding(phi, target, p)
-    if target @ p > (1.0 + _FARKAS_MARGIN) * support + rounding:
-        return max(support, rounding) / float(target @ p)
-    return None
 
 
 def _certified_gauge(phi, target, tied=()):
@@ -725,11 +732,7 @@ def minimum_time(
     plant), and ``ValueError`` for a non-finite ``x0`` or a ``grid_density``
     that is not positive and finite.
     """
-    x0 = np.asarray(x0, dtype=float).reshape(-1)
-    if x0.shape[0] != plant.n:
-        raise ValueError(f"x0 must have length {plant.n}, got {x0.shape[0]}")
-    if not np.all(np.isfinite(x0)):
-        raise ValueError("x0 must be finite")
+    x0 = _initial_state(x0, plant.n)
     if not 0.0 < grid_density < math.inf:
         raise ValueError(f"grid_density must be positive and finite, got {grid_density}")
     if not tol_t > 0.0:

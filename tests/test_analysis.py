@@ -23,6 +23,7 @@ from handsoff import (
     switching_times,
     ternary_transitions_ok,
 )
+from handsoff.analysis import _quantize, _union_support_seconds
 
 
 def double_integrator() -> LtiPlant:
@@ -186,6 +187,20 @@ def test_transition_check_reads_every_channel():
     assert ternary_transitions_ok(traj(ramp)) == (True, "")
     with pytest.raises(ValueError):
         ternary_transitions_ok(traj(stray), delta=0.5)
+
+
+def test_off_band_is_closed_at_epsilon_in_every_metric():
+    # |u| = eps is off and one ulp above it is on, alike in the per-channel
+    # support, the union support and the quantization
+    eps = 0.01
+    above = np.nextafter(eps, 1.0)
+    u = np.array([[eps, -eps], [above, -eps], [-eps, above], [-above, eps]])
+    control = ControlTrajectory(h=0.5, u=u)
+    active = np.array([[False, False], [True, False], [False, True], [True, False]])
+    np.testing.assert_array_equal(l0_per_channel(control, eps), [1.0, 0.5])
+    assert _union_support_seconds(control, eps) == 1.5
+    assert compute_metrics(control, eps).l0_seconds == 1.5
+    np.testing.assert_array_equal(_quantize(u, eps) != 0, active)
 
 
 def test_derivative_supnorm_of_simple_signals():

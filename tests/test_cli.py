@@ -298,6 +298,20 @@ def test_sweep_all_points_failing_exits_2(tmp_path, capsys):
     assert row[1] == "nan"
 
 
+def test_sweep_and_solve_agree_on_a_one_sample_grid(tmp_path):
+    # one sample has no adjacent pair, so both commands report no slope;
+    # sweep used to exit 1 here
+    problem = write_problem(tmp_path, "n = 1\nm = 1\nA = -1\nB = 1\nx0 = 0.1\nT = 1\n"
+                            "N = 1\nlambda = 1\nr = 0.5\nmode = L1L2\n")
+    assert main(["solve", str(problem), "--out", str(tmp_path / "solve")]) == 0
+    report = read_report(tmp_path / "solve" / "report.txt")
+    assert report["derivative_supnorm"] == report["max_jump"] == "0"
+    out = tmp_path / "sweep"
+    assert main(["sweep", str(problem), "--r-list", "0.5", "--out", str(out)]) == 0
+    row = (out / "tradeoff.csv").read_text().splitlines()[1].split(",")
+    assert row[:4] == ["0.5", report["l0_seconds"], "0", "converged"]
+
+
 # ---------------------------------------------------------------------------
 # mintime
 

@@ -25,6 +25,7 @@ from handsoff.plant import (
     reachability_matrix,
     simulate,
 )
+from handsoff.solver import minimum_time
 
 DOUBLE_INTEGRATOR = LtiPlant(a=[[0.0, 1.0], [0.0, 0.0]], b=[0.0, 1.0])
 
@@ -383,3 +384,20 @@ class TestTypes:
         assert traj.u.shape == (4, 1)
         assert traj.duration == pytest.approx(2.0)
         assert np.allclose(traj.times(), [0.0, 0.5, 1.0, 1.5])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda x0: ControlProblem(plant=DOUBLE_INTEGRATOR, x0=x0, T=1.0, N=10),
+        lambda x0: simulate(DOUBLE_INTEGRATOR, x0, ControlTrajectory(h=0.1, u=np.zeros(10))),
+        lambda x0: min_energy_closed_form(DOUBLE_INTEGRATOR, x0, 1.0, 10),
+        lambda x0: minimum_time(DOUBLE_INTEGRATOR, x0),
+    ],
+    ids=["ControlProblem", "simulate", "min_energy_closed_form", "minimum_time"],
+)
+def test_every_initial_state_check_says_the_same(call):
+    with pytest.raises(ValueError, match=r"^x0 must have length 2, got 3$"):
+        call([1.0, 0.0, 0.0])
+    with pytest.raises(ValueError, match=r"^x0 must be finite$"):
+        call([np.nan, 0.0])

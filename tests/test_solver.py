@@ -547,6 +547,26 @@ def test_a_grid_shorter_than_the_state_is_certified_out_of_reach(plant, x0, n_st
     assert handsoff.solver._farkas(program.phi, program.target, report.costate) is not None
 
 
+def test_farkas_decides_at_its_margin_and_rounding_bound():
+    farkas, eps = handsoff.solver._farkas, np.finfo(float).eps
+    one = np.array([1.0])
+    # a clear certificate: sum |phi' p| = 2 over target' p = 3, or the
+    # rounding bound (here eps |target| |p|) when that is larger
+    assert farkas(np.array([[1.0, -1.0]]), np.array([3.0]), one) == 2.0 / 3.0
+    assert farkas(np.zeros((1, 2)), one, one) == eps
+    # past the margin (phi' p cancels to 0) but inside the rounding bound of
+    # the 2e10 that |phi|'|p| sums
+    phi, target, p = np.array([[1e10], [-1e10]]), np.array([1e-6, 0.0]), np.ones(2)
+    assert not np.any(phi.T @ p)
+    assert 0.0 < target @ p <= handsoff.solver._rounding(phi, target, p)
+    assert farkas(phi, target, p) is None
+    # either side of the margin 1e-9, with c = phi' p given or not
+    for excess, verdict in ((2e-9, 1.0 / (1.0 + 2e-9)), (5e-10, None)):
+        target = np.array([1.0 + excess])
+        assert farkas(np.ones((1, 1)), target, one) == verdict
+        assert farkas(np.ones((1, 1)), target, one, one) == verdict
+
+
 def test_mixed_zero_and_positive_quadratic_weights_are_refused():
     program = DiscreteProgram(
         phi=np.eye(2), target=[0.5, 0.5], l1_weights=[1.0, 1.0], l2_weights=[0.0, 1.0]
