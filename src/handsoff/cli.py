@@ -238,34 +238,34 @@ def read_trajectory_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     body = [line for line in lines[1:] if line.strip()]
     if len(body) < 2:
         raise TrajectoryFormatError(f"{path}: needs at least two data rows")
-    width = 1 + m + n
-    for k, line in enumerate(body):
-        if line.count(",") != width - 1:
-            raise TrajectoryFormatError(
-                f"{path}: row {k + 2} has {line.count(',') + 1} cells, expected {width}"
-            )
     final = body[-1].split(",")
     if any(c.strip() for c in final[1 : 1 + m]):
         raise TrajectoryFormatError(f"{path}: final row must leave the control blank")
-    head = _load_rows(path, body[:-1], 2)
-    tail = _load_rows(path, [",".join(final[:1] + final[1 + m :])], len(body) + 1)
-    t = np.append(head[:, 0], tail[0, 0])
-    x = np.vstack([head[:, 1 + m :], tail[:, 1:]])
-    return t, head[:, 1 : 1 + m], x
-
-
-def _load_rows(path: str, rows, first: int) -> np.ndarray:
-    """Numeric CSV rows as a 2-d array; ``first`` is the file row of ``rows[0]``."""
+    # the final row's blank controls parse as 0, and it keeps its cell count
+    final[1 : 1 + m] = ["0"] * len(final[1 : 1 + m])
+    rows = body[:-1] + [",".join(final)]
     try:
-        return np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
-    except ValueError as exc:
-        if len(rows) > 1:
-            # a malformed file: parse row by row to name the offending one
-            for k, row in enumerate(rows):
-                _load_rows(path, [row], first + k)
-        raise TrajectoryFormatError(
-            f"{path}: row {first} has a non-numeric cell"
-        ) from exc
+        data = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        data = None
+    if data is None or data.shape[1] != 1 + m + n or not np.isfinite(data).all():
+        raise _first_bad_row(path, rows, 1 + m + n)
+    return data[:, 0], data[:-1, 1 : 1 + m], data[:, 1 + m :]
+
+
+def _first_bad_row(path: str, rows, width: int) -> TrajectoryFormatError:
+    """The error that names the first of ``rows`` (file row 2 on) to fail the parse."""
+    for k, row in enumerate(rows, start=2):
+        cells = row.count(",") + 1
+        if cells != width:
+            return TrajectoryFormatError(f"{path}: row {k} has {cells} cells, expected {width}")
+        try:
+            values = np.loadtxt([row], delimiter=",", comments=None)
+        except ValueError:
+            return TrajectoryFormatError(f"{path}: row {k} has a non-numeric cell")
+        if not np.isfinite(values).all():
+            return TrajectoryFormatError(f"{path}: row {k} has a non-finite cell")
+    return TrajectoryFormatError(f"{path}: the rows do not parse as a table")
 
 
 # ---------------------------------------------------------------------------

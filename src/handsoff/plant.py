@@ -169,8 +169,8 @@ class ControlProblem:
 
     def __post_init__(self) -> None:
         x0 = _initial_state(self.x0, self.plant.n)
-        if not self.T > 0.0:
-            raise ValueError(f"T must be positive, got {self.T}")
+        if not 0.0 < self.T < math.inf:
+            raise ValueError(f"T must be positive and finite, got {self.T}")
         if not (isinstance(self.N, (int, np.integer)) and self.N >= 1):
             raise ValueError(f"N must be an integer >= 1, got {self.N}")
         if self.mode not in MODES:

@@ -389,9 +389,9 @@ def _exchange(phi, target, w1, budget, tied=()):
     make a basis of n unit columns independent to rounding.  Returns ``(outcome, p, u, s,
     steps, tied)``: "optimal", ``u`` an optimal control with ``phi u = s
     target`` (``s = 1``, or the gauge); "unbounded", ``p`` a ray along which
-    ``f`` falls without bound, a Farkas certificate ("stalled" if ``_farkas``
-    rejects it); "max_iter" after ``budget`` moves; "singular"; ``tied`` is
-    the last basis.
+    ``f`` falls without bound, a Farkas certificate; "stalled" when ``_farkas``
+    rejects that ray or a basis system cannot be solved; "max_iter" after
+    ``budget`` moves.  ``tied`` is the last basis.
 
     A sample's level is ``sign(c_j)`` outside its thresholds ``+-w1_j``, 0
     inside.  A vertex ties n samples to ``c_j = side_j w1_j`` (``n - 1``
@@ -475,7 +475,7 @@ def _exchange(phi, target, w1, budget, tied=()):
             else:
                 slope = float(grad @ d)
         except np.linalg.LinAlgError:
-            return "singular", p, level, math.nan, steps, tied
+            return "stalled", p, level, math.nan, steps, tied
         if steps == budget:
             return "max_iter", p, level, math.nan, steps, tied
         # the thresholds theta ahead along d, past which a sample's level is

@@ -162,6 +162,17 @@ def test_trajectory_csv_errors_name_the_row(tmp_path):
     assert "final row must leave the control blank" in message(broken)
 
 
+def test_trajectory_csv_refuses_rows_all_of_one_wrong_width(tmp_path):
+    # every row parses, so only the width of the parsed table gives it away
+    control = ControlTrajectory(h=0.1, u=np.zeros((8, 1)))
+    path = tmp_path / "t.csv"
+    write_trajectory_csv(path, control, np.zeros((9, 2)))
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines[:1] + [line + ",0" for line in lines[1:]]) + "\n")
+    with pytest.raises(ValueError, match="row 2 has 5 cells, expected 4"):
+        read_trajectory_csv(path)
+
+
 def test_solve_zero_initial_state(tmp_path):
     problem = write_problem(tmp_path, DOUBLE_INTEGRATOR.replace("x0 = 1 0", "x0 = 0 0"))
     out = tmp_path / "out"
@@ -198,6 +209,7 @@ def test_solve_exit_2_below_minimum_time(tmp_path, capsys):
         (lambda s: s.replace("mode = L1", "mode = L3"), "mode must be one of"),
         (lambda s: s + "N = 7\n", "duplicate key 'N'"),
         (lambda s: s.replace("T = 4", "T = four"), "needs a float"),
+        (lambda s: s.replace("T = 4", "T = inf"), "T must be positive and finite, got inf"),
         (lambda s: s.replace("x0 = 1 0", "x0 ="), "empty value"),
         (lambda s: s + "just some words\n", "expected 'key = value'"),
         (lambda s: s + "rho = 1\n", "unknown key 'rho'"),
@@ -543,6 +555,24 @@ def test_verify_rejects_malformed_csv(solved, capsys, tmp_path):
     final_control.write_text("\n".join(broken) + "\n")
     assert main(["verify", str(problem), str(final_control)]) == 1
     assert "blank" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "row, col, cell",
+    [(7, 2, "nan"), (7, 3, "inf"), (7, 0, "nan"), (202, 2, "nan")],
+    ids=["state_nan", "state_inf", "time_nan", "final_state_nan"],
+)
+def test_verify_rejects_non_finite_cells(solved, capsys, tmp_path, row, col, cell):
+    # nan > bound and inf > inf are both False, so a check could not catch them
+    problem, trajectory = solved
+    lines = trajectory.read_text().splitlines()
+    cells = lines[row - 1].split(",")
+    cells[col] = cell
+    lines[row - 1] = ",".join(cells)
+    edited = tmp_path / "edited.csv"
+    edited.write_text("\n".join(lines) + "\n")
+    assert main(["verify", str(problem), str(edited)]) == 1
+    assert f"row {row} has a non-finite cell" in capsys.readouterr().err
 
 
 def test_verify_catches_violated_terminal_state(solved, capsys, tmp_path):
