@@ -235,27 +235,29 @@ def read_trajectory_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             f"{path}: header must be t,u_1..u_m,x_1..x_n, got {lines[0]!r}"
         )
 
-    body = [line for line in lines[1:] if line.strip()]
-    if len(body) < 2:
+    # blank lines are skipped; a row is named by its line in the file
+    numbers = [k for k, line in enumerate(lines[1:], start=2) if line.strip()]
+    if len(numbers) < 2:
         raise TrajectoryFormatError(f"{path}: needs at least two data rows")
-    final = body[-1].split(",")
+    final = lines[numbers[-1] - 1].split(",")
     if any(c.strip() for c in final[1 : 1 + m]):
         raise TrajectoryFormatError(f"{path}: final row must leave the control blank")
     # the final row's blank controls parse as 0, and it keeps its cell count
     final[1 : 1 + m] = ["0"] * len(final[1 : 1 + m])
-    rows = body[:-1] + [",".join(final)]
+    rows = [lines[k - 1] for k in numbers[:-1]] + [",".join(final)]
     try:
         data = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
     except ValueError:
         data = None
     if data is None or data.shape[1] != 1 + m + n or not np.isfinite(data).all():
-        raise _first_bad_row(path, rows, 1 + m + n)
+        raise _first_bad_row(path, zip(numbers, rows), 1 + m + n)
     return data[:, 0], data[:-1, 1 : 1 + m], data[:, 1 + m :]
 
 
 def _first_bad_row(path: str, rows, width: int) -> TrajectoryFormatError:
-    """The error that names the first of ``rows`` (file row 2 on) to fail the parse."""
-    for k, row in enumerate(rows, start=2):
+    """The error that names the first of ``rows``, ``(file line, text)``
+    pairs, to fail the parse."""
+    for k, row in rows:
         cells = row.count(",") + 1
         if cells != width:
             return TrajectoryFormatError(f"{path}: row {k} has {cells} cells, expected {width}")

@@ -101,6 +101,8 @@ _REACH_FLOOR = 1e-8
 # most 20)
 _TIE = 1e-12
 _MAX_EXCHANGES = 200
+_EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)
 
 
 @dataclass(frozen=True)
@@ -231,7 +233,7 @@ def _gap(u, p, phi, target, w1, w2) -> tuple[float, float]:
 def _rounding(phi, target, p) -> float:
     """A bound on the rounding of ``target' p`` and ``sum |phi' p|``, the
     terms that the dual value and the Farkas test cancel against each other."""
-    return phi.shape[0] * np.finfo(float).eps * float(
+    return phi.shape[0] * _EPS * float(
         np.abs(target) @ np.abs(p) + np.sum(np.abs(phi).T @ np.abs(p))
     )
 
@@ -407,68 +409,69 @@ def _exchange(phi, target, w1, budget, tied=()):
     ties are left by steps of length zero, never by levels rounding chose.
     """
     n = phi.shape[0]
-    gauge = not np.any(w1)
+    gauge = not np.asarray(w1).any()
     abs_phi_t = np.abs(phi).T
-    # a gauge basis puts target's column before those of the tied samples
+    # a gauge basis puts target's column before those of the tied samples;
+    # the basis matrix is kept, a column appended for each new tie and one
+    # overwritten by each exchange
     k0 = int(gauge)
-
-    def basis_of(tied):
-        return np.column_stack([target, phi[:, tied]]) if gauge else phi[:, tied]
-
     tied, p = list(tied), np.zeros(n)
+    basis = phi[:, tied]
     if gauge:
+        basis, p = np.column_stack([target, basis]), None
         # a start at a vertex ties a basis of unit columns independent to rounding
-        basis = basis_of(tied)
-        unit = basis / (np.linalg.norm(basis, axis=0) + np.finfo(float).tiny)
-        if tied and basis.shape[1] == n and np.linalg.cond(unit) < 1.0 / _TIE:
-            p = np.linalg.solve(basis.T, np.eye(n)[0])
-        else:
-            p, tied = target, []
+        if tied and len(tied) == n - 1:
+            unit = basis / (np.sqrt((basis * basis).sum(axis=0)) + _TINY)
+            sv = np.linalg.svd(unit, compute_uv=False).tolist()
+            if sv[-1] > 0.0 and sv[0] / sv[-1] < 1.0 / _TIE:
+                p = np.linalg.solve(basis.T, np.eye(n)[0])
+        if p is None:
+            tied, basis, p = [], basis[:, :1], target
         p = p / (target @ p)
     level = np.ones(phi.shape[1])
-    # the threshold each tied sample sits at, as a sign: 0 at the start (the
-    # gauge's thresholds are 0, and p = 0 ties no sample)
-    side = np.zeros(phi.shape[1])
+    # the threshold each tied sample sits at, as a sign: 0 in the gauge (its
+    # thresholds are 0) and at the start (p = 0 ties no sample)
+    sides = [0.0] * len(tied)
     steps = 0
     while True:
         c = phi.T @ p
         # the rounding of c (a _TIE share of |phi_j|'|p| can reach w1 on
         # unstable plants)
-        tol = (n + 1) * np.finfo(float).eps * (abs_phi_t @ np.abs(p))
-        slack = np.abs(c) - w1
-        np.copysign(slack > 0.0, c, out=level, where=np.abs(slack) > tol)
+        tol = (n + 1) * _EPS * (abs_phi_t @ np.abs(p))
+        if gauge:
+            np.copysign(1.0, c, out=level, where=np.abs(c) > tol)
+        else:
+            slack = np.abs(c) - w1
+            np.copysign(slack > 0.0, c, out=level, where=np.abs(slack) > tol)
         level[tied] = 0.0
         grad = phi @ level if gauge else phi @ level - target
-        basis = basis_of(tied)
+        k = basis.shape[1]
         release = d = None
         try:
-            if basis.shape[1] < n:
-                free = np.linalg.qr(basis, mode="complete")[0][:, basis.shape[1] :]
+            if k < n:
+                free = np.linalg.qr(basis, mode="complete")[0][:, k:]
                 d = -free @ (free.T @ grad)
                 if not np.linalg.norm(d) > _TIE * np.linalg.norm(grad):
                     # no descent inside the face: head for a threshold of the
                     # sample furthest out of span(basis); with none, p is at a
                     # vertex of the span of phi and target
                     spill = free.T @ phi
-                    share = np.linalg.norm(spill, axis=0) / (
-                        np.linalg.norm(phi, axis=0) + np.finfo(float).tiny
-                    )
+                    share = np.linalg.norm(spill, axis=0) / (np.linalg.norm(phi, axis=0) + _TINY)
                     j = int(np.argmax(share))
                     d = -(level[j] or -1.0) * (free @ spill[:, j]) if share[j] > _TIE else None
             if d is None:
-                z = _solve_consistent(basis, grad)
-                v = -z[k0:]
+                z = _solve_consistent(basis, grad).tolist()
+                v = [-x for x in z[k0:]]
                 # each multiplier's range mid +- half: [0, 1] at w1, [-1, 1] at 0
-                mid = 0.5 * side[tied]
-                half = 1.0 - np.abs(mid)
-                dev = v - mid
-                if not (np.abs(dev) > half + _TIE).any():
+                dev = [x - 0.5 * side for x, side in zip(v, sides)]
+                half = [1.0 - abs(0.5 * side) for side in sides]
+                if not any(abs(x) > y + _TIE for x, y in zip(dev, half)):
                     level[tied] = v
-                    return "optimal", p, level, float(z[0]) if gauge else 1.0, steps, tied
-                over = np.abs(dev) - half
-                release = int(np.argmax(over))
+                    return "optimal", p, level, z[0] if gauge else 1.0, steps, tied
+                over = [abs(x) - y for x, y in zip(dev, half)]
+                release = over.index(max(over))
                 sigma = 1.0 if dev[release] > 0.0 else -1.0
-                rhs = np.zeros(basis.shape[1])
+                rhs = np.zeros(k)
                 rhs[k0 + release] = sigma
                 d = _solve_consistent(basis.T, rhs)
                 slope = -over[release]
@@ -488,11 +491,11 @@ def _exchange(phi, target, w1, budget, tied=()):
             e[np.abs(e) <= _TIE * (abs_phi_t @ np.abs(d))] = 0.0
         if gauge:
             cols = (level * e < 0.0).nonzero()[0]
-            after, theta, far = -level[cols], np.zeros(cols.size), cols[:0]
+            after, ahead, far = -level[cols], -c[cols], cols[:0]
         else:
             moving = level * e < np.abs(e)
             moving[tied] = False
-            if release is not None and side[tied[release]] == -sigma:
+            if release is not None and sides[release] == -sigma:
                 moving[tied[release]] = True
             cols = moving.nonzero()[0]
             heading, after = level[cols], np.sign(e[cols])
@@ -501,8 +504,8 @@ def _exchange(phi, target, w1, budget, tied=()):
             cols = np.concatenate([cols, cols[far]])
             theta = np.concatenate([theta, -theta[far]])
             after = np.concatenate([after * (heading == 0.0), after[far]])
+            ahead = theta - c[cols]
         ec = e[cols]
-        ahead = theta - c[cols]
         at = np.where(np.abs(ahead) > tol[cols], ahead / ec, 0.0)
         rate = (2.0 if gauge else 1.0) * np.abs(ec)
         # the long-step ratio test: the crossings by at (ties: the larger rate
@@ -523,9 +526,10 @@ def _exchange(phi, target, w1, budget, tied=()):
             outcome = "unbounded" if _farkas(phi, target, d) is not None else "stalled"
             return outcome, d, level, math.nan, steps, tied
         stop = int(turned[0])
-        p = p + at[order[stop]] * d
+        hit = order[stop]
+        p = p + at[hit] * d
         if release is not None:
-            level[tied[release]] = 0.0 if side[tied[release]] == -sigma else sigma
+            level[tied[release]] = 0.0 if sides[release] == -sigma else sigma
         # past a threshold the level is sign(e), or 0 in the dead zone; past
         # both, beyond the second
         crossed = order[:stop]
@@ -533,12 +537,15 @@ def _exchange(phi, target, w1, budget, tied=()):
         if far.size:
             crossed = crossed[crossed >= cols.size - far.size]
             level[cols[crossed]] = after[crossed]
-        j = int(cols[order[stop]])
-        side[j] = np.sign(theta[order[stop]])
+        j = int(cols[hit])
+        side = 0.0 if gauge else float(np.sign(theta[hit]))
         if release is None:
             tied.append(j)
+            sides.append(side)
+            basis = np.column_stack([basis, phi[:, j]])
         else:
-            tied[release] = j
+            tied[release], sides[release] = j, side
+            basis[:, k0 + release] = phi[:, j]
         steps += 1
 
 

@@ -155,6 +155,15 @@ def test_trajectory_csv_errors_name_the_row(tmp_path):
     broken = lines.copy()
     broken[6] = broken[6].replace(",", ",,", 1)
     assert "row 7 has 5 cells, expected 4" in message(broken)
+    # a blank line is skipped but still counts: rows are named by file line
+    broken = lines[:2] + [""] + lines[2:]
+    cells = broken[6].split(",")
+    cells[1] = "1.0x"
+    broken[6] = ",".join(cells)
+    assert "row 7 has a non-numeric cell" in message(broken)
+    broken = lines[:2] + [" "] + lines[2:]
+    broken[6] = broken[6].replace(",", ",,", 1)
+    assert "row 7 has 5 cells, expected 4" in message(broken)
     assert "at least two data rows" in message(lines[:2])
     assert "header must be" in message(["t,x_1"] + lines[1:])
     broken = lines.copy()

@@ -766,6 +766,72 @@ def test_gauge_matches_the_lp_and_its_control_reaches_the_origin(monkeypatch):
                 assert np.linalg.norm(terminal) <= 1e-6 * x0_norm, (plant, x0)
 
 
+@pytest.mark.filterwarnings("error")
+def test_gauge_starts_cold_when_its_start_is_dependent_to_rounding():
+    # a start whose moved columns and target are not independent to rounding
+    # is refused before any solve, and the exchanges run cold: a duplicated
+    # column, a column parallel to target, and an all-zero column (its unit
+    # basis is exactly singular, so the test must not divide by a zero
+    # singular value)
+    checked = 0
+    for plant, x0 in gauge_battery():
+        if plant.n < 2 or not np.any(x0):
+            continue
+        phi, target = reach_map(plant, x0, 1.0, 40)
+        tied = handsoff.solver._gauge(phi, target)[3]
+        assert len(tied) == plant.n - 1, (plant, x0)
+        parallel, zero = phi.copy(), phi.copy()
+        parallel[:, tied[0]] = 2.0 * target
+        zero[:, tied[0]] = 0.0
+        starts = [(parallel, tied), (zero, tied)]
+        if plant.n > 2:
+            starts.append((phi, [tied[0]] * (plant.n - 1)))
+        for start_phi, start in starts:
+            s, v, p, basis = handsoff.solver._gauge(start_phi, target, start)
+            cold = handsoff.solver._gauge(start_phi, target)
+            # bit for bit the cold gauge
+            assert (s, v.tobytes(), p.tobytes(), basis) == (
+                cold[0], cold[1].tobytes(), cold[2].tobytes(), cold[3]
+            ), (plant, x0, start)
+            checked += 1
+    assert checked >= 10
+
+
+def test_gauge_from_its_optimal_basis_returns_at_once(monkeypatch):
+    # an optimal start at a vertex that ties no other sample takes no
+    # exchange: one solve for the vertex, one for its multipliers, and no
+    # projected gradient step or least squares
+    calls = []
+
+    def counted(name, call):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return call(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("solve", "qr", "lstsq"):
+        monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+    checked = 0
+    for plant, x0 in gauge_battery():
+        if not np.any(x0):
+            continue
+        phi, target = reach_map(plant, x0, 1.0, 40)
+        cold = handsoff.solver._gauge(phi, target)
+        c, size = phi.T @ cold[2], np.abs(phi).T @ np.abs(cold[2])
+        if np.sum(np.abs(c) <= 1e-9 * size) > len(cold[3]):
+            continue  # a degenerate vertex, whose warm start may exchange
+        del calls[:]
+        outcome, p, v, s, steps, tied = handsoff.solver._exchange(
+            phi, target, 0.0, handsoff.solver._MAX_EXCHANGES, cold[3]
+        )
+        assert (outcome, steps) == ("optimal", 0), (plant, x0)
+        assert set(calls) <= {"solve"} and len(calls) <= 2, (plant, x0, calls)
+        assert abs(s - cold[0]) <= 1e-12 * cold[0], (plant, x0)
+        checked += 1
+    assert checked >= 10
+
+
 def test_gauge_slope_is_the_envelope_of_one_more_sample():
     # the vertex p of N samples stays feasible when one sample is added at
     # the far end, so the slope bounds the one-sample rise of log s; where p

@@ -51,3 +51,17 @@ def test_differing_bytes_give_the_key_and_a_unified_diff(same_outputs):
         "  -2.0",
         "  +2.5",
     ]
+
+
+def test_a_moved_horizon_differs_at_the_same_totals(same_outputs):
+    old = {
+        "mintime_batch 1/0: T*": b"1.5",
+        "mintime_batch 1/0: horizons": b"0.01 100\n0.0125 120",
+        "mintime_batch 1/1: raised": b"RuntimeError: no finite minimum time",
+        "mintime_batch 1/1: horizons": b"",
+    }
+    new = dict(old)
+    new["mintime_batch 1/0: horizons"] = b"0.01 100\n0.0126 120"
+    assert same_outputs.mintime_totals(old, 1) == "2 horizons, 1 refused"
+    assert same_outputs.mintime_totals(new, 1) == "2 horizons, 1 refused"
+    assert same_outputs.differences(old, new)[0] == "mintime_batch 1/0: horizons:"

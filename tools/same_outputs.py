@@ -14,9 +14,10 @@ working tree's, each side in one subprocess with BLAS pinned to one thread:
 - ``solve_problem``'s status, iterations, control and costate on the forty
   problems of each of the seeds 7, 8 and 9 of the battery B120 (``b120`` in
   ``tests/test_solver.py``) and on the 32 of ``status_battery()``;
-- ``minimum_time``'s T* and the horizons it tried (its ``discretize``
-  calls) on the ``mintime_batch`` inputs of seeds 1-4
-  (``perfbench/workloads.py``);
+- ``minimum_time``'s T* and each horizon it tried, in order, as the
+  ``repr`` of its step and its sample count (its ``discretize`` and
+  ``reachability_matrix`` calls), on the ``mintime_batch`` inputs of
+  seeds 1-4 (``perfbench/workloads.py``);
 - every ``sweep_tradeoff`` point of the ``tradeoff_long`` inputs of seed 1.
 
 An exception is an output too, named with its message.  Both sides draw
@@ -123,21 +124,29 @@ def side() -> None:
     for label, problem in drawn:
         record(outputs, label, lambda: solved(problem))
 
-    horizons = 0
+    # each horizon is its step (discretize) and its sample count (the map)
+    horizons: list[str] = []
     discretize = handsoff.solver.discretize
+    reachability_matrix = handsoff.solver.reachability_matrix
 
-    def counted(*args, **kwargs):
-        nonlocal horizons
-        horizons += 1
-        return discretize(*args, **kwargs)
+    def stepped(plant, h):
+        horizons.append(repr(h))
+        return discretize(plant, h)
 
-    handsoff.solver.discretize = counted
+    def mapped(ad, bd, n_steps):
+        horizons[-1] += f" {n_steps}"
+        return reachability_matrix(ad, bd, n_steps)
+
+    handsoff.solver.discretize = stepped
+    handsoff.solver.reachability_matrix = mapped
     for seed in MINTIME_SEEDS:
         for i, inp in enumerate(workloads.mintime_inputs(seed, here)):
-            label, before = f"mintime_batch {seed}/{i}", horizons
+            label = f"mintime_batch {seed}/{i}"
+            del horizons[:]
             record(outputs, label, lambda: {"T*": repr(float(workloads.mintime_run(inp, here)))})
-            outputs[f"{label}: horizons"] = str(horizons - before).encode()
+            outputs[f"{label}: horizons"] = "\n".join(horizons).encode()
     handsoff.solver.discretize = discretize
+    handsoff.solver.reachability_matrix = reachability_matrix
 
     for i, inp in enumerate(workloads.sweep_inputs(SWEEP_SEED, here)):
         record(outputs, f"tradeoff_long {SWEEP_SEED}/{i}", lambda: {
@@ -162,7 +171,7 @@ def run_side(src: Path, workdir: Path) -> dict[str, bytes]:
 
 def mintime_totals(outputs: dict[str, bytes], seed: int) -> str:
     keys = [key for key in outputs if key.startswith(f"mintime_batch {seed}/")]
-    horizons = sum(int(outputs[key]) for key in keys if key.endswith(": horizons"))
+    horizons = sum(len(outputs[key].splitlines()) for key in keys if key.endswith(": horizons"))
     refusals = sum(key.endswith(": raised") for key in keys)
     return f"{horizons} horizons, {refusals} refused"
 
