@@ -190,9 +190,7 @@ def _max_jump(control: ControlTrajectory) -> float:
 
 
 def derivative_supnorm(control: ControlTrajectory) -> float:
-    """Largest adjacent-sample slope ``max |u[k+1] - u[k]| / h``; needs N >= 2."""
-    if control.n_steps < 2:
-        raise ValueError("derivative_supnorm needs at least two samples")
+    """Largest adjacent-sample slope ``max |u[k+1] - u[k]| / h``; 0 for N = 1."""
     return _max_jump(control) / control.h
 
 
@@ -248,7 +246,7 @@ def sweep_tradeoff(
         if report.status == "converged":
             start = report.costate
             l0 = _union_support_seconds(report.u, epsilon)
-            slope = _max_jump(report.u) / report.u.h
+            slope = derivative_supnorm(report.u)
         points.append(TradeoffPoint(float(r), l0, slope, report.status, report.iterations))
     return points[::-1]
 

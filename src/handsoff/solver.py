@@ -189,6 +189,20 @@ class SolveReport:
     duality_gap: float
 
 
+def _reach_condition(plant: LtiPlant, x0, horizon: float, n_steps: int):
+    """``(phi, target, more)``: ``phi U = target = -Ad^N x0`` on ``n_steps``
+    samples of ``horizon``, and ``more(p) = (sum |p' Ad^N Bd|, p' Ad target)``
+    for one more sample at the far end, its columns and its target."""
+    ad, bd = discretize(plant, horizon / n_steps)
+    phi, free = reachability_matrix(ad, bd, n_steps)
+    target = -(free @ x0)
+
+    def more(p):
+        return float(np.sum(np.abs(p @ free @ bd))), float(p @ ad @ target)
+
+    return phi, target, more
+
+
 def transcribe(problem: ControlProblem) -> DiscreteProgram:
     """Build the finite program for ``problem`` on its own control grid.
 
@@ -200,18 +214,15 @@ def transcribe(problem: ControlProblem) -> DiscreteProgram:
     ``solve`` decides like any other.
     """
     hautus_test(problem.plant)
-    h = problem.h
-    ad, bd = discretize(problem.plant, h)
-    phi, free = reachability_matrix(ad, bd, problem.N)
-    target = -(free @ problem.x0)
+    phi, target, _ = _reach_condition(problem.plant, problem.x0, problem.T, problem.N)
     lam = problem.lam if problem.mode != "L2" else np.zeros(problem.plant.m)
     r = problem.r if problem.mode != "L1" else np.zeros(problem.plant.m)
     return DiscreteProgram(
         phi=phi,
         target=target,
-        l1_weights=np.tile(lam, problem.N) * h,
-        l2_weights=np.tile(r, problem.N) * h,
-        h=h,
+        l1_weights=np.tile(lam, problem.N) * problem.h,
+        l2_weights=np.tile(r, problem.N) * problem.h,
+        h=problem.h,
         m=problem.plant.m,
     )
 
@@ -683,25 +694,21 @@ def _certified_gauge(phi, target, tied=()):
     return None if ratio is None else (math.log(ratio), p, tied)
 
 
-def _gauge_slope(phi, target, p, ad, bd, free) -> float:
+def _gauge_slope(phi, p, more, n_steps: int) -> float:
     """Envelope slope ``d log s / d log T`` of the gauge at its vertex ``p``.
 
-    One more sample at the far end of the map ``phi = reachability_matrix(ad,
-    bd, N)`` adds the columns ``free @ bd`` and turns ``target`` into ``ad @
-    target``.  There ``p``, scaled back to ``target' p = 1``, bounds the gauge
-    by ``(s + |p' free bd|_1) / p' ad target`` with ``s = sum |phi' p|``:
-    exactly the new gauge while ``p`` stays optimal, and to first order (LP
-    sensitivity) at a vertex that is the only optimum.  Returns that change
-    of ``log s`` over the step ``log((N + 1) / N)`` of ``log T``, or 2 where
-    the ratio is not a positive number (``s = 0``, ``p' ad target <= 0``).
+    With ``(extra, grown) = more(p)`` for one more sample, ``p`` scaled back
+    to ``target' p = 1`` bounds the gauge by ``(s + extra) / grown``, ``s =
+    sum |phi' p|``: exactly the new gauge while ``p`` stays optimal, and to
+    first order (LP sensitivity) at a vertex that is the only optimum.  The
+    slope is that change of ``log s`` over ``log((N + 1) / N)``, or 2 where
+    the ratio is not a positive number (``s = 0``, ``grown <= 0``).
     """
     support = float(np.sum(np.abs(phi.T @ p)))
-    grown = float(p @ ad @ target)
+    extra, grown = more(p)
     slope = 2.0
     if support > 0.0 and grown > 0.0:
-        extra = float(np.sum(np.abs(p @ free @ bd)))
-        step = math.log1p(bd.shape[1] / phi.shape[1])
-        slope = (math.log1p(extra / support) - math.log(grown)) / step
+        slope = (math.log1p(extra / support) - math.log(grown)) / math.log1p(1.0 / n_steps)
     return slope if 0.0 < slope < math.inf else 2.0
 
 
@@ -768,12 +775,10 @@ def minimum_time(
         h = horizon / n_steps
         # a map that overflows verifies no certificate; the raise below says so
         with np.errstate(over="ignore", invalid="ignore"):
-            ad, bd = discretize(plant, h)
-            phi, free = reachability_matrix(ad, bd, n_steps)
-            target = -(free @ x0)
+            phi, target, more = _reach_condition(plant, x0, horizon, n_steps)
             tied = () if vertex is None else _mapped_vertex(plant.m, n_steps, h, vertex)
             found = _certified_gauge(phi, target, tied)
-            slope = None if found is None else _gauge_slope(phi, target, found[1], ad, bd, free)
+            slope = None if found is None else _gauge_slope(phi, found[1], more, n_steps)
         if found is None:
             raise RuntimeError(
                 f"minimum time undecided: neither certificate verifies at "

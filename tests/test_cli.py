@@ -521,6 +521,40 @@ def test_verify_certifies_full_thrust_on_every_sample(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("verified: 200 samples")
 
 
+@pytest.mark.parametrize("n_steps", [30, 50, 100, 200])
+def test_verify_accepts_solve_output_on_coarse_grids(tmp_path, capsys, n_steps):
+    # the L1 optimum ties n = 4 samples between levels on every grid: a
+    # share of 0.98 on the levels rejected it below 200 samples
+    demo = Path(__file__).resolve().parent.parent / "demos" / "problems" / "fourth_order_l1.txt"
+    problem = write_problem(tmp_path, demo.read_text().replace("N = 1000", f"N = {n_steps}"))
+    out = tmp_path / "out"
+    assert main(["solve", str(problem), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["verify", str(problem), str(out / "trajectory.csv")]) == 0
+    assert capsys.readouterr().out.startswith(f"verified: {n_steps} samples")
+
+
+@pytest.mark.parametrize("ramps", [2, 3])
+def test_verify_bounds_the_samples_off_the_levels_by_n(tmp_path, capsys, ramps):
+    # transition samples each between two different levels pass the
+    # transition check; the double integrator (n = 2) allows two of them
+    problem = write_problem(tmp_path)
+    u = np.repeat([-1.0, -0.5, 0.0, 0.5, 1.0, 0.0], [40, 1, 60, 1, 40, 58])[:, None]
+    if ramps == 3:
+        u[142, 0] = 0.5
+    plant = LtiPlant(a=[[0.0, 1.0], [0.0, 0.0]], b=[[0.0], [1.0]])
+    control = ControlTrajectory(h=4.0 / 200, u=u)
+    trajectory = tmp_path / "ramps.csv"
+    write_trajectory_csv(trajectory, control, simulate(plant, [1.0, 0.0], control).states)
+    capsys.readouterr()
+    assert main(["verify", str(problem), str(trajectory)]) == 2
+    err = capsys.readouterr().err
+    if ramps == 2:
+        assert "bang-off-bang" not in err
+    else:
+        assert "structure check failed: 3 samples off the levels, more than n = 2" in err
+
+
 def test_verify_wrong_dimension_csv_exits_1(solved, capsys, tmp_path):
     problem, trajectory = solved
     other = write_problem(

@@ -1,7 +1,6 @@
 """Tests for the transcription, the costate-dual solver, and minimum time."""
 
 import math
-import sys
 
 import numpy as np
 import pytest
@@ -19,7 +18,6 @@ from handsoff import (
     l0_measure,
     min_energy_closed_form,
     minimum_time,
-    reachability_matrix,
     solve,
     solve_problem,
     sat,
@@ -645,9 +643,8 @@ def test_minimum_time_beyond_an_unstable_mode_has_no_finite_horizon(a, b):
 
 def reach_map(plant, x0, horizon, n_steps):
     """``(phi, target)`` of the reach condition ``phi U = target`` on N steps."""
-    ad, bd = discretize(plant, horizon / n_steps)
-    phi, free = reachability_matrix(ad, bd, n_steps)
-    return phi, -(free @ np.asarray(x0, dtype=float))
+    x0 = np.asarray(x0, dtype=float)
+    return handsoff.solver._reach_condition(plant, x0, horizon, n_steps)[:2]
 
 
 def lp_gauge(phi, target) -> float:
@@ -832,6 +829,23 @@ def test_gauge_from_its_optimal_basis_returns_at_once(monkeypatch):
     assert checked >= 10
 
 
+def test_one_more_sample_is_the_map_built_on_one_more_sample():
+    # more(p) on N samples prices the first sample's columns and the target
+    # of the reach condition built directly on N + 1 samples of the same step
+    rng = np.random.default_rng(21)
+    build = handsoff.solver._reach_condition
+    for plant, x0 in gauge_battery():
+        for h, n_steps in ((0.5, 1), (0.025, 40), (0.02, 150)):
+            p = rng.standard_normal(plant.n)
+            extra, grown = build(plant, x0, h * n_steps, n_steps)[2](p)
+            phi, target, _ = build(plant, x0, h * (n_steps + 1), n_steps + 1)
+            first = phi[:, : plant.m]
+            scale = np.sum(np.abs(p) @ np.abs(first))
+            assert abs(extra - np.sum(np.abs(p @ first))) <= 1e-12 * scale, (plant, n_steps)
+            scale = np.abs(p) @ np.abs(target)
+            assert abs(grown - p @ target) <= 1e-12 * scale, (plant, n_steps)
+
+
 def test_gauge_slope_is_the_envelope_of_one_more_sample():
     # the vertex p of N samples stays feasible when one sample is added at
     # the far end, so the slope bounds the one-sample rise of log s; where p
@@ -840,11 +854,9 @@ def test_gauge_slope_is_the_envelope_of_one_more_sample():
     density = 40.0
 
     def gauge_at(plant, x0, h, n_steps):
-        ad, bd = discretize(plant, h)
-        phi, free = reachability_matrix(ad, bd, n_steps)
-        target = -(free @ x0)
+        phi, target, more = handsoff.solver._reach_condition(plant, x0, h * n_steps, n_steps)
         s, _, p, _ = handsoff.solver._gauge(phi, target)
-        return s, handsoff.solver._gauge_slope(phi, target, p, ad, bd, free)
+        return s, handsoff.solver._gauge_slope(phi, p, more, n_steps)
 
     matched = 0
     for plant, x0 in gauge_battery():
@@ -873,24 +885,23 @@ def test_gauge_slope_is_the_envelope_of_one_more_sample():
 def record_horizons(monkeypatch) -> list:
     """``[T, reachable]`` of every horizon ``minimum_time`` evaluates, in order.
 
-    Each evaluation calls ``discretize`` once, from the search's evaluation
-    of one horizon, whose local ``horizon`` is the exact ``T``; the verdict is
-    the sign of the certified log gauge.
+    Each evaluation builds its reach condition once, with the exact ``T`` as
+    its ``horizon``; the verdict is the sign of the certified log gauge.
     """
     seen = []
-    discretize_ = handsoff.solver.discretize
+    reach_condition = handsoff.solver._reach_condition
     certified_gauge = handsoff.solver._certified_gauge
 
-    def counted(plant, h):
-        seen.append([sys._getframe(1).f_locals["horizon"], None])
-        return discretize_(plant, h)
+    def counted(plant, x0, horizon, n_steps):
+        seen.append([horizon, None])
+        return reach_condition(plant, x0, horizon, n_steps)
 
     def verdict(phi, target, tied):
         found = certified_gauge(phi, target, tied)
         seen[-1][1] = found is not None and found[0] >= 0.0
         return found
 
-    monkeypatch.setattr(handsoff.solver, "discretize", counted)
+    monkeypatch.setattr(handsoff.solver, "_reach_condition", counted)
     monkeypatch.setattr(handsoff.solver, "_certified_gauge", verdict)
     return seen
 
