@@ -227,18 +227,21 @@ def transcribe(problem: ControlProblem) -> DiscreteProgram:
     )
 
 
-def _dual(p, phi, target, w1, w2) -> float:
-    """Dual value ``g(p)``, evaluated at the control ``U(p)``."""
-    c = phi.T @ p
-    u = control_law(c, w1, w2)
+def _dual(p, phi, target, w1, w2, c=None, u=None) -> float:
+    """Dual value ``g(p)``, evaluated at the control ``U(p)``.  ``c`` and
+    ``u``, when given, are ``phi' p`` and ``U(p)``."""
+    if c is None:
+        c = phi.T @ p
+        u = control_law(c, w1, w2)
     return float(target @ p + np.sum(w1 * np.abs(u) + 0.5 * w2 * u * u - c * u))
 
 
-def _gap(u, p, phi, target, w1, w2) -> tuple[float, float]:
+def _gap(u, p, phi, target, w1, w2, c=None) -> tuple[float, float]:
     """``(primal(u), primal(u) - g(p))``: by weak duality the gap bounds how
-    far ``primal(u)`` is above the optimum when ``phi @ u = target``."""
+    far ``primal(u)`` is above the optimum when ``phi @ u = target``.  ``c``,
+    when given, is ``phi' p``, and ``u`` is then the control law at ``c``."""
     primal = float(w1 @ np.abs(u) + 0.5 * (w2 @ (u * u)))
-    return primal, primal - _dual(p, phi, target, w1, w2)
+    return primal, primal - _dual(p, phi, target, w1, w2, c, u)
 
 
 def _rounding(phi, target, p) -> float:
@@ -249,12 +252,12 @@ def _rounding(phi, target, p) -> float:
     )
 
 
-def _farkas(phi, target, p, c=None):
+def _farkas(phi, target, p, abs_c=None):
     """``max(sum |phi' p|, rounding) / target' p`` if ``p`` proves that no
     ``|u| <= 1`` reaches ``target``, by the margin ``_FARKAS_MARGIN`` and
     ``_rounding`` (a pass over ``phi``, made only past the margin); else
-    None.  ``c``, when given, is ``phi' p``."""
-    support = float(np.sum(np.abs(phi.T @ p if c is None else c)))
+    None.  ``abs_c``, when given, is ``|phi' p|``."""
+    support = float(np.sum(np.abs(phi.T @ p) if abs_c is None else abs_c))
     excess, bound = float(target @ p), (1.0 + _FARKAS_MARGIN) * support
     if excess > bound:
         rounding = _rounding(phi, target, p)
@@ -278,8 +281,12 @@ def _line_search(c, u, e, slope0, w1, w2):
     buf = np.empty_like(c)
 
     def slope(t):
-        np.multiply(e, t, out=probe)
-        np.add(c, probe, out=probe)
+        # the first probe, t = 1, needs no multiply: c + 1.0 * e is c + e
+        if t == 1.0:
+            np.add(c, e, out=probe)
+        else:
+            np.multiply(e, t, out=probe)
+            np.add(c, probe, out=probe)
         return slope0 - float(e @ saturated_shrink(probe, w1, w2, out=buf))
 
     s_lo, lo = slope0 - float(e @ u), 0.0
@@ -315,21 +322,46 @@ def _line_search(c, u, e, slope0, w1, w2):
     return t
 
 
+def _band_curvature(phi, w2):
+    """``(reg, curvature)``: the regularizer ``_REG (phi / w2) phi'`` and
+    ``curvature(band) = (phi[:, band] / w2[band]) @ phi[:, band].T``, the
+    dual's curvature on the samples ``band`` (indices), bit for bit.
+    ``curvature`` gathers rows of row-major copies of ``phi'`` and ``(phi /
+    w2)'``, made once: transposed back, the rows have the column-major
+    layout of ``phi[:, band]``, so the product is formed in the same order
+    with no column gather or divide per call."""
+    phi_w2 = phi / w2
+    reg = _REG * (phi_w2 @ phi.T)
+    # stacked row by row, faster than a strided copy of the transpose.  phi_t
+    # is made after phi_w2 is freed and takes its memory: each fresh page
+    # costs a fault, and the other order made 1.6 times the page faults of a
+    # tradeoff_long pass
+    phi_w2_t = np.stack(phi_w2, axis=1)
+    del phi_w2
+    phi_t = np.stack(phi, axis=1)
+
+    def curvature(band):
+        return phi_w2_t.take(band, axis=0).T @ phi_t.take(band, axis=0)
+
+    return reg, curvature
+
+
 def _ascend(phi, target, w1, w2, p, budget):
     """Damped semismooth Newton ascent on the dual with weights ``w2 > 0``.
 
-    Starts at ``p``, takes at most ``budget`` steps, and returns ``(p, u,
-    steps, outcome)``: "converged" (terminal residual at the rounding
-    floor), "stalled" (no ascent direction left, or the residual stopped
-    falling), "unbounded" (``p`` is a Farkas certificate, ``_farkas``), or
-    "max_iter".  Past the stopping rule it runs on while each step cuts the
-    residual tenfold, down to ``_RUN_ON_REL``, and returns the best point it
-    passed.  The control law is ``saturated_shrink``: with ``w2 > 0`` it
-    makes the dual differentiable with a semismooth gradient (Qi and Sun,
-    Math. Programming 58, 1993).
+    Starts at ``p``, takes at most ``budget`` steps, and returns ``(p, c, u,
+    steps, outcome)``, with ``c = phi' p`` and ``u = U(c)``: "converged"
+    (terminal residual at the rounding floor), "stalled" (no ascent
+    direction left, or the residual stopped falling), "unbounded" (``p`` is
+    a Farkas certificate, ``_farkas``), or "max_iter".  Past the stopping
+    rule it runs on while each step cuts the residual tenfold, down to
+    ``_RUN_ON_REL``, and returns the best point it passed.  The control law
+    is ``saturated_shrink``: with ``w2 > 0`` it makes the dual
+    differentiable with a semismooth gradient (Qi and Sun, Math.
+    Programming 58, 1993).
     """
     abs_phi = np.abs(phi)
-    reg = _REG * ((phi / w2) @ phi.T)
+    reg, curvature = _band_curvature(phi, w2)
     band_hi = w1 + w2
     tsize = max(1.0, float(np.linalg.norm(target)))
     c = phi.T @ p
@@ -342,29 +374,28 @@ def _ascend(phi, target, w1, w2, p, budget):
         grad = target - phi @ u
         gnorm = float(np.linalg.norm(grad))
         size = max(tsize, float(np.linalg.norm(abs_phi @ np.abs(u))))
-        if kept is not None and not gnorm <= 0.1 * kept[2]:
-            if not gnorm < kept[2]:
-                p, u = kept[:2]
-            return p, u, steps, "converged"
+        if kept is not None and not gnorm <= 0.1 * kept[3]:
+            if not gnorm < kept[3]:
+                p, c, u = kept[:3]
+            return p, c, u, steps, "converged"
         if gnorm <= _STOP_REL * size:
             if gnorm <= _RUN_ON_REL * size or steps == budget:
-                return p, u, steps, "converged"
-            kept = (p, u, gnorm)
+                return p, c, u, steps, "converged"
+            kept = (p, c, u, gnorm)
+        abs_c = np.abs(c)
         # an ascent that escapes to infinity leaves along a certificate
-        if _farkas(phi, target, p, c) is not None:
-            return p, u, steps, "unbounded"
+        if _farkas(phi, target, p, abs_c) is not None:
+            return p, c, u, steps, "unbounded"
         if gnorm < _PROGRESS * best:
             best, since_best = gnorm, 0
         elif since_best == _PATIENCE:
-            return p, u, steps, "stalled"
+            return p, c, u, steps, "stalled"
         else:
             since_best += 1
         if steps == budget:
-            return p, u, steps, "max_iter"
-        abs_c = np.abs(c)
-        band = (abs_c > w1) & (abs_c < band_hi)
-        phi_b = phi[:, band]
-        hess = (phi_b / w2[band]) @ phi_b.T + reg
+            return p, c, u, steps, "max_iter"
+        band = np.flatnonzero((abs_c > w1) & (abs_c < band_hi))
+        hess = curvature(band) + reg
         try:
             newton = np.linalg.solve(hess, grad)
         except np.linalg.LinAlgError:
@@ -377,7 +408,7 @@ def _ascend(phi, target, w1, w2, p, budget):
             if t > 0.0:
                 break
         else:
-            return p, u, steps, "stalled" if kept is None else "converged"
+            return p, c, u, steps, "stalled" if kept is None else "converged"
         p = p + t * direction
         c = phi.T @ p
         u = saturated_shrink(c, w1, w2)
@@ -592,17 +623,18 @@ def solve(program: DiscreteProgram, *, _start=None) -> SolveReport:
         raise ValueError("quadratic weights must be all zero or all positive")
     if np.any(w2):
         p = np.zeros(n) if _start is None else _start
-        p, u, iterations, outcome = _ascend(phi, target, w1, w2, p, _MAX_ITER)
+        # u is the control law at the returned c = phi' p
+        p, c, u, iterations, outcome = _ascend(phi, target, w1, w2, p, _MAX_ITER)
     else:
         # u = 0 meets a target at the rounding floor (the ascent's stopping
         # rule at p = 0), where the exact vertex's gap is rounding noise
-        p, u, iterations, outcome = np.zeros(n), np.zeros(mn), 0, "optimal"
+        p, c, u, iterations, outcome = np.zeros(n), None, np.zeros(mn), 0, "optimal"
         if np.linalg.norm(target) > _STOP_REL:
             outcome, p, u, _, iterations, _ = _exchange(phi, target, w1, _MAX_ITER)
             u = np.clip(u, -1.0, 1.0) + 0.0  # no -0.0 in the dead zone
     eq_abs = float(np.linalg.norm(phi @ u - target))
     root_mn = math.sqrt(mn)
-    primal, gap = _gap(u, p, phi, target, w1, w2)
+    primal, gap = _gap(u, p, phi, target, w1, w2, c)
     if outcome == "max_iter":
         status = outcome
     elif outcome == "unbounded":

@@ -264,3 +264,75 @@ class TestAgainstComposition:
         assert got.tobytes() == reference_control_law(col, w1[:3], w2[:3]).tobytes()
         got = control_law(c[:3], w1[:, None], 1.0)
         assert got.tobytes() == reference_control_law(c[:3], w1[:, None], 1.0).tobytes()
+
+
+def masked_control_law(c, w1, w2):
+    """``control_law`` by masks alone: each branch on its own samples."""
+    c, w1, w2 = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (c, w1, w2)))
+    quad = w2 > 0.0
+    u = np.empty(c.shape)
+    u[quad] = saturated_shrink(c[quad], w1[quad], w2[quad])
+    u[~quad] = dead_zone(c[~quad], w1[~quad])
+    return u
+
+
+def with_specials(c, w1, specials=(np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0)):
+    """``c`` with each special value on a few seeded samples, and NaN in ``w1``
+    on a few others."""
+    rng = np.random.default_rng(c.size)
+    c, w1 = c.copy(), w1.copy()
+    for value in specials:
+        c[rng.integers(c.size, size=3)] = value
+    w1[rng.integers(w1.size, size=3)] = np.nan
+    return c, w1
+
+
+class TestUniformWeights:
+    """``control_law`` runs one branch on the whole array when every ``w2`` is
+    positive or every one is 0; its bits are the masked path's, signed
+    zeros and NaN included, and it raises where the masked path raises."""
+
+    def test_mixed_weights(self):
+        for seed in range(40, 45):
+            c, w1, w2 = law_draws(seed, 500)
+            c, _ = with_specials(c, w1)
+            assert np.any(w2 == 0.0) and np.any(w2 > 0.0)
+            assert control_law(c, w1, w2).tobytes() == masked_control_law(c, w1, w2).tobytes()
+
+    def test_every_w2_positive(self):
+        for seed in range(45, 50):
+            c, w1, w2 = law_draws(seed, 500)
+            w2[w2 == 0.0] = 0.5
+            c, w1 = with_specials(c, w1)
+            got = control_law(c, w1, w2)
+            assert np.isnan(got).any() and np.any(np.signbit(got) & (got == 0.0))
+            assert got.tobytes() == masked_control_law(c, w1, w2).tobytes(), seed
+
+    def test_every_w2_zero(self):
+        for seed in range(50, 55):
+            c, w1, _ = law_draws(seed, 500)
+            w1[w1 == 0.0] = 1.0
+            c, _ = with_specials(c, w1)
+            for w2 in (np.zeros(500), np.where(np.arange(500) % 2, np.nan, 0.0)):
+                got = control_law(c, w1, w2)
+                assert got.tobytes() == masked_control_law(c, w1, w2).tobytes(), seed
+
+    def test_scalars(self):
+        for c in (np.nan, -np.nan, 0.0, -0.0, 1.5, -1.5):
+            for w1, w2 in ((1.0, 0.5), (1.0, 0.0), (np.nan, 0.5)):
+                got = control_law(c, w1, w2)
+                assert isinstance(got, float)
+                ref = masked_control_law(c, w1, w2)
+                assert np.float64(got).tobytes() == ref.tobytes(), (c, w1, w2)
+
+    def test_errors_are_kept(self):
+        for w1, w2 in (([1.0, -0.1], [1.0, 1.0]), ([1.0, 1.0], [0.5, -0.1]),
+                       ([1.0, 1.0], [0.0, -0.1])):
+            with pytest.raises(ValueError, match="nonnegative"):
+                control_law([1.0, 2.0], w1, w2)
+        # w2 = 0 needs w1 > 0, NaN included
+        for w1 in ([1.0, 0.0], [1.0, np.nan]):
+            with pytest.raises(ValueError, match="lam must be positive"):
+                control_law([1.0, 2.0], w1, [0.0, 0.0])
+            with pytest.raises(ValueError, match="lam must be positive"):
+                masked_control_law([1.0, 2.0], w1, [0.0, 0.0])

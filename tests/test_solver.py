@@ -1,6 +1,8 @@
 """Tests for the transcription, the costate-dual solver, and minimum time."""
 
 import math
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,7 +27,10 @@ from handsoff import (
     simulate,
     transcribe,
 )
+from handsoff.cli import parse_problem_file
 from handsoff.plant import hautus_test
+
+DEMO_PROBLEMS = Path(__file__).resolve().parents[1] / "demos" / "problems"
 
 
 def double_integrator() -> LtiPlant:
@@ -558,7 +563,7 @@ def test_farkas_decides_at_its_margin_and_rounding_bound():
     assert not np.any(phi.T @ p)
     assert 0.0 < target @ p <= handsoff.solver._rounding(phi, target, p)
     assert farkas(phi, target, p) is None
-    # either side of the margin 1e-9, with c = phi' p given or not
+    # either side of the margin 1e-9, with |phi' p| given or not
     for excess, verdict in ((2e-9, 1.0 / (1.0 + 2e-9)), (5e-10, None)):
         target = np.array([1.0 + excess])
         assert farkas(np.ones((1, 1)), target, one) == verdict
@@ -583,6 +588,83 @@ def test_line_search_takes_no_step_without_a_finite_slope_at_zero():
         e = np.array([1.0, bad, 0.0])
         assert handsoff.solver._line_search(c, u, e, 1.0, w1, w2) == 0.0
     assert handsoff.solver._line_search(c, u, np.array([-1.0, 0.0, 0.0]), 1.0, w1, w2) > 0.0
+
+
+def demo_problems() -> list:
+    """Both demo problem files, each in L1L2 and in L2 mode (``r = 0.1``
+    where the file sets no quadratic weight)."""
+    cases = []
+    for path in sorted(DEMO_PROBLEMS.glob("*.txt")):
+        problem = parse_problem_file(path)
+        r = problem.r if np.all(problem.r > 0.0) else 0.1
+        cases += [replace(problem, mode=mode, r=r) for mode in ("L1L2", "L2")]
+    return cases
+
+
+def test_reported_gap_is_the_gap_recomputed_from_scratch():
+    # solve takes the gap from the ascent's own c = phi' p and control; it
+    # must be the gap of (u, costate) recomputed from scratch, bit for bit
+    mixed = [problem for problem in status_battery() if problem.mode == "L1L2"]
+    cases = mixed + [replace(problem, mode="L2") for problem in mixed] + demo_problems()
+    assert len(cases) == 36
+    for problem in cases:
+        program = transcribe(problem)
+        report = solve(program)
+        phi, target = program.phi, program.target
+        w1, w2 = program.l1_weights, program.l2_weights
+        u = report.u.u.reshape(-1)
+        primal, gap = handsoff.solver._gap(u, report.costate, phi, target, w1, w2)
+        if report.status == "infeasible_suspected":
+            assert math.isnan(report.duality_gap)
+        else:
+            assert report.duality_gap == gap, (problem, report.status)
+            assert report.dual_residual == abs(gap) / primal
+    # status_battery()[5] (L1L2, n = 4, N = 200) returns through the run-on's
+    # kept restore: its costate is the point before the ascent's last step,
+    # which the same ascent stopped one step earlier returns
+    program = transcribe(status_battery()[5])
+    phi, target = program.phi, program.target
+    w1, w2 = program.l1_weights, program.l2_weights
+    report = solve(program)
+    assert report.status == "converged"
+    p, c, u, steps, outcome = handsoff.solver._ascend(
+        phi, target, w1, w2, np.zeros(phi.shape[0]), report.iterations - 1
+    )
+    assert (outcome, steps) == ("converged", report.iterations - 1)
+    assert p.tobytes() == report.costate.tobytes()
+    assert u.tobytes() == report.u.u.reshape(-1).tobytes()
+    assert c.tobytes() == (phi.T @ p).tobytes()
+    _, gap = handsoff.solver._gap(u, p, phi, target, w1, w2)
+    assert report.duality_gap == gap
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_band_curvature_by_row_gathers_is_the_column_gather_bit_for_bit(m):
+    # the Newton system's curvature gathers rows of row-major copies of phi'
+    # and (phi / w2)'; its bits rest on their transposes having the
+    # column-major layout of phi[:, band]
+    rng = np.random.default_rng(m)
+    maps = [program.phi for program in map(transcribe, status_battery())
+            if program.m == m][:1]
+    assert len(maps) == 1
+    for n, n_samples in ((1, 7), (2, 60), (3, 500), (4, 4000)):
+        scale = 10.0 ** rng.integers(-3, 4, (n, 1))
+        maps.append(rng.standard_normal((n, m * n_samples)) * scale)
+    for phi in maps:
+        mn = phi.shape[1]
+        w2 = rng.uniform(0.5, 2.0, mn) * 10.0 ** rng.integers(-6, 2, mn)
+        reg, curvature = handsoff.solver._band_curvature(phi, w2)
+        assert reg.tobytes() == (handsoff.solver._REG * ((phi / w2) @ phi.T)).tobytes()
+        half = np.zeros(mn, dtype=bool)
+        half[rng.permutation(mn)[: mn // 2]] = True
+        one = np.zeros(mn, dtype=bool)
+        one[rng.integers(mn)] = True
+        for band in (np.zeros(mn, dtype=bool), one, half, np.ones(mn, dtype=bool)):
+            phi_b = phi[:, band]
+            want = (phi_b / w2[band]) @ phi_b.T
+            got = curvature(np.flatnonzero(band))
+            assert got.shape == want.shape == (phi.shape[0],) * 2
+            assert got.tobytes() == want.tobytes(), (phi.shape, np.count_nonzero(band))
 
 
 # ---------------------------------------------------------------------------

@@ -11,9 +11,11 @@ working tree's, each side in one subprocess with BLAS pinned to one thread:
   ``mintime`` and ``verify`` (on the trajectory ``solve`` wrote) on every
   problem file of ``demos/problems/``: exit codes, stdout, stderr and the
   files written;
-- ``solve_problem``'s status, iterations, control and costate on the forty
-  problems of each of the seeds 7, 8 and 9 of the battery B120 (``b120`` in
-  ``tests/test_solver.py``) and on the 32 of ``status_battery()``;
+- ``solve_problem``'s status, iterations, control and costate, and the
+  ``repr`` of its duality gap, dual residual, terminal residual, ``j1`` and
+  ``j2``, on the forty problems of each of the seeds 7, 8 and 9 of the
+  battery B120 (``b120`` in ``tests/test_solver.py``) and on the 32 of
+  ``status_battery()``;
 - ``minimum_time``'s T* and each horizon it tried, in order, as the
   ``repr`` of its step and its sample count (its ``discretize`` and
   ``reachability_matrix`` calls), on the ``mintime_batch`` inputs of
@@ -52,6 +54,8 @@ B120_SEEDS = (7, 8, 9)
 MINTIME_SEEDS = (1, 2, 3, 4)
 SWEEP_SEED = 1
 OUTPUTS = "outputs.pickle"
+# the numbers of a solve's report besides its control and costate
+REPORTED = ("duality_gap", "dual_residual", "eq_residual", "j1", "j2")
 
 
 def commands(problems: list[str]) -> list[tuple[str, list[str]]]:
@@ -116,7 +120,8 @@ def side() -> None:
     def solved(problem):
         report = handsoff.solve_problem(problem)
         return {"status": report.status, "iterations": report.iterations,
-                "control": lines(report.u.u), "costate": lines(report.costate)}
+                "control": lines(report.u.u), "costate": lines(report.costate),
+                **{name: repr(getattr(report, name)) for name in REPORTED}}
 
     drawn = [(f"B120 {seed}/{i}", p) for seed in B120_SEEDS
              for i, p in enumerate(test_solver.b120(seed))]
