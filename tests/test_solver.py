@@ -644,9 +644,7 @@ def test_band_curvature_by_row_gathers_is_the_column_gather_bit_for_bit(m):
     # and (phi / w2)'; its bits rest on their transposes having the
     # column-major layout of phi[:, band]
     rng = np.random.default_rng(m)
-    maps = [program.phi for program in map(transcribe, status_battery())
-            if program.m == m][:1]
-    assert len(maps) == 1
+    maps = [next(transcribe(p).phi for p in status_battery() if p.plant.m == m)]
     for n, n_samples in ((1, 7), (2, 60), (3, 500), (4, 4000)):
         scale = 10.0 ** rng.integers(-3, 4, (n, 1))
         maps.append(rng.standard_normal((n, m * n_samples)) * scale)
