@@ -265,12 +265,11 @@ def costate_consistency(
     the control law fixes ``phi_j' p = sign(U_j) w1_j + w2_j U_j``, and
     ``p`` is first read off those samples by least squares.  When fewer
     than n samples are inside, or that ``p`` does not certify, ``p`` comes
-    from ``solver.solve`` on the program instead.  The gap is
-    ``solver._gap``'s either way, so a wrong ``p`` can only reject.  The gap
-    is taken with a bound on its rounding added, and passes when at most
-    ``solver._TOL_DUAL`` times the cost (0 for a zero cost), the bound a
-    converged solve meets.  Returns ``(certified, gap / cost)``, or the gap
-    itself for a zero cost, for the costate that decided.
+    from ``solver.solve`` on the program instead.  Either costate is judged
+    by ``solver._certified``, so a wrong ``p`` can only reject: the gap with
+    a bound on its rounding added, at most the relative bound a converged
+    solve meets.  Returns ``(certified, gap / cost)``, or the gap itself for
+    a zero cost, for the costate that decided.
     """
     if control.n_inputs != problem.plant.m:
         raise ValueError(
@@ -285,19 +284,13 @@ def costate_consistency(
     program = solver.transcribe(problem)
     phi, w1, w2 = program.phi, program.l1_weights, program.l2_weights
     target = phi @ u
-
-    def verdict(p):
-        primal, gap = solver._gap(u, p, phi, target, w1, w2)
-        # with its rounding added, so that no costate, however large, makes
-        # the gap pass by cancellation
-        gap += solver._rounding(phi, target, p)
-        return gap <= solver._TOL_DUAL * primal, gap / primal if primal > 0.0 else gap
-
     inside = (np.abs(u) > 0.0) & (np.abs(u) < 1.0)
     if np.count_nonzero(inside) >= phi.shape[0]:
         # the control law read backwards on its unsaturated, nonzero branch
         law = np.sign(u[inside]) * w1[inside] + w2[inside] * u[inside]
-        found = verdict(np.linalg.lstsq(phi[:, inside].T, law, rcond=None)[0])
+        p = np.linalg.lstsq(phi[:, inside].T, law, rcond=None)[0]
+        found = solver._certified(u, p, phi, target, w1, w2)
         if found[0]:
             return found
-    return verdict(solver.solve(replace(program, target=target)).costate)
+    p = solver.solve(replace(program, target=target)).costate
+    return solver._certified(u, p, phi, target, w1, w2)

@@ -4,7 +4,8 @@ A problem file is a flat key = value text format; ``#`` starts a comment.
 Matrix values use semicolon-separated rows.  Keys ``n``, ``m``, ``A``, ``B``,
 ``x0``, ``T``, ``N``, ``mode`` are required; ``lambda`` and ``r`` are optional.
 Unknown keys are rejected with the offending line number; the solver's
-stopping rule is fixed and has no keys.
+stopping rule is fixed and has no keys.  The mode, too, comes only from the
+file, so ``solve`` and ``verify`` read one program.
 
 Subcommands: ``solve`` writes ``trajectory.csv`` and ``report.txt`` (status,
 costs, residuals and the duality gap of the solve, then the metrics);
@@ -30,7 +31,6 @@ import argparse
 import functools
 import math
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -312,8 +312,6 @@ def _write_report(path, problem: ControlProblem, report, states, epsilon) -> Non
 
 def _cmd_solve(args) -> int:
     problem = parse_problem_file(args.problem)
-    if args.mode is not None:
-        problem = replace(problem, mode=args.mode)
     report = solve_problem(problem)
     states = simulate(problem.plant, problem.x0, report.u).states
     out = Path(args.out)
@@ -468,8 +466,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     solve = sub.add_parser("solve", help="solve a problem file, write CSV and report")
     solve.add_argument("problem", help="path to the problem file")
-    solve.add_argument("--mode", choices=sorted(MODES), default=None,
-                       help="override the mode given in the problem file")
     solve.add_argument("--out", default=".", help="output directory")
     solve.add_argument("--eps", type=float, default=DEFAULT_EPS,
                        help="support/quantization threshold for the report")

@@ -227,21 +227,17 @@ def transcribe(problem: ControlProblem) -> DiscreteProgram:
     )
 
 
-def _dual(p, phi, target, w1, w2, c=None, u=None) -> float:
-    """Dual value ``g(p)``, evaluated at the control ``U(p)``.  ``c`` and
-    ``u``, when given, are ``phi' p`` and ``U(p)``."""
+def _gap(u, p, phi, target, w1, w2, c=None) -> tuple[float, float]:
+    """``(primal(u), primal(u) - g(p))``: by weak duality the gap bounds how
+    far ``primal(u)`` is above the optimum when ``phi @ u = target``.  The
+    dual value ``g(p)`` is taken at the control ``U(p)``: ``c``, when given,
+    is ``phi' p``, and ``u`` is then the control law at ``c``."""
+    primal = float(w1 @ np.abs(u) + 0.5 * (w2 @ (u * u)))
     if c is None:
         c = phi.T @ p
         u = control_law(c, w1, w2)
-    return float(target @ p + np.sum(w1 * np.abs(u) + 0.5 * w2 * u * u - c * u))
-
-
-def _gap(u, p, phi, target, w1, w2, c=None) -> tuple[float, float]:
-    """``(primal(u), primal(u) - g(p))``: by weak duality the gap bounds how
-    far ``primal(u)`` is above the optimum when ``phi @ u = target``.  ``c``,
-    when given, is ``phi' p``, and ``u`` is then the control law at ``c``."""
-    primal = float(w1 @ np.abs(u) + 0.5 * (w2 @ (u * u)))
-    return primal, primal - _dual(p, phi, target, w1, w2, c, u)
+    dual = float(target @ p + np.sum(w1 * np.abs(u) + 0.5 * w2 * u * u - c * u))
+    return primal, primal - dual
 
 
 def _rounding(phi, target, p) -> float:
@@ -591,6 +587,16 @@ def _exchange(phi, target, w1, budget, tied=()):
         steps += 1
 
 
+def _certified(u, p, phi, target, w1, w2) -> tuple[bool, float]:
+    """``(certified, gap / primal(u))``, the gap itself at a zero cost: the
+    gap of ``u`` at ``p`` with its ``_rounding`` added, so that no costate
+    passes by cancellation, is at most ``_TOL_DUAL`` times ``primal(u)``.
+    ``solve``'s own status rule, below, adds no rounding bound."""
+    primal, gap = _gap(u, p, phi, target, w1, w2)
+    gap += _rounding(phi, target, p)
+    return gap <= _TOL_DUAL * primal, gap / primal if primal > 0.0 else gap
+
+
 def solve(program: DiscreteProgram, *, _start=None) -> SolveReport:
     """Solve ``program`` on its costate dual, deterministically.
 
@@ -776,13 +782,13 @@ def minimum_time(
     starts at ``|v'x0| >= |B'v|_1 / Re mu``), or, naming the horizon, when a
     horizon verifies neither certificate (rounding on a strongly unstable
     plant), and ``ValueError`` for a non-finite ``x0`` or a ``grid_density``
-    that is not positive and finite.
+    or ``tol_t`` that is not positive and finite.
     """
     x0 = _initial_state(x0, plant.n)
     if not 0.0 < grid_density < math.inf:
         raise ValueError(f"grid_density must be positive and finite, got {grid_density}")
-    if not tol_t > 0.0:
-        raise ValueError(f"tol_t must be positive, got {tol_t}")
+    if not 0.0 < tol_t < math.inf:
+        raise ValueError(f"tol_t must be positive and finite, got {tol_t}")
     hautus_test(plant)
     eigvals, left = np.linalg.eig(plant.a.T)
     for mu, v in zip(eigvals, left.T):
@@ -877,4 +883,6 @@ def minimum_time(
             # the predicted root is within tol_t of the latest horizon
             t = probe
             continue
-        t = min(max(t, lo + 0.5 * tol_t), hi - 0.5 * tol_t)
+        # while no horizon is known reachable, the Newton step's cap of 2 lo holds
+        floor = lo + 0.5 * tol_t if hi < math.inf else min(lo + 0.5 * tol_t, 2.0 * lo)
+        t = min(max(t, floor), hi - 0.5 * tol_t)

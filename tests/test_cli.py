@@ -1,13 +1,16 @@
 """End-to-end tests of the command-line interface and its file formats."""
 
+import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import handsoff.analysis
 import handsoff.solver
 from handsoff import ControlTrajectory, LtiPlant, compute_metrics, simulate
 from handsoff.cli import main, read_trajectory_csv, write_trajectory_csv
@@ -190,14 +193,45 @@ def test_solve_zero_initial_state(tmp_path):
     np.testing.assert_array_equal(u, 0.0)
 
 
-def test_solve_mode_override(tmp_path):
-    problem = write_problem(tmp_path)
+def test_solve_takes_the_mode_from_the_file(tmp_path):
+    problem = write_problem(tmp_path, DOUBLE_INTEGRATOR.replace("mode = L1", "mode = L2"))
     out = tmp_path / "out"
-    assert main(["solve", str(problem), "--mode", "L2", "--out", str(out)]) == 0
+    assert main(["solve", str(problem), "--out", str(out)]) == 0
     report = read_report(out / "report.txt")
     assert report["mode"] == "L2"
     assert float(report["J1"]) == 0.0
     assert float(report["J2"]) > 0.0
+
+
+def test_solve_has_no_mode_option(tmp_path, capsys):
+    # a second source of the mode let verify, which reads the file's, reject
+    # the output of solve
+    problem = write_problem(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", str(problem), "--mode", "L2", "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --mode L2" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+DEMO_PROBLEMS = sorted((Path(__file__).resolve().parents[1] / "demos/problems").glob("*.txt"))
+
+
+@pytest.mark.parametrize("mode", ["L1", "L1L2", "L2"])
+@pytest.mark.parametrize("demo", DEMO_PROBLEMS, ids=lambda path: path.stem)
+def test_verify_accepts_solve_output_on_the_demos_in_every_mode(tmp_path, capsys, demo, mode):
+    text = "".join(
+        f"mode = {mode}\n" if line.startswith("mode =") else line
+        for line in demo.read_text().splitlines(keepends=True)
+    )
+    if "\nr = " not in text:
+        text += "r = 0.1\n"
+    problem = write_problem(tmp_path, text)
+    out = tmp_path / "out"
+    assert main(["solve", str(problem), "--out", str(out)]) == 0
+    assert read_report(out / "report.txt")["mode"] == mode
+    assert main(["verify", str(problem), str(out / "trajectory.csv")]) == 0
+    assert "verified: " in capsys.readouterr().out
 
 
 def test_solve_exit_2_below_minimum_time(tmp_path, capsys):
@@ -223,6 +257,9 @@ def test_solve_exit_2_below_minimum_time(tmp_path, capsys):
         (lambda s: s + "just some words\n", "expected 'key = value'"),
         (lambda s: s + "rho = 1\n", "unknown key 'rho'"),
         (lambda s: s + "tol_eq = 1e-8\n", "unknown key 'tol_eq'"),
+        (lambda s: s.replace("A = 0 1; 0 0", "A = 0 one; 0 0"),
+         "key 'A' has a non-numeric entry in row '0 one'"),
+        (lambda s: s.replace("n = 2", "n = 0"), "n and m must be positive integers"),
     ],
 )
 def test_solve_rejects_malformed_files(tmp_path, capsys, mutation, fragment):
@@ -271,12 +308,11 @@ def test_report_j0_follows_eps(tmp_path):
     assert float(report["J0_seconds"]) < compute_metrics(control).l0_seconds
 
 
-def test_mode_override_needing_absent_weight_exits_1(tmp_path, capsys):
-    text = DOUBLE_INTEGRATOR.replace("r = 1\n", "")
+def test_mode_needing_an_absent_weight_exits_1(tmp_path, capsys):
+    text = DOUBLE_INTEGRATOR.replace("r = 1\n", "").replace("mode = L1", "mode = L1L2")
     problem = write_problem(tmp_path, text)
-    assert main(["solve", str(problem), "--mode", "L1L2",
-                 "--out", str(tmp_path / "out")]) == 1
-    assert "error" in capsys.readouterr().err
+    assert main(["solve", str(problem), "--out", str(tmp_path / "out")]) == 1
+    assert "mode L1L2 requires r > 0 on every channel" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -319,6 +355,25 @@ def test_sweep_all_points_failing_exits_2(tmp_path, capsys):
     assert row[1] == "nan"
 
 
+def test_sweep_some_points_failing_exits_0_and_counts_them(tmp_path, capsys, monkeypatch):
+    # which r fails on a real plant follows rounding, so one point is made to fail
+    sweep = handsoff.analysis.sweep_tradeoff
+
+    def first_fails(*args, **kwargs):
+        points = sweep(*args, **kwargs)
+        failed = replace(points[0], l0_seconds=math.nan, derivative_supnorm=math.nan,
+                         status="stalled")
+        return [failed] + points[1:]
+
+    monkeypatch.setattr(handsoff.analysis, "sweep_tradeoff", first_fails)
+    problem = write_problem(tmp_path)
+    out = tmp_path / "out"
+    assert main(["sweep", str(problem), "--r-list", "0.01,1", "--out", str(out)]) == 0
+    assert "1 of 2 sweep points failed" in capsys.readouterr().err
+    rows = [line.split(",") for line in (out / "tradeoff.csv").read_text().splitlines()[1:]]
+    assert [row[3] for row in rows] == ["stalled", "converged"]
+
+
 def test_sweep_and_solve_agree_on_a_one_sample_grid(tmp_path):
     # one sample has no adjacent pair, so both commands report no slope;
     # sweep used to exit 1 here
@@ -359,6 +414,16 @@ def test_mintime_on_a_coarse_grid(tmp_path, capsys):
     values = dict(line.split(" = ") for line in capsys.readouterr().out.strip().splitlines())
     assert abs(float(values["T_star"]) - 6.62) <= 0.01
     assert float(values["grid_density"]) == pytest.approx(1.0)
+
+
+def test_mintime_with_a_tolerance_past_the_minimum_time(tmp_path, capsys):
+    # with no reachable horizon known, clamping the next one to lo + tol / 2
+    # overrode the Newton step's cap of 2 lo: --tol 1e7 searched past 1e6
+    # seconds and exited 2, and --tol 1e5 printed T_star = 50001
+    problem = Path(__file__).resolve().parents[1] / "demos/problems/double_integrator_l1l2.txt"
+    for tol in ("1e7", "1e5"):
+        assert main(["mintime", str(problem), "--tol", tol]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == "T_star = 2"
 
 
 def test_mintime_zero_state(tmp_path, capsys):
@@ -553,6 +618,30 @@ def test_verify_bounds_the_samples_off_the_levels_by_n(tmp_path, capsys, ramps):
         assert "bang-off-bang" not in err
     else:
         assert "structure check failed: 3 samples off the levels, more than n = 2" in err
+
+
+def test_verify_catches_a_sample_past_the_amplitude_bound(solved, capsys, tmp_path):
+    problem, trajectory = solved
+    _, u, _ = read_trajectory_csv(trajectory)
+    u[0, 0] = -1.5
+    plant = LtiPlant(a=[[0.0, 1.0], [0.0, 0.0]], b=[[0.0], [1.0]])
+    control = ControlTrajectory(h=4.0 / 200, u=u)
+    pushed = tmp_path / "pushed.csv"
+    write_trajectory_csv(pushed, control, simulate(plant, [1.0, 0.0], control).states)
+    capsys.readouterr()
+    assert main(["verify", str(problem), str(pushed)]) == 2
+    assert "check failed: amplitude bound violated: max |u| = 1.5" in capsys.readouterr().err
+
+
+def test_verify_unreadable_or_empty_trajectory_exits_1(solved, capsys, tmp_path):
+    problem, _ = solved
+    capsys.readouterr()
+    assert main(["verify", str(problem), str(tmp_path / "absent.csv")]) == 1
+    assert "absent.csv: cannot read trajectory" in capsys.readouterr().err
+    empty = tmp_path / "empty.csv"
+    empty.write_text("")
+    assert main(["verify", str(problem), str(empty)]) == 1
+    assert "empty.csv: empty trajectory file" in capsys.readouterr().err
 
 
 def test_verify_wrong_dimension_csv_exits_1(solved, capsys, tmp_path):

@@ -1056,6 +1056,37 @@ def test_minimum_time_decides_a_jump_of_the_sample_count(monkeypatch):
     assert (math.ceil(below * density), math.ceil(t_star * density)) == (58, 59)
 
 
+@pytest.mark.parametrize(
+    "x0, density, tol",
+    [
+        ([((7 - 0.05) / 100 / 2) ** 2, 0.0], 100.0, 1e-6),
+        ([((3.4 + 0.03) / 2) ** 2, 0.0], 10.0, 1e-5),
+    ],
+    ids=["edge-stepped-down", "edge-stepped-up"],
+)
+def test_minimum_time_moves_the_edge_of_a_sample_count_to_the_last_horizon_with_it(
+    monkeypatch, x0, density, tol
+):
+    # k / density need not have k samples: 0.07 * 100 = 7.000000000000001,
+    # so the last horizon with 7 samples is the double below 0.07 (T* =
+    # 0.07); at density 10 the edge of 34 samples is stepped up instead
+    # (T* = 3.4314)
+    seen = record_horizons(monkeypatch)
+    t_star = minimum_time(double_integrator(), x0, grid_density=density, tol_t=tol)
+    assert t_star == min(horizon for horizon, reachable in seen if reachable)
+    below = max(horizon for horizon, reachable in seen if not reachable)
+    assert 0.0 < t_star - below <= tol
+
+
+def test_minimum_time_keeps_twofold_steps_up_under_a_wide_tol_t(monkeypatch):
+    # the last clamp, to lo + tol_t / 2, used to lift the horizon past the
+    # Newton step's cap of 2 lo while none was known reachable: at tol_t =
+    # 1e7 it searched past 1e6 s
+    seen = record_horizons(monkeypatch)
+    assert minimum_time(double_integrator(), [1.0, 0.0], tol_t=1e7) == 2.0
+    assert seen == [[1.0, False], [2.0, True]]
+
+
 @pytest.mark.parametrize("tol", [1e-17, 1e-300, 5e-324])
 def test_minimum_time_returns_when_tol_t_is_below_the_spacing_of_doubles(
     monkeypatch, tol
@@ -1231,6 +1262,9 @@ def test_minimum_time_input_validation():
         minimum_time(double_integrator(), [1.0, 0.0], grid_density=0.0)
     with pytest.raises(ValueError):
         minimum_time(double_integrator(), [1.0, 0.0], tol_t=0.0)
+    # an infinite tol_t returned inf
+    with pytest.raises(ValueError, match="tol_t must be positive and finite, got inf"):
+        minimum_time(double_integrator(), [1.0, 0.0], tol_t=math.inf)
 
 
 @pytest.mark.parametrize(

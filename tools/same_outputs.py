@@ -20,7 +20,9 @@ working tree's, each side in one subprocess with BLAS pinned to one thread:
   ``repr`` of its step and its sample count (its ``discretize`` and
   ``reachability_matrix`` calls), on the ``mintime_batch`` inputs of
   seeds 1-4 (``perfbench/workloads.py``);
-- every ``sweep_tradeoff`` point of the ``tradeoff_long`` inputs of seed 1.
+- on the ``tradeoff_long`` inputs of seed 1, as ``workloads.sweep_run``
+  makes them: every ``sweep_tradeoff`` point, the ``min_energy_closed_form``
+  control and the terminal state that ``simulate`` gives it.
 
 An exception is an output too, named with its message.  Both sides draw
 their inputs from the working tree's ``tests/test_solver.py`` and
@@ -94,7 +96,6 @@ def side() -> None:
     Runs in the side's working directory, which holds a copy of
     ``demos/problems/`` as ``problems/``.
     """
-    import handsoff.analysis
     import handsoff.cli
     import handsoff.solver
     import test_solver
@@ -153,11 +154,14 @@ def side() -> None:
     handsoff.solver.discretize = discretize
     handsoff.solver.reachability_matrix = reachability_matrix
 
+    def swept(inp):
+        points, energy, states = workloads.sweep_run(inp, here)
+        return {**{f"point {j}": repr(point) for j, point in enumerate(points)},
+                "energy control": lines(energy.u),
+                "energy terminal state": lines(states.states[-1])}
+
     for i, inp in enumerate(workloads.sweep_inputs(SWEEP_SEED, here)):
-        record(outputs, f"tradeoff_long {SWEEP_SEED}/{i}", lambda: {
-            f"point {j}": repr(point) for j, point in
-            enumerate(handsoff.analysis.sweep_tradeoff(inp.problem, workloads.SWEEP_R))
-        })
+        record(outputs, f"tradeoff_long {SWEEP_SEED}/{i}", lambda: swept(inp))
     (here / OUTPUTS).write_bytes(pickle.dumps(outputs))
 
 
