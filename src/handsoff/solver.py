@@ -606,7 +606,8 @@ def solve(program: DiscreteProgram, *, _start=None) -> SolveReport:
     and one Newton ascent (``_ascend``) runs at the program's own weights
     from ``p = 0``, or from ``_start`` (private, for
     ``analysis.sweep_tradeoff``: the costate of a converged solve of the
-    same ``phi``, ``target`` and L1 weights under other quadratic weights);
+    same ``phi``, ``target`` and L1 weights under other quadratic weights,
+    or of the same problem and weights transcribed on a coarser grid);
     ``iterations`` counts Newton steps.  Either way the status is
     "max_iter" when the method spent its budget, "infeasible_suspected"
     when it ended "unbounded" (on a ``p`` that ``_farkas`` verified),

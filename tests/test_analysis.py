@@ -18,12 +18,13 @@ from handsoff import (
     derivative_supnorm,
     l0_measure,
     l0_per_channel,
+    minimum_time,
     solve_problem,
     sweep_tradeoff,
     switching_times,
     ternary_transitions_ok,
 )
-from handsoff.analysis import _quantize, _union_support_seconds
+from handsoff.analysis import _COARSE_FROM, _COARSE_RATIO, _quantize, _union_support_seconds
 
 
 def double_integrator() -> LtiPlant:
@@ -407,48 +408,55 @@ def test_sweep_rejects_bad_weight_lists():
 
 
 # the chain of the paper's fourth-order example, and a lightly damped
-# three-state plant with two inputs
+# three-state plant with two inputs; the long grids are swept from a coarse
+# level (sweep_tradeoff's _COARSE_FROM)
+CHAIN = ControlProblem(
+    plant=LtiPlant(
+        a=[[0, -1, 0, 0], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]],
+        b=[[2], [0], [0], [0]],
+    ),
+    x0=[1.0, 1.0, 1.0, 1.0],
+    T=10.0,
+    N=1000,
+    lam=1.0,
+)
+TWO_INPUT = ControlProblem(
+    plant=LtiPlant(
+        a=[[-0.3, 2.0, 0.0], [-2.0, -0.3, 0.0], [0.5, 0.0, -0.8]],
+        b=[[1.0, 0.0], [0.2, 0.7], [0.0, 1.0]],
+    ),
+    x0=[1.0, -0.5, 0.8],
+    T=4.0,
+    N=600,
+    lam=[1.0, 0.5],
+)
 SWEEP_PROBLEMS = {
-    "chain": ControlProblem(
-        plant=LtiPlant(
-            a=[[0, -1, 0, 0], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]],
-            b=[[2], [0], [0], [0]],
-        ),
-        x0=[1.0, 1.0, 1.0, 1.0],
-        T=10.0,
-        N=1000,
-        lam=1.0,
-    ),
-    "two_input": ControlProblem(
-        plant=LtiPlant(
-            a=[[-0.3, 2.0, 0.0], [-2.0, -0.3, 0.0], [0.5, 0.0, -0.8]],
-            b=[[1.0, 0.0], [0.2, 0.7], [0.0, 1.0]],
-        ),
-        x0=[1.0, -0.5, 0.8],
-        T=4.0,
-        N=600,
-        lam=[1.0, 0.5],
-    ),
+    "chain": CHAIN,
+    "chain_long": replace(CHAIN, N=8192),
+    "two_input": TWO_INPUT,
+    "two_input_long": replace(TWO_INPUT, N=4096),
 }
+# unsorted, non-decade ratios, and one weight twice
+SWEEP_R = list(np.logspace(-3.0, 1.0, 9)[::-1]) + [0.1]
 
 
-@pytest.mark.parametrize("name", sorted(SWEEP_PROBLEMS))
-def test_sweep_matches_cold_solves_on_one_transcription(name, monkeypatch):
-    problem = SWEEP_PROBLEMS[name]
-    # unsorted, non-decade ratios, and one weight twice
-    r_values = list(np.logspace(-3.0, 1.0, 9)[::-1]) + [0.1]
-    transcribe = handsoff.solver.transcribe
+def counting(monkeypatch, name):
+    """Replace ``handsoff.solver.<name>`` by a wrapper that lists each call's
+    first argument and result."""
+    original = getattr(handsoff.solver, name)
     calls = []
 
-    def counting_transcribe(*args, **kwargs):
-        calls.append(args)
-        return transcribe(*args, **kwargs)
+    def wrapper(arg, *args, **kwargs):
+        result = original(arg, *args, **kwargs)
+        calls.append((arg, result))
+        return result
 
-    monkeypatch.setattr(handsoff.solver, "transcribe", counting_transcribe)
-    points = sweep_tradeoff(problem, r_values)
-    assert len(calls) == 1
+    monkeypatch.setattr(handsoff.solver, name, wrapper)
+    return calls
 
-    assert [p.r for p in points] == sorted(r_values)
+
+def assert_matches_cold_solves(problem, points):
+    assert [p.r for p in points] == sorted(SWEEP_R)
     cold = [solve_problem(replace(problem, r=p.r, mode="L1L2")) for p in points]
     for point, report in zip(points, cold):
         assert point.status == report.status == "converged", point
@@ -456,7 +464,63 @@ def test_sweep_matches_cold_solves_on_one_transcription(name, monkeypatch):
         assert point.derivative_supnorm == pytest.approx(
             derivative_supnorm(report.u), rel=1e-9
         ), point
-    # the largest weight starts from zero, like the cold solve; every other
-    # point starts where the one above it converged
-    assert points[-1].iterations == cold[-1].iterations
+    return cold
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_PROBLEMS))
+def test_sweep_matches_cold_solves_on_one_transcription(name, monkeypatch):
+    problem = SWEEP_PROBLEMS[name]
+    transcribed = counting(monkeypatch, "transcribe")
+    points = sweep_tradeoff(problem, SWEEP_R)
+    grids = [problem.N]
+    if problem.N >= _COARSE_FROM:
+        grids.append(problem.N // _COARSE_RATIO)
+    assert [p.N for p, _ in transcribed] == grids
+
+    cold = assert_matches_cold_solves(problem, points)
+    if problem.N < _COARSE_FROM:
+        # the largest weight starts from zero, like the cold solve; every
+        # other point starts where the one above it converged
+        assert points[-1].iterations == cold[-1].iterations
+    assert sum(p.iterations for p in points) < sum(r.iterations for r in cold)
+
+
+def test_sweep_below_the_coarse_cut_transcribes_once(monkeypatch):
+    problem = ControlProblem(
+        plant=double_integrator(), x0=[1.0, 0.0], T=4.0, N=_COARSE_FROM - 1, lam=1.0
+    )
+    transcribed = counting(monkeypatch, "transcribe")
+    assert sweep_tradeoff(problem, [1.0])[0].status == "converged"
+    assert [p.N for p, _ in transcribed] == [_COARSE_FROM - 1]
+
+
+def test_sweep_starts_from_fine_costates_where_the_coarse_grid_cannot_reach(
+    monkeypatch,
+):
+    # an oscillator turning 0.9 pi in each coarse sample: its N // 16 grid
+    # reaches less than its N grid, and T = 2 lies between the two grids'
+    # minimum times
+    N, T = 4096, 2.0
+    w = 0.9 * math.pi * (N // _COARSE_RATIO) / T
+    problem = ControlProblem(
+        plant=LtiPlant(a=[[0.0, w], [-w, 0.0]], b=[[0.0], [1.0]]),
+        x0=[1.0, 0.0],
+        T=T,
+        N=N,
+        lam=1.0,
+    )
+    fine_time = minimum_time(problem.plant, problem.x0, grid_density=N / T)
+    coarse_time = minimum_time(
+        problem.plant, problem.x0, grid_density=(N // _COARSE_RATIO) / T
+    )
+    assert fine_time < T < coarse_time
+
+    solved = counting(monkeypatch, "solve")
+    points = sweep_tradeoff(problem, SWEEP_R)
+    coarse = [report for program, report in solved if program.n_samples < N]
+    assert len(coarse) == len(SWEEP_R)
+    assert all(report.status != "converged" for report in coarse)
+    monkeypatch.undo()
+    cold = assert_matches_cold_solves(problem, points)
+    # each point still starts where the one above it converged
     assert sum(p.iterations for p in points) < sum(r.iterations for r in cold)

@@ -21,8 +21,11 @@ working tree's, each side in one subprocess with BLAS pinned to one thread:
   ``reachability_matrix`` calls), on the ``mintime_batch`` inputs of
   seeds 1-4 (``perfbench/workloads.py``);
 - on the ``tradeoff_long`` inputs of seed 1, as ``workloads.sweep_run``
-  makes them: every ``sweep_tradeoff`` point, the ``min_energy_closed_form``
-  control and the terminal state that ``simulate`` gives it.
+  makes them: every ``sweep_tradeoff`` point, every ``solver.solve`` call
+  the sweep makes, in order (the map's column count, status, iterations,
+  and the ``repr`` of ``j1``, ``j2`` and the duality gap), the
+  ``min_energy_closed_form`` control and the terminal state that
+  ``simulate`` gives it.
 
 An exception is an output too, named with its message.  Both sides draw
 their inputs from the working tree's ``tests/test_solver.py`` and
@@ -154,14 +157,28 @@ def side() -> None:
     handsoff.solver.discretize = discretize
     handsoff.solver.reachability_matrix = reachability_matrix
 
+    # each solve is its map's width and its outcome
+    solves: list[str] = []
+    solve = handsoff.solver.solve
+
+    def solving(program, **kwargs):
+        report = solve(program, **kwargs)
+        solves.append(f"{program.phi.shape[1]} {report.status} {report.iterations} "
+                      f"{report.j1!r} {report.j2!r} {report.duality_gap!r}")
+        return report
+
     def swept(inp):
+        del solves[:]
         points, energy, states = workloads.sweep_run(inp, here)
         return {**{f"point {j}": repr(point) for j, point in enumerate(points)},
+                "solves": "\n".join(solves),
                 "energy control": lines(energy.u),
                 "energy terminal state": lines(states.states[-1])}
 
+    handsoff.solver.solve = solving
     for i, inp in enumerate(workloads.sweep_inputs(SWEEP_SEED, here)):
         record(outputs, f"tradeoff_long {SWEEP_SEED}/{i}", lambda: swept(inp))
+    handsoff.solver.solve = solve
     (here / OUTPUTS).write_bytes(pickle.dumps(outputs))
 
 
