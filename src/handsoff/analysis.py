@@ -49,11 +49,12 @@ _BETWEEN = 9
 
 # sweep_tradeoff starts each point of a grid of at least _COARSE_FROM samples
 # from the same r solved on N // _COARSE_RATIO samples.  A coarse Newton step
-# costs about 0.2 ms on any grid, so the coarse level pays only where a fine
-# step costs several times that.  The sweep alone, with a coarse level at
-# every size against one grid, on a one-input chain / a two-input plant (min
-# of 21 alternations, one BLAS thread, 2-vCPU VM): +65% / +44% at N = 1000,
-# +26% / +14% at 2000, +2% / +5% at 4000, +1% / -8% at 8000
+# costs about 0.2 ms (500 samples of two inputs), so the coarse level pays
+# only where a fine step costs several times that.  The sweep alone, with a
+# coarse level at every size against one grid, on a one-input chain / a
+# two-input plant (min of 21 alternations, one BLAS thread, 2-vCPU VM):
+# +65% / +44% at N = 1000, +26% / +14% at 2000, +2% / +5% at 4000,
+# +1% / -8% at 8000
 _COARSE_FROM = 4096
 _COARSE_RATIO = 16
 
