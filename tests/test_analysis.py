@@ -24,7 +24,12 @@ from handsoff import (
     switching_times,
     ternary_transitions_ok,
 )
-from handsoff.analysis import _COARSE_FROM, _COARSE_RATIO, _quantize, _union_support_seconds
+from handsoff.analysis import (
+    _COARSE_FROM,
+    _COARSE_RATIO,
+    _quantize,
+    _union_support_seconds,
+)
 
 
 def double_integrator() -> LtiPlant:
@@ -482,6 +487,9 @@ def test_sweep_matches_cold_solves_on_one_transcription(name, monkeypatch):
         # the largest weight starts from zero, like the cold solve; every
         # other point starts where the one above it converged
         assert points[-1].iterations == cold[-1].iterations
+    else:
+        # the largest weight starts from the coarse costate at its r
+        assert points[-1].iterations < cold[-1].iterations
     assert sum(p.iterations for p in points) < sum(r.iterations for r in cold)
 
 
