@@ -1,9 +1,10 @@
 """Sparsity, switching-structure, and smoothness diagnostics for sampled controls.
 
-A sampled control is "off" where its magnitude stays below a small threshold
-``epsilon`` (default 1e-2).  The diagnostics quantify how long the control is
-active, where it switches between the levels {-1, 0, +1}, how close it is to
-a bang-off-bang signal, and how fast it moves between samples.
+A sampled control is "off" where ``|u| <= DEFAULT_EPS`` (1e-2), a band that
+reads rounding as zero; it is one constant, read by every diagnostic, the
+CLI's report and ``verify``.  The diagnostics quantify how long the control
+is active, where it switches between the levels {-1, 0, +1}, how close it
+is to a bang-off-bang signal, and how fast it moves between samples.
 ``costate_consistency`` certifies a control optimal, in any mode, by the
 duality gap of the solver's own program: a costate, read off the control's
 samples inside the bound or else found by the solver for the control's
@@ -42,6 +43,8 @@ __all__ = [
     "costate_consistency",
 ]
 
+# the off band |u| <= DEFAULT_EPS, and the band around each level +-1, of
+# every diagnostic, the CLI's report and verify's structure check
 DEFAULT_EPS = 1e-2
 
 # quantization code for samples that sit between the bands around {-1, 0, +1}
@@ -95,33 +98,25 @@ class TradeoffPoint:
     iterations: int = 0
 
 
-def _check_eps(epsilon: float) -> None:
-    if not 0.0 < epsilon < 0.5:
-        raise ValueError(f"epsilon must lie in (0, 0.5), got {epsilon}")
+def _off(u: np.ndarray) -> np.ndarray:
+    """The off band: where ``|u| <= DEFAULT_EPS``; a sample outside it is active."""
+    return np.abs(u) <= DEFAULT_EPS
 
 
-def _off(u: np.ndarray, epsilon: float) -> np.ndarray:
-    """The off band: where ``|u| <= epsilon``; a sample outside it is active."""
-    return np.abs(u) <= epsilon
-
-
-def l0_per_channel(control: ControlTrajectory, epsilon: float = DEFAULT_EPS) -> np.ndarray:
-    """Active time ``h * #{k : |u_i[k]| > epsilon}`` of each channel, seconds."""
-    _check_eps(epsilon)
-    counts = np.count_nonzero(~_off(control.u, epsilon), axis=0)
+def l0_per_channel(control: ControlTrajectory) -> np.ndarray:
+    """Active time ``h * #{k : |u_i[k]| > DEFAULT_EPS}`` of each channel, seconds."""
+    counts = np.count_nonzero(~_off(control.u), axis=0)
     return control.h * counts.astype(float)
 
 
-def l0_measure(
-    control: ControlTrajectory, epsilon: float = DEFAULT_EPS, weights=None
-) -> float:
+def l0_measure(control: ControlTrajectory, *, weights=None) -> float:
     """Weighted sum of per-channel active times (the sparsity objective value).
 
     ``weights`` are the per-channel L1 weights of the hands-off objective;
     omitted they default to 1, which for a single input is the plain support
     measure in seconds.
     """
-    per_channel = l0_per_channel(control, epsilon)
+    per_channel = l0_per_channel(control)
     if weights is None:
         weights = np.ones(control.n_inputs)
     weights = np.asarray(weights, dtype=float).reshape(-1)
@@ -132,29 +127,28 @@ def l0_measure(
     return float(weights @ per_channel)
 
 
-def _union_support_seconds(control: ControlTrajectory, epsilon: float) -> float:
+def _union_support_seconds(control: ControlTrajectory) -> float:
     """Time at least one channel is active, seconds."""
-    return control.h * float(np.count_nonzero(~_off(control.u, epsilon).all(axis=1)))
+    return control.h * float(np.count_nonzero(~_off(control.u).all(axis=1)))
 
 
-def _quantize(u: np.ndarray, epsilon: float) -> np.ndarray:
-    """Codes -1/0/+1 within ``epsilon`` of each level, _BETWEEN elsewhere."""
+def _quantize(u: np.ndarray) -> np.ndarray:
+    """Codes -1/0/+1 within ``DEFAULT_EPS`` of each level, _BETWEEN elsewhere."""
     codes = np.full(u.shape, _BETWEEN, dtype=int)
-    codes[_off(u, epsilon)] = 0
-    codes[np.abs(u - 1.0) <= epsilon] = 1
-    codes[np.abs(u + 1.0) <= epsilon] = -1
+    codes[_off(u)] = 0
+    codes[np.abs(u - 1.0) <= DEFAULT_EPS] = 1
+    codes[np.abs(u + 1.0) <= DEFAULT_EPS] = -1
     return codes
 
 
-def switching_times(control: ControlTrajectory, epsilon: float = DEFAULT_EPS) -> np.ndarray:
+def switching_times(control: ControlTrajectory) -> np.ndarray:
     """Grid times where the quantized ternary level changes, any channel.
 
     Samples between the quantization bands inherit the previous level, so a
     one-sample transition ramp produces a single switch; the reported time is
     the start of the first sample at the new level.
     """
-    _check_eps(epsilon)
-    codes = _quantize(control.u, epsilon).T
+    codes = _quantize(control.u).T
     # the clean samples, channel by channel in time order
     channel, k = np.nonzero(codes != _BETWEEN)
     level = codes[channel, k]
@@ -162,26 +156,22 @@ def switching_times(control: ControlTrajectory, epsilon: float = DEFAULT_EPS) ->
     return np.unique(k[1:][switch] * control.h)
 
 
-def bangoffbang_score(control: ControlTrajectory, delta: float = DEFAULT_EPS) -> float:
-    """Fraction of samples within ``delta`` of one of the levels {-1, 0, +1}."""
-    _check_eps(delta)
-    return float(np.mean(_quantize(control.u, delta) != _BETWEEN))
+def bangoffbang_score(control: ControlTrajectory) -> float:
+    """Fraction of samples within ``DEFAULT_EPS`` of one of the levels {-1, 0, +1}."""
+    return float(np.mean(_quantize(control.u) != _BETWEEN))
 
 
-def ternary_transitions_ok(
-    control: ControlTrajectory, delta: float = DEFAULT_EPS
-) -> tuple[bool, str]:
+def ternary_transitions_ok(control: ControlTrajectory) -> tuple[bool, str]:
     """Whether off-level samples appear only as transitions between levels.
 
-    A sample farther than ``delta`` from every level {-1, 0, +1} is allowed
-    only when the nearest clean samples before and after it, in its own
-    channel, sit at different levels (a zero-order-hold switching instant
-    straddles a grid cell); a stray fractional sample inside a constant
-    interval, or one with no clean sample on one side, fails.  Returns
-    ``(ok, reason)``, with an empty reason when ``ok``.
+    A sample farther than ``DEFAULT_EPS`` from every level {-1, 0, +1} is
+    allowed only when the nearest clean samples before and after it, in its
+    own channel, sit at different levels (a zero-order-hold switching
+    instant straddles a grid cell); a stray fractional sample inside a
+    constant interval, or one with no clean sample on one side, fails.
+    Returns ``(ok, reason)``, with an empty reason when ``ok``.
     """
-    _check_eps(delta)
-    codes = _quantize(control.u, delta)
+    codes = _quantize(control.u)
     for i in range(control.n_inputs):
         col = codes[:, i]
         clean = np.nonzero(col != _BETWEEN)[0]
@@ -207,30 +197,22 @@ def derivative_supnorm(control: ControlTrajectory) -> float:
     return _max_jump(control) / control.h
 
 
-def compute_metrics(
-    control: ControlTrajectory, epsilon: float = DEFAULT_EPS
-) -> HandsOffMetrics:
-    """All hands-off diagnostics of one control; ``epsilon`` is the support
-    threshold and the quantization band."""
-    _check_eps(epsilon)
-    l0 = _union_support_seconds(control, epsilon)
+def compute_metrics(control: ControlTrajectory) -> HandsOffMetrics:
+    """All hands-off diagnostics of one control."""
+    l0 = _union_support_seconds(control)
     duration = control.duration
     jump = _max_jump(control)
     return HandsOffMetrics(
         l0_seconds=l0,
         handsoff_fraction=1.0 - l0 / duration,
-        switching_times=switching_times(control, epsilon),
-        bangoffbang_score=bangoffbang_score(control, epsilon),
+        switching_times=switching_times(control),
+        bangoffbang_score=bangoffbang_score(control),
         derivative_supnorm=jump / control.h,
         max_jump=jump,
     )
 
 
-def sweep_tradeoff(
-    problem: ControlProblem,
-    r_values,
-    epsilon: float = DEFAULT_EPS,
-) -> list[TradeoffPoint]:
+def sweep_tradeoff(problem: ControlProblem, r_values) -> list[TradeoffPoint]:
     """Solve the mixed-cost problem across quadratic weights ``r_values``.
 
     The L1 weight stays at ``problem.lam``; each point records the support
@@ -248,7 +230,6 @@ def sweep_tradeoff(
     solve does not converge keeps its solver status and NaN metrics so
     callers can mark it.
     """
-    _check_eps(epsilon)
     r_values = np.asarray(r_values, dtype=float).reshape(-1)
     if r_values.size == 0:
         raise ValueError("r_values must be nonempty")
@@ -274,7 +255,7 @@ def sweep_tradeoff(
         l0, slope = math.nan, math.nan
         if report.status == "converged":
             start = report.costate
-            l0 = _union_support_seconds(report.u, epsilon)
+            l0 = _union_support_seconds(report.u)
             slope = derivative_supnorm(report.u)
         points.append(TradeoffPoint(float(r), l0, slope, report.status, report.iterations))
     return points[::-1]

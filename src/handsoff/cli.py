@@ -12,17 +12,19 @@ costs, residuals and the duality gap of the solve, then the metrics);
 ``sweep`` writes ``tradeoff.csv`` (``r,l0_seconds,derivative_supnorm,status,
 iterations``); ``mintime`` prints the shortest feasible horizon, or exits 2
 when none exists; ``verify`` re-checks a stored trajectory against its
-problem file: the amplitude bound, the stored states, the terminal state,
-in mode L1 the bang-off-bang structure of a vertex (at most n samples off
-the levels {-1, 0, +1} within ``--eps``, each between two different levels),
-and in every mode the duality gap that certifies the control optimal
-(``analysis.costate_consistency``).
-``--eps`` (``solve``, ``sweep``, ``verify``) must lie in (0, 0.5) and
-``--tol`` (``mintime``, ``verify``) must be positive and finite; both are
-checked before any file is read or written.
-Exit codes: 0 success, 1 malformed input or an uncontrollable pair, 2 solve or
-check failure.  All diagnostics go to standard error; data goes to files or
-standard output.
+problem file: the amplitude bound, the stored states, the terminal state
+(norm at most ``1e-4 * max(1, |x0|)``), in mode L1 the bang-off-bang
+structure of a vertex (at most n samples off the levels {-1, 0, +1}, each
+between two different levels), and in every mode the duality gap that
+certifies the control optimal (``analysis.costate_consistency``).  The
+report, the sweep and ``verify`` read one off band,
+``|u| <= analysis.DEFAULT_EPS``, and every bound of ``verify`` is fixed, so
+no flag can loosen a check.  ``mintime --tol`` sets how precise the printed
+horizon is; it must be positive and finite and is checked before any file
+is read.
+Exit codes: 0 success, 1 malformed input, an uncontrollable pair or an
+output that cannot be written, 2 solve or check failure.  All diagnostics go
+to standard error; data goes to files or standard output.
 """
 
 from __future__ import annotations
@@ -36,9 +38,7 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import (
-    DEFAULT_EPS,
     _BETWEEN,
-    _check_eps,
     _quantize,
     bangoffbang_score,  # noqa: F401  (perfbench traces it here)
     compute_metrics,
@@ -278,9 +278,9 @@ def _first_bad_row(path: str, rows, width: int) -> TrajectoryFormatError:
 # reports
 
 
-def _write_report(path, problem: ControlProblem, report, states, epsilon) -> None:
-    metrics = compute_metrics(report.u, epsilon=epsilon)
-    j0 = l0_measure(report.u, epsilon, weights=None if problem.mode == "L2" else problem.lam)
+def _write_report(path, problem: ControlProblem, report, states) -> None:
+    metrics = compute_metrics(report.u)
+    j0 = l0_measure(report.u, weights=None if problem.mode == "L2" else problem.lam)
     terminal = float(np.linalg.norm(states[-1]))
     switch_text = " ".join(_fmt(v) for v in metrics.switching_times)
     lines = [
@@ -317,7 +317,7 @@ def _cmd_solve(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_trajectory_csv(out / "trajectory.csv", report.u, states)
-    _write_report(out / "report.txt", problem, report, states, args.eps)
+    _write_report(out / "report.txt", problem, report, states)
     if report.status != "converged":
         reason = {"infeasible_suspected": "no control with |u| <= 1 reaches the origin",
                   "stalled": "rounding holds a residual above its bound"}
@@ -350,7 +350,7 @@ def _cmd_sweep(args) -> int:
     # looked up at call time, so that a hook on analysis.sweep_tradeoff sees it
     from .analysis import sweep_tradeoff
 
-    points = sweep_tradeoff(problem, r_values, epsilon=args.eps)
+    points = sweep_tradeoff(problem, r_values)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "tradeoff.csv", "w", encoding="utf-8") as fh:
@@ -418,9 +418,7 @@ def _cmd_verify(args) -> int:
         failures.append(f"stored states disagree with the dynamics by {dyn_err:.3g}")
 
     terminal = float(np.linalg.norm(resim[-1]))
-    tol_terminal = args.tol if args.tol is not None else 1e-4 * max(
-        1.0, float(np.linalg.norm(problem.x0))
-    )
+    tol_terminal = 1e-4 * max(1.0, float(np.linalg.norm(problem.x0)))
     if terminal > tol_terminal:
         failures.append(
             f"terminal state norm {terminal:.3g} exceeds {tol_terminal:.3g}"
@@ -428,8 +426,8 @@ def _cmd_verify(args) -> int:
 
     if problem.mode == "L1":
         # a vertex of the L1 program ties at most n samples between levels
-        off = int(np.count_nonzero(_quantize(u, args.eps) == _BETWEEN))
-        _, reason = ternary_transitions_ok(control, args.eps)
+        off = int(np.count_nonzero(_quantize(u) == _BETWEEN))
+        _, reason = ternary_transitions_ok(control)
         if off > plant.n:
             reason = f"{off} samples off the levels, more than n = {plant.n}"
         if reason:
@@ -467,8 +465,6 @@ def build_parser() -> argparse.ArgumentParser:
     solve = sub.add_parser("solve", help="solve a problem file, write CSV and report")
     solve.add_argument("problem", help="path to the problem file")
     solve.add_argument("--out", default=".", help="output directory")
-    solve.add_argument("--eps", type=float, default=DEFAULT_EPS,
-                       help="support/quantization threshold for the report")
     solve.set_defaults(func=_cmd_solve)
 
     sweep = sub.add_parser("sweep", help="sweep the quadratic weight, write tradeoff CSV")
@@ -476,8 +472,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--r-list", required=True,
                        help="comma- or space-separated quadratic weights")
     sweep.add_argument("--out", default=".", help="output directory")
-    sweep.add_argument("--eps", type=float, default=DEFAULT_EPS,
-                       help="support threshold for l0_seconds")
     sweep.set_defaults(func=_cmd_sweep)
 
     mintime = sub.add_parser("mintime", help="print the shortest feasible horizon")
@@ -491,10 +485,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="re-check a stored trajectory")
     verify.add_argument("problem", help="path to the problem file")
     verify.add_argument("trajectory", help="path to a trajectory CSV")
-    verify.add_argument("--eps", type=float, default=DEFAULT_EPS,
-                        help="quantization threshold for the structure checks")
-    verify.add_argument("--tol", type=float, default=None,
-                        help="terminal-norm tolerance (default 1e-4 * max(1, |x0|))")
     verify.set_defaults(func=_cmd_verify)
 
     return parser
@@ -509,12 +499,10 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        if hasattr(args, "eps"):
-            _check_eps(args.eps)
-        if getattr(args, "tol", None) is not None and not 0.0 < args.tol < math.inf:
+        if hasattr(args, "tol") and not 0.0 < args.tol < math.inf:
             raise ValueError(f"--tol must be positive and finite, got {args.tol}")
         return args.func(args)
-    except (ValueError, np.linalg.LinAlgError) as exc:
+    except (ValueError, OSError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -104,7 +104,7 @@ def test_criterion_01_fourth_order_example_reproduction(sparse_1000):
 
 def test_criterion_02_bang_off_bang_structure(sparse_1000):
     report, _ = sparse_1000
-    score = bangoffbang_score(report.u, delta=1e-2)
+    score = bangoffbang_score(report.u)
     _criterion(2, score >= 0.98, f"bang-off-bang score={score:.4f} (>= 0.98)")
 
 

@@ -25,6 +25,7 @@ from handsoff import (
     ternary_transitions_ok,
 )
 from handsoff.analysis import (
+    DEFAULT_EPS,
     _COARSE_FROM,
     _COARSE_RATIO,
     _quantize,
@@ -80,20 +81,6 @@ def test_union_support_never_exceeds_duration():
     assert metrics.handsoff_fraction == pytest.approx(0.25)
 
 
-def test_epsilon_validation():
-    control = traj([0.0, 1.0])
-    tiny = ControlProblem(plant=double_integrator(), x0=[1.0, 0.0], T=4.0, N=10)
-    for eps in (0.0, -0.1, 0.5, 1.0):
-        with pytest.raises(ValueError):
-            l0_per_channel(control, epsilon=eps)
-        with pytest.raises(ValueError):
-            switching_times(control, epsilon=eps)
-        with pytest.raises(ValueError):
-            bangoffbang_score(control, delta=eps)
-        with pytest.raises(ValueError, match="epsilon"):
-            sweep_tradeoff(tiny, [0.1], epsilon=eps)
-
-
 # ---------------------------------------------------------------------------
 # switching structure
 
@@ -115,18 +102,18 @@ def test_constant_control_never_switches():
     assert switching_times(traj([0.0] * 8)).size == 0
 
 
-def reference_switching_times(control, epsilon=1e-2):
+def reference_switching_times(control):
     """``switching_times`` as a per-sample loop over each channel."""
     times = set()
     for i in range(control.n_inputs):
         prev = None
         for k in range(control.n_steps):
             v = control.u[k, i]
-            if abs(v) <= epsilon:
+            if abs(v) <= DEFAULT_EPS:
                 c = 0
-            elif abs(v - 1.0) <= epsilon:
+            elif abs(v - 1.0) <= DEFAULT_EPS:
                 c = 1
-            elif abs(v + 1.0) <= epsilon:
+            elif abs(v + 1.0) <= DEFAULT_EPS:
                 c = -1
             else:
                 continue  # between the bands: inherits the previous level
@@ -160,8 +147,6 @@ def test_bangoffbang_score_counts_ternary_samples():
     assert bangoffbang_score(traj([-1.0, 0.0, 1.0, 1.0])) == 1.0
     assert bangoffbang_score(traj([0.5, 0.5])) == 0.0
     assert bangoffbang_score(traj([0.5, 1.0, 0.0, -1.0])) == pytest.approx(0.75)
-    with pytest.raises(ValueError):
-        bangoffbang_score(traj([0.0]), delta=0.0)
 
 
 def test_transition_check_accepts_one_sample_ramps_between_levels():
@@ -191,22 +176,20 @@ def test_transition_check_reads_every_channel():
     assert not ok and reason.startswith("channel 2: fractional sample 1")
     ramp = [[1.0, 0.0], [1.0, 0.3], [1.0, 1.0]]
     assert ternary_transitions_ok(traj(ramp)) == (True, "")
-    with pytest.raises(ValueError):
-        ternary_transitions_ok(traj(stray), delta=0.5)
 
 
 def test_off_band_is_closed_at_epsilon_in_every_metric():
     # |u| = eps is off and one ulp above it is on, alike in the per-channel
     # support, the union support and the quantization
-    eps = 0.01
+    eps = DEFAULT_EPS
     above = np.nextafter(eps, 1.0)
     u = np.array([[eps, -eps], [above, -eps], [-eps, above], [-above, eps]])
     control = ControlTrajectory(h=0.5, u=u)
     active = np.array([[False, False], [True, False], [False, True], [True, False]])
-    np.testing.assert_array_equal(l0_per_channel(control, eps), [1.0, 0.5])
-    assert _union_support_seconds(control, eps) == 1.5
-    assert compute_metrics(control, eps).l0_seconds == 1.5
-    np.testing.assert_array_equal(_quantize(u, eps) != 0, active)
+    np.testing.assert_array_equal(l0_per_channel(control), [1.0, 0.5])
+    assert _union_support_seconds(control) == 1.5
+    assert compute_metrics(control).l0_seconds == 1.5
+    np.testing.assert_array_equal(_quantize(u) != 0, active)
 
 
 def test_derivative_supnorm_of_simple_signals():

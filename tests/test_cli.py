@@ -273,39 +273,54 @@ def test_solve_missing_file_exits_1(tmp_path, capsys):
     assert "cannot read problem file" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("eps", ["0.7", "-1"])
-@pytest.mark.parametrize("command", ["solve", "sweep", "verify"])
-def test_bad_eps_exits_1_before_any_work(tmp_path, capsys, command, eps):
-    # mode L2: verify has no quantized check there to trip over a bad eps
-    text = DOUBLE_INTEGRATOR.replace("mode = L1", "mode = L2")
-    problem = write_problem(tmp_path, text)
-    out = tmp_path / "out"
-    if command == "verify":
-        given = tmp_path / "given"
-        assert main(["solve", str(problem), "--out", str(given)]) == 0
-        argv = ["verify", str(problem), str(given / "trajectory.csv")]
-    elif command == "sweep":
-        argv = ["sweep", str(problem), "--r-list", "0.1", "--out", str(out)]
-    else:
-        argv = ["solve", str(problem), "--out", str(out)]
-    capsys.readouterr()
-    assert main(argv + ["--eps", eps]) == 1
-    assert "epsilon must lie in (0, 0.5)" in capsys.readouterr().err
-    for name in ("trajectory.csv", "report.txt", "tradeoff.csv"):
-        assert not (out / name).exists()
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["solve", "--eps", "0.1"],
+        ["sweep", "--r-list", "0.1", "--eps", "0.1"],
+        ["verify", "trajectory.csv", "--eps", "0.1"],
+        ["verify", "trajectory.csv", "--tol", "1e9"],
+    ],
+    ids=["solve-eps", "sweep-eps", "verify-eps", "verify-tol"],
+)
+def test_no_flag_sets_the_off_band_or_a_verify_bound(tmp_path, capsys, flags):
+    # the off band is analysis.DEFAULT_EPS and verify's bounds are fixed, so
+    # no flag can loosen a check
+    problem = write_problem(tmp_path)
+    command, *rest = flags
+    with pytest.raises(SystemExit) as exc:
+        main([command, str(problem), *rest])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(rest[-2:])}" in capsys.readouterr().err
 
 
 def test_report_j0_follows_eps(tmp_path):
     # one input and lambda = 1: J0_seconds and l0_seconds are the same
-    # measure; J0 used to be taken at the default threshold whatever --eps
+    # measure, and both count the samples outside the one off band
     problem = Path(__file__).resolve().parents[1] / "demos/problems/double_integrator_l1l2.txt"
     out = tmp_path / "out"
-    assert main(["solve", str(problem), "--out", str(out), "--eps", "0.45"]) == 0
+    assert main(["solve", str(problem), "--out", str(out)]) == 0
     report = read_report(out / "report.txt")
-    assert float(report["J0_seconds"]) == float(report["l0_seconds"])
     _, u, _ = read_trajectory_csv(out / "trajectory.csv")
     control = ControlTrajectory(h=4.0 / 400, u=u)
-    assert float(report["J0_seconds"]) < compute_metrics(control).l0_seconds
+    active = 4.0 / 400 * np.count_nonzero(np.abs(u) > handsoff.analysis.DEFAULT_EPS)
+    assert 0.0 < active < 4.0
+    assert float(report["J0_seconds"]) == pytest.approx(active, rel=1e-14)
+    assert float(report["l0_seconds"]) == pytest.approx(active, rel=1e-14)
+    assert compute_metrics(control).l0_seconds == pytest.approx(active, rel=1e-14)
+
+
+@pytest.mark.parametrize("command", ["solve", "sweep"])
+def test_out_naming_a_file_exits_1(tmp_path, capsys, command):
+    # mkdir on an existing file raised FileExistsError out of main
+    problem = write_problem(tmp_path)
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n")
+    rest = ["--r-list", "0.1"] if command == "sweep" else []
+    assert main([command, str(problem), *rest, "--out", str(taken)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "File exists" in err and str(taken) in err
+    assert taken.read_text() == "not a directory\n"
 
 
 def test_mode_needing_an_absent_weight_exits_1(tmp_path, capsys):
@@ -390,6 +405,16 @@ def test_sweep_and_solve_agree_on_a_one_sample_grid(tmp_path):
 
 # ---------------------------------------------------------------------------
 # mintime
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0"])
+@pytest.mark.parametrize("command", ["mintime"])
+def test_bad_tol_exits_1_before_any_work(tmp_path, capsys, command, tol):
+    problem = write_problem(tmp_path)
+    assert main([command, str(problem), "--tol", tol]) == 1
+    captured = capsys.readouterr()
+    assert "--tol must be positive and finite" in captured.err
+    assert captured.out == ""
 
 
 def test_mintime_double_integrator(tmp_path, capsys):
@@ -484,18 +509,6 @@ def solved(tmp_path):
 def test_verify_accepts_solver_output(solved):
     problem, trajectory = solved
     assert main(["verify", str(problem), str(trajectory)]) == 0
-
-
-@pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0"])
-@pytest.mark.parametrize("command", ["verify", "mintime"])
-def test_bad_tol_exits_1_before_any_work(solved, capsys, command, tol):
-    problem, trajectory = solved
-    argv = [command, str(problem)] + ([str(trajectory)] if command == "verify" else [])
-    capsys.readouterr()
-    assert main(argv + ["--tol", tol]) == 1
-    captured = capsys.readouterr()
-    assert "--tol must be positive and finite" in captured.err
-    assert captured.out == ""
 
 
 @pytest.mark.parametrize("mode", ["L1L2", "L2"])

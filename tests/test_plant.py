@@ -205,6 +205,22 @@ class TestReachability:
                 _, free = reachability_matrix(ad, bd, n_steps)
                 assert np.array_equal(free, np.linalg.matrix_power(ad, n_steps)), n_steps
 
+    def test_rejects_malformed_inputs(self):
+        with pytest.raises(ValueError, match=r"^ad must be square, got shape \(2, 3\)$"):
+            reachability_matrix(np.zeros((2, 3)), np.zeros((2, 1)), 4)
+        with pytest.raises(ValueError, match=r"^bd must have 2 rows, got shape \(3, 1\)$"):
+            reachability_matrix(np.eye(2), np.zeros((3, 1)), 4)
+        with pytest.raises(ValueError, match=r"^n_steps must be >= 1, got 0$"):
+            reachability_matrix(np.eye(2), np.zeros((2, 1)), 0)
+
+    def test_promotes_a_vector_bd_to_one_column(self):
+        ad, bd = discretize(DOUBLE_INTEGRATOR, 0.1)
+        phi, free = reachability_matrix(ad, bd[:, 0], 5)
+        expected_phi, expected_free = reachability_matrix(ad, bd, 5)
+        assert phi.shape == (2, 5)
+        assert phi.tobytes() == expected_phi.tobytes()
+        assert free.tobytes() == expected_free.tobytes()
+
 
 class TestDoublingAgainstSequentialLoops:
     """The loop-free N-step maps against the one-step-at-a-time recurrences."""
@@ -244,6 +260,10 @@ class TestGramian:
                 ]
             )
             assert np.allclose(w, expected, atol=1e-10)
+
+    def test_rejects_a_nonpositive_horizon(self):
+        with pytest.raises(ValueError, match=r"^horizon must be positive, got 0.0$"):
+            controllability_gramian(DOUBLE_INTEGRATOR, 0.0)
 
     def test_quadrature_oracle_random(self):
         rng = np.random.default_rng(14)
@@ -313,6 +333,12 @@ class TestMinEnergy:
         u = min_energy_closed_form(DOUBLE_INTEGRATOR, [0.0, 0.0], 2.0, 50)
         assert np.allclose(u.u, 0.0, atol=1e-14)
 
+    def test_rejects_a_bad_grid(self):
+        with pytest.raises(ValueError, match=r"^horizon must be positive, got -1.0$"):
+            min_energy_closed_form(DOUBLE_INTEGRATOR, [1.0, 0.0], -1.0, 100)
+        with pytest.raises(ValueError, match=r"^n_steps must be >= 1, got 0$"):
+            min_energy_closed_form(DOUBLE_INTEGRATOR, [1.0, 0.0], 2.0, 0)
+
     def test_uncontrollable_pair_raises(self):
         plant = LtiPlant(a=[[0.0, 1.0], [0.0, 0.0]], b=[1.0, 0.0])
         with pytest.raises(np.linalg.LinAlgError):
@@ -365,6 +391,9 @@ class TestTypes:
             ControlProblem(plant=plant, x0=[1.0, 0.0], T=1.0, N=10, lam=0.0, mode="L1")
         with pytest.raises(ValueError):
             ControlProblem(plant=plant, x0=[1.0, 0.0], T=1.0, N=10, r=0.0, mode="L2")
+        for weights in (dict(lam=-1.0), dict(r=[-0.5])):
+            with pytest.raises(ValueError, match=r"^lam and r must be nonnegative$"):
+                ControlProblem(plant=plant, x0=[1.0, 0.0], T=1.0, N=10, **weights)
 
     def test_problem_broadcasts_weights(self):
         plant = LtiPlant(a=np.zeros((2, 2)), b=np.eye(2))
@@ -380,6 +409,8 @@ class TestTypes:
             ControlTrajectory(h=0.1, u=np.zeros((0, 1)))
         with pytest.raises(ValueError):
             StateTrajectory(h=0.1, states=np.zeros((1, 2)))
+        with pytest.raises(ValueError, match=r"^h must be positive, got 0.0$"):
+            StateTrajectory(h=0.0, states=np.zeros((3, 2)))
         traj = ControlTrajectory(h=0.5, u=np.zeros(4))
         assert traj.u.shape == (4, 1)
         assert traj.duration == pytest.approx(2.0)

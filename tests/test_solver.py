@@ -139,6 +139,8 @@ def test_program_validation_rejects_bad_fields():
         DiscreteProgram(**good, m=3)
     with pytest.raises(ValueError):
         DiscreteProgram(**{**good, "phi": [[np.inf, 0.0], [0.0, 1.0]]})
+    with pytest.raises(ValueError, match=r"^phi must be 2-d, got shape \(2,\)$"):
+        DiscreteProgram(**{**good, "phi": [1.0, 0.0], "target": [1.0]})
 
 
 # ---------------------------------------------------------------------------
@@ -568,6 +570,14 @@ def test_farkas_decides_at_its_margin_and_rounding_bound():
         target = np.array([1.0 + excess])
         assert farkas(np.ones((1, 1)), target, one) == verdict
         assert farkas(np.ones((1, 1)), target, one, one) == verdict
+
+
+def test_a_sample_with_neither_weight_is_refused():
+    program = DiscreteProgram(
+        phi=np.eye(2), target=[0.5, 0.5], l1_weights=[1.0, 0.0], l2_weights=[0.0, 0.0]
+    )
+    with pytest.raises(ValueError, match="^every sample needs a positive L1 or quadratic weight$"):
+        solve(program)
 
 
 def test_mixed_zero_and_positive_quadratic_weights_are_refused():

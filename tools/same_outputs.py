@@ -8,9 +8,10 @@ Collects these outputs once with the package of ``REV`` and once with the
 working tree's, each side in one subprocess with BLAS pinned to one thread:
 
 - ``solve``, ``sweep`` (the README's ``--r-list "0.001 0.01 0.1 1"``),
-  ``mintime`` and ``verify`` (on the trajectory ``solve`` wrote) on every
-  problem file of ``demos/problems/``: exit codes, stdout, stderr and the
-  files written;
+  ``mintime`` and ``verify`` (on the trajectory ``solve`` wrote, and again
+  on a copy of it whose middle row has ``u_1 = 0.5``, so that ``verify``'s
+  failure output is compared too) on every problem file of
+  ``demos/problems/``: exit codes, stdout, stderr and the files written;
 - ``solve_problem``'s status, iterations, control and costate, and the
   ``repr`` of its duality gap, dual residual, terminal residual, ``j1`` and
   ``j2``, on the forty problems of each of the seeds 7, 8 and 9 of the
@@ -78,6 +79,15 @@ def commands(problems: list[str]) -> list[tuple[str, list[str]]]:
     return calls
 
 
+def move_middle_sample(trajectory: Path, copy: Path) -> None:
+    """Write ``trajectory`` to ``copy`` with the middle row's ``u_1`` set to 0.5."""
+    rows = trajectory.read_text(encoding="utf-8").splitlines(keepends=True)
+    cells = rows[len(rows) // 2].split(",")
+    cells[1] = "0.5"
+    rows[len(rows) // 2] = ",".join(cells)
+    copy.write_text("".join(rows), encoding="utf-8")
+
+
 def record(outputs: dict[str, bytes], label: str, call) -> None:
     """Store each field of ``call()``'s dict as ``label: field``, or what it raised."""
     try:
@@ -116,6 +126,15 @@ def side() -> None:
     problems = sorted(p.name for p in (here / "problems").glob("*.txt"))
     for label, argv in commands(problems):
         record(outputs, label, lambda: cli(argv))
+    for name in problems:
+        stem = Path(name).stem
+        moved = f"solve_{stem}/moved_sample.csv"
+
+        def verify_moved():
+            move_middle_sample(here / f"solve_{stem}" / "trajectory.csv", here / moved)
+            return cli(["verify", f"problems/{name}", moved])
+
+        record(outputs, f"verify {stem}, one sample moved", verify_moved)
     for path in sorted(here.rglob("*")):
         rel = path.relative_to(here)
         if path.is_file() and rel.parts[0] != "problems":
