@@ -273,25 +273,24 @@ def test_solve_missing_file_exits_1(tmp_path, capsys):
     assert "cannot read problem file" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize(
-    "flags",
-    [
-        ["solve", "--eps", "0.1"],
-        ["sweep", "--r-list", "0.1", "--eps", "0.1"],
-        ["verify", "trajectory.csv", "--eps", "0.1"],
-        ["verify", "trajectory.csv", "--tol", "1e9"],
-    ],
-    ids=["solve-eps", "sweep-eps", "verify-eps", "verify-tol"],
-)
-def test_no_flag_sets_the_off_band_or_a_verify_bound(tmp_path, capsys, flags):
-    # the off band is analysis.DEFAULT_EPS and verify's bounds are fixed, so
-    # no flag can loosen a check
+@pytest.mark.parametrize("eps", ["0.7", "-1"])
+@pytest.mark.parametrize("command", ["solve", "sweep", "verify"])
+def test_bad_eps_exits_1_before_any_work(tmp_path, capsys, command, eps):
+    # the off band is the constant analysis.DEFAULT_EPS and --eps is gone, so
+    # argparse refuses any --eps as a usage error (exit 2) before reading a file
     problem = write_problem(tmp_path)
-    command, *rest = flags
+    out = tmp_path / "out"
+    if command == "verify":
+        argv = ["verify", str(problem), str(tmp_path / "trajectory.csv")]
+    elif command == "sweep":
+        argv = ["sweep", str(problem), "--r-list", "0.1", "--out", str(out)]
+    else:
+        argv = ["solve", str(problem), "--out", str(out)]
     with pytest.raises(SystemExit) as exc:
-        main([command, str(problem), *rest])
+        main(argv + ["--eps", eps])
     assert exc.value.code == 2
-    assert f"unrecognized arguments: {' '.join(rest[-2:])}" in capsys.readouterr().err
+    assert f"unrecognized arguments: --eps {eps}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_report_j0_follows_eps(tmp_path):
@@ -408,9 +407,17 @@ def test_sweep_and_solve_agree_on_a_one_sample_grid(tmp_path):
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0"])
-@pytest.mark.parametrize("command", ["mintime"])
+@pytest.mark.parametrize("command", ["verify", "mintime"])
 def test_bad_tol_exits_1_before_any_work(tmp_path, capsys, command, tol):
     problem = write_problem(tmp_path)
+    if command == "verify":
+        # verify's terminal bound is fixed and --tol is gone: argparse refuses
+        # any --tol as a usage error (exit 2) before reading the trajectory
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", str(problem), str(tmp_path / "trajectory.csv"), "--tol", tol])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: --tol {tol}" in capsys.readouterr().err
+        return
     assert main([command, str(problem), "--tol", tol]) == 1
     captured = capsys.readouterr()
     assert "--tol must be positive and finite" in captured.err
