@@ -45,7 +45,6 @@ from .analysis import (
     l0_per_channel,
     sweep_tradeoff,
     switching_times,
-    ternary_transitions_ok,
 )
 
 __version__ = "0.1.0"
@@ -82,6 +81,5 @@ __all__ = [
     "l0_per_channel",
     "sweep_tradeoff",
     "switching_times",
-    "ternary_transitions_ok",
     "__version__",
 ]

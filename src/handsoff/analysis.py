@@ -36,7 +36,6 @@ __all__ = [
     "l0_per_channel",
     "switching_times",
     "bangoffbang_score",
-    "ternary_transitions_ok",
     "derivative_supnorm",
     "compute_metrics",
     "sweep_tradeoff",
@@ -159,32 +158,6 @@ def switching_times(control: ControlTrajectory) -> np.ndarray:
 def bangoffbang_score(control: ControlTrajectory) -> float:
     """Fraction of samples within ``DEFAULT_EPS`` of one of the levels {-1, 0, +1}."""
     return float(np.mean(_quantize(control.u) != _BETWEEN))
-
-
-def ternary_transitions_ok(control: ControlTrajectory) -> tuple[bool, str]:
-    """Whether off-level samples appear only as transitions between levels.
-
-    A sample farther than ``DEFAULT_EPS`` from every level {-1, 0, +1} is
-    allowed only when the nearest clean samples before and after it, in its
-    own channel, sit at different levels (a zero-order-hold switching
-    instant straddles a grid cell); a stray fractional sample inside a
-    constant interval, or one with no clean sample on one side, fails.
-    Returns ``(ok, reason)``, with an empty reason when ``ok``.
-    """
-    codes = _quantize(control.u)
-    for i in range(control.n_inputs):
-        col = codes[:, i]
-        clean = np.nonzero(col != _BETWEEN)[0]
-        for k in np.nonzero(col == _BETWEEN)[0]:
-            j = np.searchsorted(clean, k)
-            if j == 0 or j == clean.size:
-                return False, f"channel {i + 1}: fractional sample {k} at a grid edge"
-            if col[clean[j - 1]] == col[clean[j]]:
-                return False, (
-                    f"channel {i + 1}: fractional sample {k} "
-                    f"(u = {control.u[k, i]:.6g}) inside a constant interval"
-                )
-    return True, ""
 
 
 def _max_jump(control: ControlTrajectory) -> float:

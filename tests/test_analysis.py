@@ -22,7 +22,6 @@ from handsoff import (
     solve_problem,
     sweep_tradeoff,
     switching_times,
-    ternary_transitions_ok,
 )
 from handsoff.analysis import (
     DEFAULT_EPS,
@@ -147,35 +146,6 @@ def test_bangoffbang_score_counts_ternary_samples():
     assert bangoffbang_score(traj([-1.0, 0.0, 1.0, 1.0])) == 1.0
     assert bangoffbang_score(traj([0.5, 0.5])) == 0.0
     assert bangoffbang_score(traj([0.5, 1.0, 0.0, -1.0])) == pytest.approx(0.75)
-
-
-def test_transition_check_accepts_one_sample_ramps_between_levels():
-    assert ternary_transitions_ok(traj([0.0, 0.0, 0.4, 1.0, 1.0])) == (True, "")
-    assert ternary_transitions_ok(traj([1.0, -0.3, -1.0, -0.5, 0.0]))[0]
-    assert ternary_transitions_ok(traj([-1.0, 0.0, 1.0])) == (True, "")
-
-
-def test_transition_check_rejects_fraction_inside_constant_interval():
-    ok, reason = ternary_transitions_ok(traj([1.0, 1.0, 0.6, 1.0, 0.0]))
-    assert not ok
-    assert "channel 1: fractional sample 2 (u = 0.6) inside a constant interval" in reason
-
-
-def test_transition_check_rejects_fraction_at_either_grid_edge():
-    ok, reason = ternary_transitions_ok(traj([0.5, 1.0, 1.0]))
-    assert not ok and reason == "channel 1: fractional sample 0 at a grid edge"
-    ok, reason = ternary_transitions_ok(traj([0.0, 1.0, -0.5]))
-    assert not ok and reason == "channel 1: fractional sample 2 at a grid edge"
-
-
-def test_transition_check_reads_every_channel():
-    first_clean = [[1.0, 0.0], [1.0, 0.0], [1.0, 0.0]]
-    assert ternary_transitions_ok(traj(first_clean)) == (True, "")
-    stray = [[1.0, 0.0], [1.0, 0.3], [1.0, 0.0]]
-    ok, reason = ternary_transitions_ok(traj(stray))
-    assert not ok and reason.startswith("channel 2: fractional sample 1")
-    ramp = [[1.0, 0.0], [1.0, 0.3], [1.0, 1.0]]
-    assert ternary_transitions_ok(traj(ramp)) == (True, "")
 
 
 def test_off_band_is_closed_at_epsilon_in_every_metric():

@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -14,6 +15,7 @@ import handsoff.analysis
 import handsoff.solver
 from handsoff import ControlTrajectory, LtiPlant, compute_metrics, simulate
 from handsoff.cli import main, read_trajectory_csv, write_trajectory_csv
+from test_solver import b120, problem_text, status_battery
 
 DOUBLE_INTEGRATOR = """\
 # double integrator, brake-then-thrust test plant
@@ -621,8 +623,8 @@ def test_verify_accepts_solve_output_on_coarse_grids(tmp_path, capsys, n_steps):
 
 @pytest.mark.parametrize("ramps", [2, 3])
 def test_verify_bounds_the_samples_off_the_levels_by_n(tmp_path, capsys, ramps):
-    # transition samples each between two different levels pass the
-    # transition check; the double integrator (n = 2) allows two of them
+    # a vertex ties at most n samples off the levels {-1, 0, +1}; the
+    # double integrator (n = 2) allows two of them
     problem = write_problem(tmp_path)
     u = np.repeat([-1.0, -0.5, 0.0, 0.5, 1.0, 0.0], [40, 1, 60, 1, 40, 58])[:, None]
     if ramps == 3:
@@ -638,6 +640,52 @@ def test_verify_bounds_the_samples_off_the_levels_by_n(tmp_path, capsys, ramps):
         assert "bang-off-bang" not in err
     else:
         assert "structure check failed: 3 samples off the levels, more than n = 2" in err
+
+
+def test_verify_accepts_every_certified_l1_optimum_of_the_batteries(tmp_path, capsys):
+    # an optimal vertex puts its <= n off-level samples wherever |c| crosses
+    # lambda: at the last sample (B120 8/20) or inside an interval at 0
+    # (8/21), where no rule "between two different levels" holds
+    gap_line = re.compile(
+        r"check failed: duality gap \S+ of the control's cost exceeds "
+        + re.escape(f"{handsoff.solver._TOL_DUAL:.3g}")
+        + ": no costate certifies it optimal for its terminal response\n"
+    )
+    drawn = [(f"{seed}/{i}", p) for seed in (7, 8, 9) for i, p in enumerate(b120(seed))]
+    drawn += [(f"status {i}", p) for i, p in enumerate(status_battery())]
+    path, trajectory = tmp_path / "problem.txt", tmp_path / "trajectory.csv"
+    optima = 0
+    for label, problem in drawn:
+        report = handsoff.solve_problem(problem)
+        if problem.mode != "L1" or report.status != "converged":
+            continue
+        optima += 1
+        path.write_text(problem_text(problem))
+        states = simulate(problem.plant, problem.x0, report.u).states
+        write_trajectory_csv(trajectory, report.u, states)
+        capsys.readouterr()
+        code = main(["verify", str(path), str(trajectory)])
+        err = capsys.readouterr().err
+        if label in ("8/3", "8/6"):
+            # the duality gap of a tiny cost, and no other check, fails
+            assert code == 2 and gap_line.fullmatch(err), (label, err)
+        else:
+            assert code == 0 and err == "", (label, err)
+    assert optima == 59
+
+
+@pytest.mark.parametrize("case", [20, 21])
+def test_solve_then_verify_accepts_an_off_level_sample_a_vertex_puts_anywhere(
+    tmp_path, capsys, case
+):
+    # 8/20 ties a sample at the grid's last cell, 8/21 a pulse shorter
+    # than one cell inside an interval at 0
+    problem = write_problem(tmp_path, problem_text(b120(8)[case]))
+    out = tmp_path / "out"
+    assert main(["solve", str(problem), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["verify", str(problem), str(out / "trajectory.csv")]) == 0
+    assert capsys.readouterr().out.startswith("verified: ")
 
 
 def test_verify_catches_a_sample_past_the_amplitude_bound(solved, capsys, tmp_path):

@@ -426,6 +426,45 @@ def b120(seed: int) -> list:
     return problems
 
 
+def problem_text(problem: ControlProblem) -> str:
+    """The problem file of ``problem``, every float written by ``repr``.
+
+    A problem file has one scalar ``lambda`` and one scalar ``r``, so the
+    weights must be the same on every channel.
+    """
+    assert np.all(problem.lam == problem.lam[0]) and np.all(problem.r == problem.r[0])
+
+    def row(values) -> str:
+        return " ".join(repr(float(v)) for v in values)
+
+    plant = problem.plant
+    return "\n".join([
+        f"n = {plant.n}",
+        f"m = {plant.m}",
+        f"A = {'; '.join(map(row, plant.a))}",
+        f"B = {'; '.join(map(row, plant.b))}",
+        f"x0 = {row(problem.x0)}",
+        f"T = {problem.T!r}",
+        f"N = {problem.N}",
+        f"lambda = {float(problem.lam[0])!r}",
+        f"r = {float(problem.r[0])!r}",
+        f"mode = {problem.mode}",
+        "",
+    ])
+
+
+def test_problem_text_reads_back_bit_for_bit(tmp_path):
+    path = tmp_path / "problem.txt"
+    for problem in [p for seed in (7, 8, 9) for p in b120(seed)] + status_battery():
+        path.write_text(problem_text(problem))
+        parsed = parse_problem_file(path)
+        for name in ("x0", "lam", "r"):
+            assert getattr(parsed, name).tobytes() == getattr(problem, name).tobytes()
+        assert parsed.plant.a.tobytes() == problem.plant.a.tobytes()
+        assert parsed.plant.b.tobytes() == problem.plant.b.tobytes()
+        assert (parsed.T, parsed.N, parsed.mode) == (problem.T, problem.N, problem.mode)
+
+
 @pytest.mark.parametrize(
     "seed, case",
     [(8, 29), (9, 13), (9, 24), (9, 26), (9, 33), (7, 14), (8, 22), (9, 10), (9, 34)],

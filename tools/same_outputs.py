@@ -16,7 +16,9 @@ working tree's, each side in one subprocess with BLAS pinned to one thread:
   ``repr`` of its duality gap, dual residual, terminal residual, ``j1`` and
   ``j2``, on the forty problems of each of the seeds 7, 8 and 9 of the
   battery B120 (``b120`` in ``tests/test_solver.py``) and on the 32 of
-  ``status_battery()``;
+  ``status_battery()``; for each converged L1 solve, also ``verify``'s exit
+  code, stdout and stderr on the problem's file (``problem_text``) and the
+  trajectory of the solve;
 - ``minimum_time``'s T* and each horizon it tried, in order, as the
   ``repr`` of its step and its sample count (its ``discretize`` and
   ``reachability_matrix`` calls), on the ``mintime_batch`` inputs of
@@ -140,17 +142,27 @@ def side() -> None:
         if path.is_file() and rel.parts[0] != "problems":
             outputs[f"file {rel.as_posix()}"] = path.read_bytes()
 
-    def solved(problem):
+    def solved(problem, reports):
         report = handsoff.solve_problem(problem)
+        reports.append(report)
         return {"status": report.status, "iterations": report.iterations,
                 "control": lines(report.u.u), "costate": lines(report.costate),
                 **{name: repr(getattr(report, name)) for name in REPORTED}}
+
+    def verified(problem, report):
+        (here / "battery.txt").write_text(test_solver.problem_text(problem), encoding="utf-8")
+        states = handsoff.simulate(problem.plant, problem.x0, report.u).states
+        handsoff.cli.write_trajectory_csv(here / "battery.csv", report.u, states)
+        return cli(["verify", "battery.txt", "battery.csv"])
 
     drawn = [(f"B120 {seed}/{i}", p) for seed in B120_SEEDS
              for i, p in enumerate(test_solver.b120(seed))]
     drawn += [(f"status_battery {i}", p) for i, p in enumerate(test_solver.status_battery())]
     for label, problem in drawn:
-        record(outputs, label, lambda: solved(problem))
+        reports = []
+        record(outputs, label, lambda: solved(problem, reports))
+        if problem.mode == "L1" and reports and reports[0].status == "converged":
+            record(outputs, f"{label}, verify", lambda: verified(problem, reports[0]))
 
     # each horizon is its step (discretize) and its sample count (the map)
     horizons: list[str] = []
