@@ -644,8 +644,8 @@ def test_verify_bounds_the_samples_off_the_levels_by_n(tmp_path, capsys, ramps):
 
 def test_verify_accepts_every_certified_l1_optimum_of_the_batteries(tmp_path, capsys):
     # an optimal vertex puts its <= n off-level samples wherever |c| crosses
-    # lambda: at the last sample (B120 8/20) or inside an interval at 0
-    # (8/21), where no rule "between two different levels" holds
+    # lambda, such as at the last sample (B120 8/20) or inside an interval
+    # at 0 (8/21)
     gap_line = re.compile(
         r"check failed: duality gap \S+ of the control's cost exceeds "
         + re.escape(f"{handsoff.solver._TOL_DUAL:.3g}")
