@@ -51,12 +51,12 @@ _BETWEEN = 9
 
 # sweep_tradeoff starts each point of a grid of at least _COARSE_FROM samples
 # from the same r solved on N // _COARSE_RATIO samples.  A coarse Newton step
-# costs about 0.2 ms (500 samples of two inputs), so the coarse level pays
+# costs about 0.13 ms (500 samples of two inputs), so the coarse level pays
 # only where a fine step costs several times that.  The sweep alone, with a
-# coarse level at every size against one grid, on a one-input chain / a
-# two-input plant (min of 21 alternations, one BLAS thread, 2-vCPU VM):
-# +65% / +44% at N = 1000, +26% / +14% at 2000, +2% / +5% at 4000,
-# +1% / -8% at 8000
+# coarse level at every size against one grid, each grid's layout shared by
+# its solves, on tradeoff_long's one-input chains / two-input plants (min
+# of 63 alternations, one BLAS thread, 2-vCPU VM): +62% / +43% at
+# N = 1000, +26% / +21% at 2000, +10% / -6% at 4000, -14% / -18% at 8000
 _COARSE_FROM = 4096
 _COARSE_RATIO = 16
 
@@ -199,9 +199,11 @@ def sweep_tradeoff(problem: ControlProblem, r_values) -> list[TradeoffPoint]:
     a point starts from the coarse costate at its own ``r`` when that
     coarse solve converged (else as above): the sampled costate needs no
     rescaling between grids, so the coarse one lands close to the fine
-    optimum.  Points come back ordered by increasing ``r``; a point whose
-    solve does not converge keeps its solver status and NaN metrics so
-    callers can mark it.
+    optimum.  The solves on one grid share its ``solver._Layout``, so the
+    arrays that depend on the map alone are made once per grid.  Points
+    come back ordered by increasing ``r``; a point whose solve does not
+    converge keeps its solver status and NaN metrics so callers can mark
+    it.
     """
     r_values = np.asarray(r_values, dtype=float).reshape(-1)
     if r_values.size == 0:
@@ -211,20 +213,22 @@ def sweep_tradeoff(problem: ControlProblem, r_values) -> list[TradeoffPoint]:
     r_values = np.sort(r_values)
     problem = replace(problem, r=float(r_values[-1]), mode="L1L2")
     program = solver.transcribe(problem)
+    layout = solver._Layout(program.phi)
     coarse = None
     if problem.N >= _COARSE_FROM:
         coarse = solver.transcribe(replace(problem, N=problem.N // _COARSE_RATIO))
+        coarse_layout = solver._Layout(coarse.phi)
     start = coarse_start = None
     points = []
     for r in r_values[::-1]:
         fine_start = start
         if coarse is not None:
             coarse = replace(coarse, l2_weights=np.full(coarse.phi.shape[1], r * coarse.h))
-            report = solver.solve(coarse, _start=coarse_start)
+            report = solver.solve(coarse, _start=coarse_start, _layout=coarse_layout)
             if report.status == "converged":
                 coarse_start = fine_start = report.costate
         program = replace(program, l2_weights=np.full(program.phi.shape[1], r * program.h))
-        report = solver.solve(program, _start=fine_start)
+        report = solver.solve(program, _start=fine_start, _layout=layout)
         l0, slope = math.nan, math.nan
         if report.status == "converged":
             start = report.costate

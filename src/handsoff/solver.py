@@ -318,23 +318,41 @@ def _line_search(c, u, e, slope0, w1, w2):
     return t
 
 
-def _band_curvature(phi, w2):
+class _Layout:
+    """The arrays of an ascent that depend on ``phi`` alone, made once per map.
+
+    ``abs_phi`` is ``|phi|``, ``phi_t`` the row-major copy of ``phi'``, and
+    ``phi_w2`` / ``phi_w2_t`` the buffers ``_band_curvature`` fills with
+    ``phi / w2`` and its row-major copy at each ascent's weights.  Several
+    ascents on one map share a layout, one at a time, so its pages are
+    faulted in once; ``analysis.sweep_tradeoff`` holds one per grid.
+    """
+
+    def __init__(self, phi):
+        self.phi = phi
+        self.abs_phi = np.abs(phi)
+        # stacked row by row, faster than a strided copy of the transpose
+        self.phi_t = np.stack(phi, axis=1)
+        self.phi_w2 = np.empty_like(phi)
+        self.phi_w2_t = np.empty_like(self.phi_t)
+
+
+def _band_curvature(layout, w2):
     """``(reg, curvature)``: the regularizer ``_REG (phi / w2) phi'`` and
     ``curvature(band) = (phi[:, band] / w2[band]) @ phi[:, band].T``, the
     dual's curvature on the samples ``band`` (indices), bit for bit.
-    ``curvature`` gathers rows of row-major copies of ``phi'`` and ``(phi /
-    w2)'``, made once: transposed back, the rows have the column-major
-    layout of ``phi[:, band]``, so the product is formed in the same order
-    with no column gather or divide per call."""
-    phi_w2 = phi / w2
-    reg = _REG * (phi_w2 @ phi.T)
-    # stacked row by row, faster than a strided copy of the transpose.  phi_t
-    # is made after phi_w2 is freed and takes its memory: each fresh page
-    # costs a fault, and the other order made 1.6 times the page faults of a
-    # tradeoff_long pass
-    phi_w2_t = np.stack(phi_w2, axis=1)
-    del phi_w2
-    phi_t = np.stack(phi, axis=1)
+    ``phi / w2`` and its row-major copy are written into ``layout``'s
+    buffers (a division is correctly rounded, so dividing the copy of
+    ``phi'`` row by row gives the copy of ``phi / w2``), and ``curvature``
+    gathers rows of them and of ``layout.phi_t``: transposed back, the rows
+    have the column-major layout of ``phi[:, band]``, so the product is
+    formed in the same order with no column gather or divide per call.
+    ``reg`` is formed from the C-order ``phi / w2``; from the transposed
+    copy its bits differ."""
+    phi_w2 = np.divide(layout.phi, w2, out=layout.phi_w2)
+    reg = _REG * (phi_w2 @ layout.phi.T)
+    phi_w2_t = np.divide(layout.phi_t, w2[:, None], out=layout.phi_w2_t)
+    phi_t = layout.phi_t
 
     def curvature(band):
         return phi_w2_t.take(band, axis=0).T @ phi_t.take(band, axis=0)
@@ -342,11 +360,12 @@ def _band_curvature(phi, w2):
     return reg, curvature
 
 
-def _ascend(phi, target, w1, w2, p, budget):
+def _ascend(layout, target, w1, w2, p, budget):
     """Damped semismooth Newton ascent on the dual with weights ``w2 > 0``.
 
-    Starts at ``p``, takes at most ``budget`` steps, and returns ``(p, c, u,
-    steps, outcome)``, with ``c = phi' p`` and ``u = U(c)``: "converged"
+    Runs on the map ``phi = layout.phi`` (``_Layout``), starts at ``p``,
+    takes at most ``budget`` steps, and returns ``(p, c, u, steps,
+    outcome)``, with ``c = phi' p`` and ``u = U(c)``: "converged"
     (terminal residual at the rounding floor), "stalled" (no ascent
     direction left, or the residual stopped falling), "unbounded" (``p`` is
     a Farkas certificate, ``_farkas``), or "max_iter".  Past the stopping
@@ -356,8 +375,8 @@ def _ascend(phi, target, w1, w2, p, budget):
     differentiable with a semismooth gradient (Qi and Sun, Math.
     Programming 58, 1993).
     """
-    abs_phi = np.abs(phi)
-    reg, curvature = _band_curvature(phi, w2)
+    phi, abs_phi = layout.phi, layout.abs_phi
+    reg, curvature = _band_curvature(layout, w2)
     band_hi = w1 + w2
     tsize = max(1.0, float(np.linalg.norm(target)))
     c = phi.T @ p
@@ -597,7 +616,7 @@ def _certified(u, p, phi, target, w1, w2) -> tuple[bool, float]:
     return gap <= _TOL_DUAL * primal, gap / primal if primal > 0.0 else gap
 
 
-def solve(program: DiscreteProgram, *, _start=None) -> SolveReport:
+def solve(program: DiscreteProgram, *, _start=None, _layout=None) -> SolveReport:
     """Solve ``program`` on its costate dual, deterministically.
 
     A pure-L1 program (every quadratic weight 0) goes to its optimal vertex
@@ -608,16 +627,20 @@ def solve(program: DiscreteProgram, *, _start=None) -> SolveReport:
     ``analysis.sweep_tradeoff``: the costate of a converged solve of the
     same ``phi``, ``target`` and L1 weights under other quadratic weights,
     or of the same problem and weights transcribed on a coarser grid);
-    ``iterations`` counts Newton steps.  Either way the status is
-    "max_iter" when the method spent its budget, "infeasible_suspected"
-    when it ended "unbounded" (on a ``p`` that ``_farkas`` verified),
-    "converged" when the residual and gap contract holds, and "stalled"
-    otherwise (with its finite ``duality_gap``).  Raises ``ValueError``
-    when a sample carries neither weight or the quadratic weights mix zero
-    and positive.  A horizon below the minimum time, or a target outside
-    the span of a rank deficient ``phi``, is reported
-    "infeasible_suspected" with a Farkas certificate in ``costate``:
-    ``target' p > sum |phi' p|``.
+    ``iterations`` counts Newton steps.  The ascent runs on ``_layout``
+    (private, for the same caller: a ``_Layout`` of ``program.phi`` shared
+    by the solves of one map, one at a time), or on a fresh one when none
+    is given or it was made for another map; the report is the same
+    bit for bit, and holds none of the layout's memory.  For either method
+    the status is "max_iter" when the method spent its budget,
+    "infeasible_suspected" when it ended "unbounded" (on a ``p`` that
+    ``_farkas`` verified), "converged" when the residual and gap contract
+    holds, and "stalled" otherwise (with its finite ``duality_gap``).
+    Raises ``ValueError`` when a sample carries neither weight or the
+    quadratic weights mix zero and positive.  A horizon below the minimum
+    time, or a target outside the span of a rank deficient ``phi``, is
+    reported "infeasible_suspected" with a Farkas certificate in
+    ``costate``: ``target' p > sum |phi' p|``.
     """
     phi = program.phi
     target = program.target
@@ -630,8 +653,10 @@ def solve(program: DiscreteProgram, *, _start=None) -> SolveReport:
         raise ValueError("quadratic weights must be all zero or all positive")
     if np.any(w2):
         p = np.zeros(n) if _start is None else _start
+        if _layout is None or _layout.phi is not phi:
+            _layout = _Layout(phi)
         # u is the control law at the returned c = phi' p
-        p, c, u, iterations, outcome = _ascend(phi, target, w1, w2, p, _MAX_ITER)
+        p, c, u, iterations, outcome = _ascend(_layout, target, w1, w2, p, _MAX_ITER)
     else:
         # u = 0 meets a target at the rounding floor (the ascent's stopping
         # rule at p = 0), where the exact vertex's gap is rounding noise

@@ -446,6 +446,39 @@ def test_sweep_matches_cold_solves_on_one_transcription(name, monkeypatch):
     assert sum(p.iterations for p in points) < sum(r.iterations for r in cold)
 
 
+def solved_bytes(report):
+    """A report's control, costate, gap, status and steps, as exact bytes."""
+    return (report.u.u.tobytes(), report.costate.tobytes(),
+            np.float64(report.duality_gap).tobytes(), report.status, report.iterations)
+
+
+@pytest.mark.parametrize("name", ["chain_long", "two_input_long"])
+def test_sweep_solves_on_shared_layouts_are_fresh_solves_bit_for_bit(name, monkeypatch):
+    # the solves on each grid share one solver._Layout, whose buffers each
+    # solve overwrites: every solve must be the solve from the same start
+    # on a layout of its own, and no report may hold the layout's memory
+    problem = SWEEP_PROBLEMS[name]
+    solve = handsoff.solver.solve
+    calls = []
+
+    def recording(program, **kwargs):
+        report = solve(program, **kwargs)
+        calls.append((program, kwargs, report, solved_bytes(report)))
+        return report
+
+    monkeypatch.setattr(handsoff.solver, "solve", recording)
+    sweep_tradeoff(problem, SWEEP_R)
+    monkeypatch.undo()
+    grids = {problem.N, problem.N // _COARSE_RATIO}
+    assert {program.n_samples for program, *_ in calls} == grids
+    assert len(calls) == 2 * len(SWEEP_R)
+    for program, kwargs, report, returned in calls:
+        assert kwargs["_layout"].phi is program.phi
+        assert solved_bytes(report) == returned
+        fresh = solve(program, _start=kwargs["_start"])
+        assert solved_bytes(fresh) == returned, (program.n_samples, report.status)
+
+
 def test_sweep_below_the_coarse_cut_transcribes_once(monkeypatch):
     problem = ControlProblem(
         plant=double_integrator(), x0=[1.0, 0.0], T=4.0, N=_COARSE_FROM - 1, lam=1.0

@@ -677,7 +677,8 @@ def test_reported_gap_is_the_gap_recomputed_from_scratch():
     report = solve(program)
     assert report.status == "converged"
     p, c, u, steps, outcome = handsoff.solver._ascend(
-        phi, target, w1, w2, np.zeros(phi.shape[0]), report.iterations - 1
+        handsoff.solver._Layout(phi), target, w1, w2, np.zeros(phi.shape[0]),
+        report.iterations - 1,
     )
     assert (outcome, steps) == ("converged", report.iterations - 1)
     assert p.tobytes() == report.costate.tobytes()
@@ -691,7 +692,8 @@ def test_reported_gap_is_the_gap_recomputed_from_scratch():
 def test_band_curvature_by_row_gathers_is_the_column_gather_bit_for_bit(m):
     # the Newton system's curvature gathers rows of row-major copies of phi'
     # and (phi / w2)'; its bits rest on their transposes having the
-    # column-major layout of phi[:, band]
+    # column-major layout of phi[:, band].  One layout serves a sequence of
+    # weights, uniform and per sample, as the solves of a sweep share it
     rng = np.random.default_rng(m)
     maps = [next(transcribe(p).phi for p in status_battery() if p.plant.m == m)]
     for n, n_samples in ((1, 7), (2, 60), (3, 500), (4, 4000)):
@@ -699,19 +701,30 @@ def test_band_curvature_by_row_gathers_is_the_column_gather_bit_for_bit(m):
         maps.append(rng.standard_normal((n, m * n_samples)) * scale)
     for phi in maps:
         mn = phi.shape[1]
-        w2 = rng.uniform(0.5, 2.0, mn) * 10.0 ** rng.integers(-6, 2, mn)
-        reg, curvature = handsoff.solver._band_curvature(phi, w2)
-        assert reg.tobytes() == (handsoff.solver._REG * ((phi / w2) @ phi.T)).tobytes()
-        half = np.zeros(mn, dtype=bool)
-        half[rng.permutation(mn)[: mn // 2]] = True
-        one = np.zeros(mn, dtype=bool)
-        one[rng.integers(mn)] = True
-        for band in (np.zeros(mn, dtype=bool), one, half, np.ones(mn, dtype=bool)):
-            phi_b = phi[:, band]
-            want = (phi_b / w2[band]) @ phi_b.T
-            got = curvature(np.flatnonzero(band))
-            assert got.shape == want.shape == (phi.shape[0],) * 2
-            assert got.tobytes() == want.tobytes(), (phi.shape, np.count_nonzero(band))
+        layout = handsoff.solver._Layout(phi)
+        for w2 in (
+            rng.uniform(0.5, 2.0, mn) * 10.0 ** rng.integers(-6, 2, mn),
+            np.full(mn, 10.0 ** rng.uniform(-4.0, 1.0)),
+            rng.uniform(0.5, 2.0, mn) * 10.0 ** rng.integers(-6, 2, mn),
+            np.full(mn, 10.0 ** rng.uniform(-4.0, 1.0)),
+        ):
+            reg, curvature = handsoff.solver._band_curvature(layout, w2)
+            fresh_reg, fresh = handsoff.solver._band_curvature(
+                handsoff.solver._Layout(phi), w2
+            )
+            want_reg = handsoff.solver._REG * ((phi / w2) @ phi.T)
+            assert reg.tobytes() == fresh_reg.tobytes() == want_reg.tobytes()
+            half = np.zeros(mn, dtype=bool)
+            half[rng.permutation(mn)[: mn // 2]] = True
+            one = np.zeros(mn, dtype=bool)
+            one[rng.integers(mn)] = True
+            for band in (np.zeros(mn, dtype=bool), one, half, np.ones(mn, dtype=bool)):
+                phi_b = phi[:, band]
+                want = (phi_b / w2[band]) @ phi_b.T
+                got = curvature(np.flatnonzero(band))
+                assert got.shape == want.shape == (phi.shape[0],) * 2
+                assert got.tobytes() == want.tobytes(), (phi.shape, np.count_nonzero(band))
+                assert got.tobytes() == fresh(np.flatnonzero(band)).tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,8 @@ working tree's, each side in one subprocess with BLAS pinned to one thread:
 - on the ``tradeoff_long`` inputs of seed 1, as ``workloads.sweep_run``
   makes them: every ``sweep_tradeoff`` point, every ``solver.solve`` call
   the sweep makes, in order (the map's column count, status, iterations,
-  and the ``repr`` of ``j1``, ``j2`` and the duality gap), the
+  the ``repr`` of ``j1``, ``j2`` and the duality gap, and the sha256 of the
+  bytes of its costate and of its control), the
   ``min_energy_closed_form`` control and the terminal state that
   ``simulate`` gives it.
 
@@ -44,6 +45,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import difflib
+import hashlib
 import io
 import os
 import pickle
@@ -195,7 +197,9 @@ def side() -> None:
     def solving(program, **kwargs):
         report = solve(program, **kwargs)
         solves.append(f"{program.phi.shape[1]} {report.status} {report.iterations} "
-                      f"{report.j1!r} {report.j2!r} {report.duality_gap!r}")
+                      f"{report.j1!r} {report.j2!r} {report.duality_gap!r} "
+                      f"{hashlib.sha256(report.costate.tobytes()).hexdigest()} "
+                      f"{hashlib.sha256(report.u.u.tobytes()).hexdigest()}")
         return report
 
     def swept(inp):
