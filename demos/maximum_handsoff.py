@@ -66,7 +66,7 @@ def main() -> None:
     times = " ".join(f"{t:.2f}" for t in metrics.switching_times)
     print(f"switching times   = {times}")
     print(f"terminal residual = {report.eq_residual:.2e}")
-    print(f"|x(T)|            = {np.linalg.norm(states.states[-1]):.2e}")
+    print(f"|x(T)|            = {np.linalg.norm(states[-1]):.2e}")
 
     if args.out is not None:
         write_trajectory_csv(args.out, report.u, states)

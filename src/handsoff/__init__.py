@@ -18,7 +18,6 @@ from .plant import (
     ControlProblem,
     ControlTrajectory,
     LtiPlant,
-    StateTrajectory,
     controllability_gramian,
     discretize,
     expm,
@@ -58,7 +57,6 @@ __all__ = [
     "ControlProblem",
     "ControlTrajectory",
     "LtiPlant",
-    "StateTrajectory",
     "controllability_gramian",
     "discretize",
     "expm",

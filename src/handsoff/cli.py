@@ -309,7 +309,7 @@ def _write_report(path, problem: ControlProblem, report, states) -> None:
 def _cmd_solve(args) -> int:
     problem = parse_problem_file(args.problem)
     report = solve_problem(problem)
-    states = simulate(problem.plant, problem.x0, report.u).states
+    states = simulate(problem.plant, problem.x0, report.u)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_trajectory_csv(out / "trajectory.csv", report.u, states)
@@ -408,7 +408,7 @@ def _cmd_verify(args) -> int:
     if np.max(np.abs(u)) > 1.0 + 1e-6:
         failures.append(f"amplitude bound violated: max |u| = {np.max(np.abs(u)):.6g}")
 
-    resim = simulate(plant, problem.x0, control).states
+    resim = simulate(plant, problem.x0, control)
     dyn_err = float(np.max(np.abs(resim - x)))
     if dyn_err > 1e-6 * (1.0 + float(np.max(np.abs(x)))):
         failures.append(f"stored states disagree with the dynamics by {dyn_err:.3g}")
@@ -501,7 +501,3 @@ def main(argv=None) -> int:
     except (ValueError, OSError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -9,7 +9,8 @@ Conventions used throughout the package:
 
 * ``ControlTrajectory`` stores one control sample per interval, shape (N, m);
   sample k applies on ``[k*h, (k+1)*h)``.
-* ``StateTrajectory`` stores the N+1 grid states, shape (N+1, n).
+* ``simulate`` returns the N+1 grid states as an array of shape (N+1, n);
+  row k is x(k*h).
 * Stacked controls are ordered sample-major, ``vec(U) = [u[0]; u[1]; ...]``,
   matching the reachability matrix ``[Ad^(N-1) Bd, ..., Ad Bd, Bd]``.
 """
@@ -27,7 +28,6 @@ __all__ = [
     "LtiPlant",
     "ControlProblem",
     "ControlTrajectory",
-    "StateTrajectory",
     "expm",
     "discretize",
     "simulate",
@@ -120,33 +120,6 @@ class ControlTrajectory:
     def duration(self) -> float:
         return self.n_steps * self.h
 
-    def times(self) -> np.ndarray:
-        """Start time of each hold interval."""
-        return self.h * np.arange(self.n_steps)
-
-
-@dataclass(frozen=True)
-class StateTrajectory:
-    """Grid states of a simulated plant, shape (N+1, n); row k is x(k*h)."""
-
-    h: float
-    states: np.ndarray
-
-    def __post_init__(self) -> None:
-        if not self.h > 0.0:
-            raise ValueError(f"h must be positive, got {self.h}")
-        states = _as_float_array(self.states, "states")
-        if states.ndim != 2 or states.shape[0] < 2:
-            raise ValueError(f"states must be (N+1, n) with N >= 1, got shape {states.shape}")
-        object.__setattr__(self, "states", states)
-
-    @property
-    def final_state(self) -> np.ndarray:
-        return self.states[-1]
-
-    def times(self) -> np.ndarray:
-        return self.h * np.arange(self.states.shape[0])
-
 
 @dataclass(frozen=True)
 class ControlProblem:
@@ -218,8 +191,11 @@ def discretize(plant: LtiPlant, h: float) -> tuple[np.ndarray, np.ndarray]:
     return e[:n, :n], e[:n, n:]
 
 
-def simulate(plant: LtiPlant, x0, control: ControlTrajectory) -> StateTrajectory:
-    """Propagate ``x[k+1] = Ad x[k] + Bd u[k]`` from ``x0`` under ``control``.
+def simulate(plant: LtiPlant, x0, control: ControlTrajectory) -> np.ndarray:
+    """Grid states of ``x[k+1] = Ad x[k] + Bd u[k]`` from ``x0`` under ``control``.
+
+    Returns the (N+1, n) array whose row k is ``x(k*h)``; raises
+    ``ValueError`` when a state is not finite (the plant overflowed).
 
     Loop-free: with ``y[0] = x0`` and ``y[k+1] = Bd u[k]``, the states are the
     prefix sums ``x[k] = sum_{j <= k} Ad^(k-j) y[j]``, taken as a log-depth
@@ -243,7 +219,7 @@ def simulate(plant: LtiPlant, x0, control: ControlTrajectory) -> StateTrajectory
         states[d:] += states[:-d] @ power.T
         power = power @ power
         d *= 2
-    return StateTrajectory(h=control.h, states=states)
+    return _as_float_array(states, "states")
 
 
 def reachability_matrix(

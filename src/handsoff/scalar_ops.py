@@ -101,7 +101,6 @@ def control_law(c, w1, w2):
     nonnegative; a sample with ``w2 = 0`` needs ``w1 > 0``.  As ``w2 -> 0``
     the saturated soft threshold approaches the dead-zone level away from
     the thresholds, and as ``w1 -> 0`` it approaches ``sat(c / w2)``.
-    Uniform weights take one branch on the whole array, with the same bits.
     """
     c, w1, w2 = np.broadcast_arrays(
         np.asarray(c, dtype=float), np.asarray(w1, dtype=float), np.asarray(w2, dtype=float)
@@ -109,10 +108,6 @@ def control_law(c, w1, w2):
     if np.any(w1 < 0.0) or np.any(w2 < 0.0):
         raise ValueError("weights w1 and w2 must be nonnegative")
     quad = w2 > 0.0
-    if quad.all():
-        return _match_input(saturated_shrink(c, w1, w2), c)
-    if not quad.any():
-        return _match_input(dead_zone(c, w1), c)
     u = np.empty(c.shape)
     u[quad] = saturated_shrink(c[quad], w1[quad], w2[quad])
     u[~quad] = dead_zone(c[~quad], w1[~quad])

@@ -321,7 +321,7 @@ def test_criterion_10_discretization_identities():
     step = 0.1
     u = rng.uniform(-1.0, 1.0, size=(n_steps, 2))
     x0 = rng.standard_normal(3)
-    states = simulate(plant, x0, ControlTrajectory(h=step, u=u)).states
+    states = simulate(plant, x0, ControlTrajectory(h=step, u=u))
     ad_p, bd_p = discretize(plant, step)
     phi, free = reachability_matrix(ad_p, bd_p, n_steps)
     err_reach = float(

@@ -581,7 +581,7 @@ def test_verify_rejects_an_off_sample_moved_by_1e_3(solved, capsys, tmp_path):
     plant = LtiPlant(a=[[0.0, 1.0], [0.0, 0.0]], b=[[0.0], [1.0]])
     control = ControlTrajectory(h=4.0 / 200, u=u)
     moved = tmp_path / "moved.csv"
-    write_trajectory_csv(moved, control, simulate(plant, [1.0, 0.0], control).states)
+    write_trajectory_csv(moved, control, simulate(plant, [1.0, 0.0], control))
 
     capsys.readouterr()
     assert main(["verify", str(problem), str(moved)]) == 2
@@ -602,7 +602,7 @@ def test_verify_certifies_full_thrust_on_every_sample(tmp_path, capsys):
     plant = LtiPlant(a=[[0.0, 1.0], [0.0, 0.0]], b=[[0.0], [1.0]])
     control = ControlTrajectory(h=0.1, u=np.ones((200, 1)))
     trajectory = tmp_path / "thrust.csv"
-    write_trajectory_csv(trajectory, control, simulate(plant, [200.0, -20.0], control).states)
+    write_trajectory_csv(trajectory, control, simulate(plant, [200.0, -20.0], control))
     capsys.readouterr()
     assert main(["verify", str(problem), str(trajectory)]) == 0
     assert capsys.readouterr().out.startswith("verified: 200 samples")
@@ -632,7 +632,7 @@ def test_verify_bounds_the_samples_off_the_levels_by_n(tmp_path, capsys, ramps):
     plant = LtiPlant(a=[[0.0, 1.0], [0.0, 0.0]], b=[[0.0], [1.0]])
     control = ControlTrajectory(h=4.0 / 200, u=u)
     trajectory = tmp_path / "ramps.csv"
-    write_trajectory_csv(trajectory, control, simulate(plant, [1.0, 0.0], control).states)
+    write_trajectory_csv(trajectory, control, simulate(plant, [1.0, 0.0], control))
     capsys.readouterr()
     assert main(["verify", str(problem), str(trajectory)]) == 2
     err = capsys.readouterr().err
@@ -661,7 +661,7 @@ def test_verify_accepts_every_certified_l1_optimum_of_the_batteries(tmp_path, ca
             continue
         optima += 1
         path.write_text(problem_text(problem))
-        states = simulate(problem.plant, problem.x0, report.u).states
+        states = simulate(problem.plant, problem.x0, report.u)
         write_trajectory_csv(trajectory, report.u, states)
         capsys.readouterr()
         code = main(["verify", str(path), str(trajectory)])
@@ -695,7 +695,7 @@ def test_verify_catches_a_sample_past_the_amplitude_bound(solved, capsys, tmp_pa
     plant = LtiPlant(a=[[0.0, 1.0], [0.0, 0.0]], b=[[0.0], [1.0]])
     control = ControlTrajectory(h=4.0 / 200, u=u)
     pushed = tmp_path / "pushed.csv"
-    write_trajectory_csv(pushed, control, simulate(plant, [1.0, 0.0], control).states)
+    write_trajectory_csv(pushed, control, simulate(plant, [1.0, 0.0], control))
     capsys.readouterr()
     assert main(["verify", str(problem), str(pushed)]) == 2
     assert "check failed: amplitude bound violated: max |u| = 1.5" in capsys.readouterr().err
@@ -786,7 +786,7 @@ def test_verify_catches_violated_terminal_state(solved, capsys, tmp_path):
 
     plant = handsoff.LtiPlant(a=[[0.0, 1.0], [0.0, 0.0]], b=[[0.0], [1.0]])
     control = handsoff.ControlTrajectory(h=4.0 / 200, u=u)
-    states = handsoff.simulate(plant, [1.0, 0.0], control).states
+    states = handsoff.simulate(plant, [1.0, 0.0], control)
 
     drifted = tmp_path / "drifted.csv"
     write_trajectory_csv(drifted, control, states)

@@ -288,9 +288,9 @@ def with_specials(c, w1, specials=(np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0))
 
 
 class TestUniformWeights:
-    """``control_law`` runs one branch on the whole array when every ``w2`` is
-    positive or every one is 0; its bits are the masked path's, signed
-    zeros and NaN included, and it raises where the masked path raises."""
+    """``control_law`` where every ``w2`` is positive or every one is 0, and
+    on special values: its bits are the masked path's, signed zeros and NaN
+    included, and it raises where the masked path raises."""
 
     def test_mixed_weights(self):
         for seed in range(40, 45):

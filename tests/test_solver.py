@@ -376,7 +376,7 @@ def test_status_never_lies_on_a_seeded_battery():
         lp = lp_l1(program)
         outcomes.append(report.status)
         if report.status == "converged":
-            terminal = simulate(problem.plant, problem.x0, report.u).final_state
+            terminal = simulate(problem.plant, problem.x0, report.u)[-1]
             x0_norm = float(np.linalg.norm(problem.x0))
             assert np.linalg.norm(terminal) <= 1e-4 * max(1.0, x0_norm)
             if problem.mode == "L1":
@@ -480,7 +480,7 @@ def test_b120_l1_cases_that_stalled_reach_a_certified_vertex(seed, case):
     assert report.status == "converged"
     rounding = handsoff.solver._rounding(program.phi, program.target, report.costate)
     assert report.duality_gap + rounding <= 1e-6 * (report.j1 + report.j2)
-    terminal = simulate(problem.plant, problem.x0, report.u).final_state
+    terminal = simulate(problem.plant, problem.x0, report.u)[-1]
     assert np.linalg.norm(terminal) <= 1e-4 * max(1.0, float(np.linalg.norm(problem.x0)))
     assert costate_consistency(problem, report.u)[0]
 
@@ -505,7 +505,7 @@ def test_exchange_does_not_cycle_on_a_strongly_unstable_plant():
     report = solve_problem(problem)
     assert report.status == "converged"
     assert report.iterations <= 50
-    terminal = simulate(problem.plant, problem.x0, report.u).final_state
+    terminal = simulate(problem.plant, problem.x0, report.u)[-1]
     assert np.linalg.norm(terminal) <= 1e-4 * max(1.0, float(np.linalg.norm(problem.x0)))
 
 
@@ -901,7 +901,7 @@ def test_gauge_matches_the_lp_and_its_control_reaches_the_origin(monkeypatch):
             if horizon == t_star:
                 assert np.max(np.abs(u)) <= 1.0
                 control = ControlTrajectory(h=horizon / n_steps, u=u.reshape(n_steps, -1))
-                terminal = simulate(plant, x0, control).final_state
+                terminal = simulate(plant, x0, control)[-1]
                 assert np.linalg.norm(terminal) <= 1e-6 * x0_norm, (plant, x0)
 
 
@@ -1231,6 +1231,24 @@ def test_gauge_of_a_reach_map_that_does_not_span_the_state_space(
     certified = handsoff.solver._certified_gauge(phi, target, basis)
     assert certified is not None and math.isfinite(certified[0])
     assert (certified[0] < 0.0) == (s < 1.0)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+@pytest.mark.parametrize("where", ["phi", "target"])
+def test_certified_gauge_of_a_non_finite_map_or_target_is_none(monkeypatch, where, bad):
+    # an overflowed map or target backs no certificate, so the gauge is not
+    # taken on it; minimum_time's "neither certificate verifies" rests on this
+    phi, target = reach_map(double_integrator(), [1.0, 0.0], 4.0, 8)
+    if where == "phi":
+        phi[1, 3] = bad
+    else:
+        target[0] = bad
+
+    def unreached(phi, target, tied):
+        pytest.fail("the gauge was taken on a non-finite input")
+
+    monkeypatch.setattr(handsoff.solver, "_gauge", unreached)
+    assert handsoff.solver._certified_gauge(phi, target) is None
 
 
 @pytest.mark.parametrize(

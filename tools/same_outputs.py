@@ -31,6 +31,9 @@ working tree's, each side in one subprocess with BLAS pinned to one thread:
   ``min_energy_closed_form`` control and the terminal state that
   ``simulate`` gives it.
 
+``simulate`` returns its grid states as an array, and as the ``states`` of
+a ``StateTrajectory`` at older commits; both are read (``grid_states``).
+
 An exception is an output too, named with its message.  Both sides draw
 their inputs from the working tree's ``tests/test_solver.py`` and
 ``perfbench/workloads.py``, imported without writing bytecode.  Prints
@@ -107,6 +110,12 @@ def lines(values) -> str:
     return "\n".join(map(repr, values.ravel().tolist()))
 
 
+def grid_states(simulated):
+    """The state array of a ``simulate`` result: the array itself, or, at
+    older commits, the ``states`` of the ``StateTrajectory`` it returned."""
+    return getattr(simulated, "states", simulated)
+
+
 def side() -> None:
     """Every output of the ``handsoff`` on the path, pickled to ``OUTPUTS``.
 
@@ -153,7 +162,7 @@ def side() -> None:
 
     def verified(problem, report):
         (here / "battery.txt").write_text(test_solver.problem_text(problem), encoding="utf-8")
-        states = handsoff.simulate(problem.plant, problem.x0, report.u).states
+        states = grid_states(handsoff.simulate(problem.plant, problem.x0, report.u))
         handsoff.cli.write_trajectory_csv(here / "battery.csv", report.u, states)
         return cli(["verify", "battery.txt", "battery.csv"])
 
@@ -208,7 +217,7 @@ def side() -> None:
         return {**{f"point {j}": repr(point) for j, point in enumerate(points)},
                 "solves": "\n".join(solves),
                 "energy control": lines(energy.u),
-                "energy terminal state": lines(states.states[-1])}
+                "energy terminal state": lines(grid_states(states)[-1])}
 
     handsoff.solver.solve = solving
     for i, inp in enumerate(workloads.sweep_inputs(SWEEP_SEED, here)):
