@@ -14,6 +14,7 @@ tolerance.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -128,7 +129,10 @@ def l0_measure(control: ControlTrajectory, *, weights=None) -> float:
 
 def _union_support_seconds(control: ControlTrajectory) -> float:
     """Time at least one channel is active, seconds."""
-    return control.h * float(np.count_nonzero(~_off(control.u).all(axis=1)))
+    # channel by channel: numpy's all(axis=1) across rows of a few channels
+    # is slow (at 8000 samples of two channels, 135 us against 9 us)
+    off = functools.reduce(np.logical_and, _off(control.u).T)
+    return control.h * float(np.count_nonzero(~off))
 
 
 def _quantize(u: np.ndarray) -> np.ndarray:

@@ -70,7 +70,7 @@ def sat(v):
     return _match_input(out, v)
 
 
-def saturated_shrink(c, w1, w2, out=None) -> np.ndarray:
+def saturated_shrink(c, w1, w2, out=None, scratch=None) -> np.ndarray:
     """``sat(shrink(c, w1) / w2)`` for ``w2 > 0``, bit for bit, without checks.
 
     Numerically ``sat((c - clip(c, -w1, w1)) / w2)``; computed as
@@ -78,8 +78,9 @@ def saturated_shrink(c, w1, w2, out=None) -> np.ndarray:
     so that the dead zone keeps the signed zero ``sign(c) * 0`` of ``shrink``.
     ``w1 >= 0`` and ``w2 > 0`` are the caller's to ensure (``w2 = 0`` gives
     NaN where ``|c| <= w1``).  The weights broadcast against ``c``; the
-    result is an array of ``c``'s shape, written into ``out`` when given
-    (``out`` must not be ``c``).
+    result is an array of ``c``'s shape, written into ``out`` when given,
+    and ``sign(c)`` is written into ``scratch`` when given (neither may be
+    ``c``, nor each other), so that a caller with both allocates nothing.
     """
     if out is None:
         out = np.empty(np.shape(c))
@@ -88,7 +89,7 @@ def saturated_shrink(c, w1, w2, out=None) -> np.ndarray:
     np.maximum(u, 0.0, out=u)
     np.divide(u, w2, out=u)
     np.minimum(u, 1.0, out=u)
-    u *= np.sign(c)
+    u *= np.sign(c, out=scratch)
     return u
 
 

@@ -227,17 +227,20 @@ def transcribe(problem: ControlProblem) -> DiscreteProgram:
     )
 
 
-def _gap(u, p, phi, target, w1, w2, c=None) -> tuple[float, float]:
-    """``(primal(u), primal(u) - g(p))``: by weak duality the gap bounds how
-    far ``primal(u)`` is above the optimum when ``phi @ u = target``.  The
-    dual value ``g(p)`` is taken at the control ``U(p)``: ``c``, when given,
-    is ``phi' p``, and ``u`` is then the control law at ``c``."""
-    primal = float(w1 @ np.abs(u) + 0.5 * (w2 @ (u * u)))
+def _gap(u, p, phi, target, w1, w2, c=None) -> tuple[float, float, float]:
+    """``(j1, j2, primal(u) - g(p))``, with ``primal(u) = j1 + j2`` its
+    weighted L1 and quadratic costs: by weak duality the gap bounds how far
+    ``primal(u)`` is above the optimum when ``phi @ u = target``.  The dual
+    value ``g(p)`` is taken at the control ``U(p)``: ``c``, when given, is
+    ``phi' p``, and ``u`` is then the control law at ``c``."""
+    abs_u = np.abs(u)
+    j1, j2 = float(w1 @ abs_u), 0.5 * float(w2 @ (u * u))
     if c is None:
         c = phi.T @ p
         u = control_law(c, w1, w2)
-    dual = float(target @ p + np.sum(w1 * np.abs(u) + 0.5 * w2 * u * u - c * u))
-    return primal, primal - dual
+        abs_u = np.abs(u)
+    dual = float(target @ p + np.sum(w1 * abs_u + 0.5 * w2 * u * u - c * u))
+    return j1, j2, j1 + j2 - dual
 
 
 def _rounding(phi, target, p) -> float:
@@ -262,7 +265,7 @@ def _farkas(phi, target, p, abs_c=None):
     return None
 
 
-def _line_search(c, u, e, slope0, w1, w2):
+def _line_search(c, u, e, slope0, w1, w2, probe, control, scratch):
     """Step ``t > 0`` that nearly maximizes the dual along a direction ``d``.
 
     ``c = phi' p``, ``u = U(c)``, ``e = phi' d`` and ``slope0 = target' d``;
@@ -271,10 +274,10 @@ def _line_search(c, u, e, slope0, w1, w2):
     within ``_WOLFE`` times its value at 0 of zero (strong Wolfe), by
     doubling from 1 and then regula falsi (Illinois); 0 when rounding leaves
     no ascent, or no finite slope at 0.  The weights are the program's, ``w2
-    > 0``; every probe reuses the same two buffers.
+    > 0``.  Every probe writes ``c + t e``, its control and the sign pass
+    of ``saturated_shrink`` into the caller's rows ``probe``, ``control``
+    and ``scratch``, each of ``c``'s shape.
     """
-    probe = np.empty_like(c)
-    buf = np.empty_like(c)
 
     def slope(t):
         # the first probe, t = 1, needs no multiply: c + 1.0 * e is c + e
@@ -283,7 +286,7 @@ def _line_search(c, u, e, slope0, w1, w2):
         else:
             np.multiply(e, t, out=probe)
             np.add(c, probe, out=probe)
-        return slope0 - float(e @ saturated_shrink(probe, w1, w2, out=buf))
+        return slope0 - float(e @ saturated_shrink(probe, w1, w2, out=control, scratch=scratch))
 
     s_lo, lo = slope0 - float(e @ u), 0.0
     if not 0.0 < s_lo < math.inf:
@@ -322,10 +325,16 @@ class _Layout:
     """The arrays of an ascent that depend on ``phi`` alone, made once per map.
 
     ``abs_phi`` is ``|phi|``, ``phi_t`` the row-major copy of ``phi'``, and
-    ``phi_w2`` / ``phi_w2_t`` the buffers ``_band_curvature`` fills with
-    ``phi / w2`` and its row-major copy at each ascent's weights.  Several
-    ascents on one map share a layout, one at a time, so its pages are
-    faulted in once; ``analysis.sweep_tradeoff`` holds one per grid.
+    ``phi_w2`` the buffer ``_band_curvature`` fills with ``phi / w2`` at
+    each ascent's weights.  The rest are the ascent's work rows, each of
+    one entry per sample: ``points`` two ``(c, u)`` pairs, the current
+    point and the one the run-on past the stopping rule keeps; ``e = phi'
+    d`` along a search direction; the line search's ``probe`` and its
+    ``control``; and ``scratch``, for ``|u|``, ``|c|`` and the sign pass
+    of ``saturated_shrink``.  Several ascents on one map share a layout,
+    one at a time, so its pages are faulted in once, and a step allocates
+    no array of one entry per sample besides the band's masks and gathered
+    rows; ``analysis.sweep_tradeoff`` holds one layout per grid.
     """
 
     def __init__(self, phi):
@@ -334,28 +343,29 @@ class _Layout:
         # stacked row by row, faster than a strided copy of the transpose
         self.phi_t = np.stack(phi, axis=1)
         self.phi_w2 = np.empty_like(phi)
-        self.phi_w2_t = np.empty_like(self.phi_t)
+        rows = np.empty((8, phi.shape[1]))
+        self.points = ((rows[0], rows[1]), (rows[2], rows[3]))
+        self.e, self.probe, self.control, self.scratch = rows[4:]
 
 
 def _band_curvature(layout, w2):
     """``(reg, curvature)``: the regularizer ``_REG (phi / w2) phi'`` and
     ``curvature(band) = (phi[:, band] / w2[band]) @ phi[:, band].T``, the
     dual's curvature on the samples ``band`` (indices), bit for bit.
-    ``phi / w2`` and its row-major copy are written into ``layout``'s
-    buffers (a division is correctly rounded, so dividing the copy of
-    ``phi'`` row by row gives the copy of ``phi / w2``), and ``curvature``
-    gathers rows of them and of ``layout.phi_t``: transposed back, the rows
-    have the column-major layout of ``phi[:, band]``, so the product is
-    formed in the same order with no column gather or divide per call.
-    ``reg`` is formed from the C-order ``phi / w2``; from the transposed
-    copy its bits differ."""
+    ``reg`` is formed from ``phi / w2``, written into ``layout.phi_w2`` in
+    C order; from a transposed copy its bits differ.  ``curvature`` gathers
+    the band's rows of ``layout.phi_t`` and divides them by ``w2[band]``: a
+    division is correctly rounded, so these are the rows of the gathered
+    ``phi / w2`` bit for bit, and transposed back both operands have the
+    column-major layout of ``phi[:, band]``, so the product is formed in
+    the same order with no column gather."""
     phi_w2 = np.divide(layout.phi, w2, out=layout.phi_w2)
     reg = _REG * (phi_w2 @ layout.phi.T)
-    phi_w2_t = np.divide(layout.phi_t, w2[:, None], out=layout.phi_w2_t)
     phi_t = layout.phi_t
 
     def curvature(band):
-        return phi_w2_t.take(band, axis=0).T @ phi_t.take(band, axis=0)
+        rows = phi_t.take(band, axis=0)
+        return (rows / w2.take(band)[:, None]).T @ rows
 
     return reg, curvature
 
@@ -365,7 +375,8 @@ def _ascend(layout, target, w1, w2, p, budget):
 
     Runs on the map ``phi = layout.phi`` (``_Layout``), starts at ``p``,
     takes at most ``budget`` steps, and returns ``(p, c, u, steps,
-    outcome)``, with ``c = phi' p`` and ``u = U(c)``: "converged"
+    outcome)``, with ``c = phi' p`` and ``u = U(c)`` rows of ``layout``
+    that the next ascent on it overwrites: "converged"
     (terminal residual at the rounding floor), "stalled" (no ascent
     direction left, or the residual stopped falling), "unbounded" (``p`` is
     a Farkas certificate, ``_farkas``), or "max_iter".  Past the stopping
@@ -375,12 +386,14 @@ def _ascend(layout, target, w1, w2, p, budget):
     differentiable with a semismooth gradient (Qi and Sun, Math.
     Programming 58, 1993).
     """
-    phi, abs_phi = layout.phi, layout.abs_phi
+    phi, abs_phi, scratch = layout.phi, layout.abs_phi, layout.scratch
     reg, curvature = _band_curvature(layout, w2)
     band_hi = w1 + w2
     tsize = max(1.0, float(np.linalg.norm(target)))
-    c = phi.T @ p
-    u = saturated_shrink(c, w1, w2)
+    here, spare = layout.points
+    c, u = here
+    np.matmul(phi.T, p, out=c)
+    saturated_shrink(c, w1, w2, out=u, scratch=scratch)
     best = math.inf
     since_best = 0
     steps = 0
@@ -388,7 +401,7 @@ def _ascend(layout, target, w1, w2, p, budget):
     while True:
         grad = target - phi @ u
         gnorm = float(np.linalg.norm(grad))
-        size = max(tsize, float(np.linalg.norm(abs_phi @ np.abs(u))))
+        size = max(tsize, float(np.linalg.norm(abs_phi @ np.abs(u, out=scratch))))
         if kept is not None and not gnorm <= 0.1 * kept[3]:
             if not gnorm < kept[3]:
                 p, c, u = kept[:3]
@@ -397,7 +410,7 @@ def _ascend(layout, target, w1, w2, p, budget):
             if gnorm <= _RUN_ON_REL * size or steps == budget:
                 return p, c, u, steps, "converged"
             kept = (p, c, u, gnorm)
-        abs_c = np.abs(c)
+        abs_c = np.abs(c, out=scratch)
         # an ascent that escapes to infinity leaves along a certificate
         if _farkas(phi, target, p, abs_c) is not None:
             return p, c, u, steps, "unbounded"
@@ -418,15 +431,22 @@ def _ascend(layout, target, w1, w2, p, budget):
         # rounding can turn the Newton direction against the gradient, or
         # leave no ascent along it; the gradient still ascends
         for direction in (np.sign(newton @ grad) * newton, grad):
-            e = phi.T @ direction
-            t = _line_search(c, u, e, float(target @ direction), w1, w2)
+            e = np.matmul(phi.T, direction, out=layout.e)
+            t = _line_search(
+                c, u, e, float(target @ direction), w1, w2,
+                layout.probe, layout.control, scratch,
+            )
             if t > 0.0:
                 break
         else:
             return p, c, u, steps, "stalled" if kept is None else "converged"
         p = p + t * direction
-        c = phi.T @ p
-        u = saturated_shrink(c, w1, w2)
+        # the point the run-on keeps stays in its rows
+        if kept is not None and kept[1] is c:
+            here, spare = spare, here
+        c, u = here
+        np.matmul(phi.T, p, out=c)
+        saturated_shrink(c, w1, w2, out=u, scratch=scratch)
         steps += 1
 
 
@@ -611,7 +631,8 @@ def _certified(u, p, phi, target, w1, w2) -> tuple[bool, float]:
     gap of ``u`` at ``p`` with its ``_rounding`` added, so that no costate
     passes by cancellation, is at most ``_TOL_DUAL`` times ``primal(u)``.
     ``solve``'s own status rule, below, adds no rounding bound."""
-    primal, gap = _gap(u, p, phi, target, w1, w2)
+    j1, j2, gap = _gap(u, p, phi, target, w1, w2)
+    primal = j1 + j2
     gap += _rounding(phi, target, p)
     return gap <= _TOL_DUAL * primal, gap / primal if primal > 0.0 else gap
 
@@ -655,8 +676,10 @@ def solve(program: DiscreteProgram, *, _start=None, _layout=None) -> SolveReport
         p = np.zeros(n) if _start is None else _start
         if _layout is None or _layout.phi is not phi:
             _layout = _Layout(phi)
-        # u is the control law at the returned c = phi' p
+        # u is the control law at the returned c = phi' p; both are rows of
+        # the layout, which the report must not hold
         p, c, u, iterations, outcome = _ascend(_layout, target, w1, w2, p, _MAX_ITER)
+        u = u.copy()
     else:
         # u = 0 meets a target at the rounding floor (the ascent's stopping
         # rule at p = 0), where the exact vertex's gap is rounding noise
@@ -666,7 +689,8 @@ def solve(program: DiscreteProgram, *, _start=None, _layout=None) -> SolveReport
             u = np.clip(u, -1.0, 1.0) + 0.0  # no -0.0 in the dead zone
     eq_abs = float(np.linalg.norm(phi @ u - target))
     root_mn = math.sqrt(mn)
-    primal, gap = _gap(u, p, phi, target, w1, w2, c)
+    j1, j2, gap = _gap(u, p, phi, target, w1, w2, c)
+    primal = j1 + j2
     if outcome == "max_iter":
         status = outcome
     elif outcome == "unbounded":
@@ -682,8 +706,8 @@ def solve(program: DiscreteProgram, *, _start=None, _layout=None) -> SolveReport
         status = "stalled"
     return SolveReport(
         u=ControlTrajectory(h=program.h, u=u.reshape(program.n_samples, program.m)),
-        j1=float(w1 @ np.abs(u)),
-        j2=0.5 * float(w2 @ u**2),
+        j1=j1,
+        j2=j2,
         iterations=iterations,
         primal_residual=eq_abs / root_mn,
         dual_residual=abs(gap) / primal if primal > 0.0 else abs(gap),

@@ -80,6 +80,20 @@ def test_union_support_never_exceeds_duration():
     assert metrics.handsoff_fraction == pytest.approx(0.25)
 
 
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_union_support_is_the_row_wise_count(m):
+    # the union is built channel by channel; it must count the samples of
+    # the row-wise all(axis=1), with samples exactly at +-DEFAULT_EPS off
+    rng = np.random.default_rng(m)
+    n_steps = 4000
+    u = rng.uniform(-1.0, 1.0, (n_steps, m)) * rng.choice([0.0, 0.005, 1.0], (n_steps, m))
+    edge = rng.random((n_steps, m)) < 0.2
+    u[edge] = DEFAULT_EPS * rng.choice([-1.0, 1.0], np.count_nonzero(edge))
+    on = np.count_nonzero(~(np.abs(u) <= DEFAULT_EPS).all(axis=1))
+    assert 0 < on < n_steps
+    assert _union_support_seconds(ControlTrajectory(h=0.01, u=u)) == 0.01 * float(on)
+
+
 # ---------------------------------------------------------------------------
 # switching structure
 
@@ -452,11 +466,25 @@ def solved_bytes(report):
             np.float64(report.duality_gap).tobytes(), report.status, report.iterations)
 
 
+def held_arrays(layout):
+    """Every array a ``solver._Layout`` holds, its work rows included."""
+    values, arrays = list(vars(layout).values()), []
+    while values:
+        value = values.pop()
+        if isinstance(value, tuple):
+            values.extend(value)
+        elif isinstance(value, np.ndarray):
+            arrays.append(value)
+    return arrays
+
+
 @pytest.mark.parametrize("name", ["chain_long", "two_input_long"])
 def test_sweep_solves_on_shared_layouts_are_fresh_solves_bit_for_bit(name, monkeypatch):
-    # the solves on each grid share one solver._Layout, whose buffers each
-    # solve overwrites: every solve must be the solve from the same start
-    # on a layout of its own, and no report may hold the layout's memory
+    # the solves on each grid share one solver._Layout, whose buffers and
+    # work rows each solve overwrites: every solve must be the solve from
+    # the same start on a layout of its own, and no report may hold the
+    # layout's memory, so each report still reads as it was returned once
+    # the whole sweep is done
     problem = SWEEP_PROBLEMS[name]
     solve = handsoff.solver.solve
     calls = []
@@ -475,6 +503,9 @@ def test_sweep_solves_on_shared_layouts_are_fresh_solves_bit_for_bit(name, monke
     for program, kwargs, report, returned in calls:
         assert kwargs["_layout"].phi is program.phi
         assert solved_bytes(report) == returned
+        for held in held_arrays(kwargs["_layout"]):
+            assert not np.shares_memory(report.u.u, held)
+            assert not np.shares_memory(report.costate, held)
         fresh = solve(program, _start=kwargs["_start"])
         assert solved_bytes(fresh) == returned, (program.n_samples, report.status)
 

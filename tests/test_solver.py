@@ -1,6 +1,7 @@
 """Tests for the transcription, the costate-dual solver, and minimum time."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -633,10 +634,12 @@ def test_line_search_takes_no_step_without_a_finite_slope_at_zero():
     c = np.array([0.5, -2.0, 3.0])
     w1, w2 = np.full(3, 1.0), np.full(3, 0.5)
     u = handsoff.solver.saturated_shrink(c, w1, w2)
+    rows = np.empty((3, 3))
     for bad in (math.inf, -math.inf, math.nan):
         e = np.array([1.0, bad, 0.0])
-        assert handsoff.solver._line_search(c, u, e, 1.0, w1, w2) == 0.0
-    assert handsoff.solver._line_search(c, u, np.array([-1.0, 0.0, 0.0]), 1.0, w1, w2) > 0.0
+        assert handsoff.solver._line_search(c, u, e, 1.0, w1, w2, *rows) == 0.0
+    e = np.array([-1.0, 0.0, 0.0])
+    assert handsoff.solver._line_search(c, u, e, 1.0, w1, w2, *rows) > 0.0
 
 
 def demo_problems() -> list:
@@ -662,12 +665,15 @@ def test_reported_gap_is_the_gap_recomputed_from_scratch():
         phi, target = program.phi, program.target
         w1, w2 = program.l1_weights, program.l2_weights
         u = report.u.u.reshape(-1)
-        primal, gap = handsoff.solver._gap(u, report.costate, phi, target, w1, w2)
+        j1, j2, gap = handsoff.solver._gap(u, report.costate, phi, target, w1, w2)
+        # the costs are the gap's own terms, and those of the control alone
+        assert (report.j1, report.j2) == (j1, j2)
+        assert (j1, j2) == (float(w1 @ np.abs(u)), 0.5 * float(w2 @ u**2))
         if report.status == "infeasible_suspected":
             assert math.isnan(report.duality_gap)
         else:
             assert report.duality_gap == gap, (problem, report.status)
-            assert report.dual_residual == abs(gap) / primal
+            assert report.dual_residual == abs(gap) / (j1 + j2)
     # status_battery()[5] (L1L2, n = 4, N = 200) returns through the run-on's
     # kept restore: its costate is the point before the ascent's last step,
     # which the same ascent stopped one step earlier returns
@@ -684,7 +690,7 @@ def test_reported_gap_is_the_gap_recomputed_from_scratch():
     assert p.tobytes() == report.costate.tobytes()
     assert u.tobytes() == report.u.u.reshape(-1).tobytes()
     assert c.tobytes() == (phi.T @ p).tobytes()
-    _, gap = handsoff.solver._gap(u, p, phi, target, w1, w2)
+    _, _, gap = handsoff.solver._gap(u, p, phi, target, w1, w2)
     assert report.duality_gap == gap
 
 
@@ -725,6 +731,59 @@ def test_band_curvature_by_row_gathers_is_the_column_gather_bit_for_bit(m):
                 assert got.shape == want.shape == (phi.shape[0],) * 2
                 assert got.tobytes() == want.tobytes(), (phi.shape, np.count_nonzero(band))
                 assert got.tobytes() == fresh(np.flatnonzero(band)).tobytes()
+
+
+def test_every_outcome_of_an_ascent_returns_its_own_point_bit_for_bit():
+    # c and u come back as work rows of the layout, which the steps after a
+    # kept point write past: whichever way the ascent ends, including the
+    # run-on's restore of the point it kept, they are phi' p and its control
+    battery, budget = status_battery(), handsoff.solver._MAX_ITER
+    cases = [
+        (battery[1], budget, "converged", 12),  # past the stopping rule
+        (battery[5], budget, "converged", 13),  # the kept point, restored
+        (battery[5], 12, "converged", 12),  # stopped at that point
+        (battery[3], budget, "unbounded", 1),
+        (battery[1], 3, "max_iter", 3),
+        (b120(8)[25], budget, "stalled", 67),
+    ]
+    costates = []
+    for problem, steps, outcome, taken in cases:
+        program = transcribe(problem)
+        phi, target = program.phi, program.target
+        w1, w2 = program.l1_weights, program.l2_weights
+        p, c, u, *end = handsoff.solver._ascend(
+            handsoff.solver._Layout(phi), target, w1, w2, np.zeros(phi.shape[0]), steps
+        )
+        assert end == [taken, outcome], problem
+        assert c.tobytes() == (phi.T @ p).tobytes(), outcome
+        assert u.tobytes() == handsoff.solver.saturated_shrink(c, w1, w2).tobytes()
+        costates.append(p.tobytes())
+    assert costates[1] == costates[2]
+
+
+def test_an_ascent_on_a_built_layout_allocates_under_two_rows():
+    # once its layout exists an ascent's steps write c = phi' p, the
+    # control, phi' d and the line search's probes into the layout's work
+    # rows; what it still allocates (w1 + w2 once, the band's masks and
+    # gathered rows) peaks under two entries per sample, where the
+    # per-step arrays the rows replace peaked at 8.0
+    rng = np.random.default_rng(0)
+    n, mn = 3, 16000
+    phi = rng.standard_normal((n, mn))
+    target = phi @ rng.uniform(-0.5, 0.5, mn)
+    w1, w2 = np.full(mn, 1e-3), np.full(mn, 1e-4)
+    layout = handsoff.solver._Layout(phi)
+    first = handsoff.solver._ascend(layout, target, w1, w2, np.zeros(n), 100)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        second = handsoff.solver._ascend(layout, target, w1, w2, np.zeros(n), 100)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert first[3:] == second[3:] == (5, "converged")
+    assert first[0].tobytes() == second[0].tobytes()
+    assert peak - start < 2 * mn * 8
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
-"""The same-outputs check's comparison, on hand-made output maps.
+"""The tools' pure parts, on hand-made inputs.
 
 ``tools/same_outputs.py`` compares every output of the working tree with
-those of a commit; this test loads it (read only, without writing bytecode
-next to it) and checks ``differences``, which decides what it reports.
+those of a commit, and ``tools/paired_bench.py`` the benchmark's metrics in
+alternating pairs of runs; these tests load them (read only, without
+writing bytecode next to them) and check ``differences``, which decides
+what the first reports, and ``summarize``, which the second prints.
 """
 
 import importlib.util
@@ -11,12 +13,12 @@ from pathlib import Path
 
 import pytest
 
-SAME_OUTPUTS = Path(__file__).resolve().parent.parent / "tools" / "same_outputs.py"
+TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
 
-@pytest.fixture(scope="module")
-def same_outputs():
-    spec = importlib.util.spec_from_file_location("same_outputs", SAME_OUTPUTS)
+def load_tool(name):
+    """``tools/<name>.py`` as a module, loaded without writing bytecode."""
+    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     dont_write, sys.dont_write_bytecode = sys.dont_write_bytecode, True
     try:
@@ -24,6 +26,11 @@ def same_outputs():
     finally:
         sys.dont_write_bytecode = dont_write
     return module
+
+
+@pytest.fixture(scope="module")
+def same_outputs():
+    return load_tool("same_outputs")
 
 
 def test_equal_maps_have_no_differences(same_outputs):
@@ -65,3 +72,15 @@ def test_a_moved_horizon_differs_at_the_same_totals(same_outputs):
     assert same_outputs.mintime_totals(old, 1) == "2 horizons, 1 refused"
     assert same_outputs.mintime_totals(new, 1) == "2 horizons, 1 refused"
     assert same_outputs.differences(old, new)[0] == "mintime_batch 1/0: horizons:"
+
+
+def test_paired_summary_counts_pairs_won_in_the_better_direction():
+    summarize = load_tool("paired_bench").summarize
+    commit, tree = [10.0, 12.0, 11.0, 9.0], [9.0, 12.0, 10.0, 9.5]
+    # pair 2 ties and counts for neither side
+    lower = summarize(commit, tree, "lower")
+    assert (lower["won"], lower["pairs"]) == (2, 4)
+    assert lower["quartiles"]["commit"] == [9.75, 10.5, 11.25]
+    assert lower["quartiles"]["working tree"] == [9.375, 9.75, 10.5]
+    assert lower["change"] == 9.75 / 10.5 - 1.0
+    assert summarize(commit, tree, "higher")["won"] == 1

@@ -71,12 +71,14 @@ def finite_or_none(value):
     return value
 
 
-def run(checkout: Path, workload: str, trace: bool) -> tuple[dict, dict]:
+def run(
+    checkout: Path, workload: str, trace: bool, seed: int = SEED, seconds: float = SECONDS
+) -> tuple[dict, dict]:
     """One benchmark run: its final JSON line and its full ``result.json``."""
     flag = str(int(trace))
     command = [
         sys.executable, str(checkout / "perfbench" / "run.py"), "--workload", workload,
-        "--seed", str(SEED), "--seconds", str(SECONDS), "--trace", flag,
+        "--seed", str(seed), "--seconds", str(seconds), "--trace", flag,
     ]
     proc = subprocess.run(command, cwd=checkout, capture_output=True, text=True)
     if proc.returncode != 0:
@@ -84,7 +86,7 @@ def run(checkout: Path, workload: str, trace: bool) -> tuple[dict, dict]:
             f"error: {' '.join(command[1:])} exited {proc.returncode}\n{proc.stderr[-2000:]}"
         )
     final = json.loads(proc.stdout.strip().splitlines()[-1])
-    record = checkout / ".bench_build" / "perfbench" / f"{workload}-seed{SEED}-trace{flag}"
+    record = checkout / ".bench_build" / "perfbench" / f"{workload}-seed{seed}-trace{flag}"
     return final, json.loads((record / "result.json").read_text(encoding="utf-8"))
 
 
