@@ -117,13 +117,11 @@ class TestSatShrink:
 
     def test_rejects_nonpositive_weights(self):
         # a sample with neither an L1 nor a quadratic weight has no minimizer
-        # to select; a zero weight beside a positive one is a valid program.
-        # w2 = 0 needs w1 > 0, NaN included
-        with pytest.raises(ValueError, match="lam must be positive"):
+        # to select; a zero weight beside a positive one is a valid program
+        with pytest.raises(ValueError):
             control_law(1.0, 0.0, 0.0)
-        for w1 in ([1.0, 0.0], [1.0, np.nan]):
-            with pytest.raises(ValueError, match="lam must be positive"):
-                control_law([1.0, 2.0], w1, 0.0)
+        with pytest.raises(ValueError):
+            control_law([1.0, 2.0], [1.0, 0.0], 0.0)
 
     def test_odd(self):
         rng = np.random.default_rng(4)
@@ -163,10 +161,8 @@ class TestProxBoxL1Quad:
             control_law(1.0, -0.1, 1.0)
         with pytest.raises(ValueError):
             control_law(1.0, 1.0, -0.1)
-        for w1, w2 in (([1.0, -0.1], [1.0, 1.0]), ([1.0, 1.0], [0.5, -0.1]),
-                       ([1.0, 1.0], [0.0, -0.1])):
-            with pytest.raises(ValueError, match="nonnegative"):
-                control_law([1.0, 2.0], w1, w2)
+        with pytest.raises(ValueError):
+            control_law([1.0, 1.0], [1.0, -0.1], [1.0, 1.0])
 
 
 class TestLimits:
@@ -238,52 +234,36 @@ def with_specials(c, w1, specials=(np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0))
     return c, w1
 
 
+def assert_kernel_bits(c, w1, w2, ref):
+    """``saturated_shrink`` alone, into ``out``, with its sign pass in
+    ``scratch``, or both: the bits of ``ref``."""
+    rows = np.empty((2,) + c.shape)
+    for out in (None, rows[0]):
+        for scratch in (None, rows[1]):
+            rows.fill(np.nan)
+            got = saturated_shrink(c, w1, w2, out=out, scratch=scratch)
+            assert out is None or got is out
+            assert got.tobytes() == ref.tobytes(), (out is None, scratch is None)
+
+
 class TestAgainstComposition:
     """``control_law`` and ``saturated_shrink`` bit for bit against the
-    composition of ``sat``, ``shrink`` and ``dead_zone``: signed zeros, and
-    the NaN, infinite and signed zero costates of ``with_specials``, count."""
+    composition of ``sat``, ``shrink`` and ``dead_zone`` (signed zeros count)."""
 
     def test_mixed_weights(self):
         for seed in range(10):
             c, w1, w2 = law_draws(seed, 500)
-            if seed % 2:
-                c, _ = with_specials(c, w1)
-                assert np.isnan(c).any() and np.isinf(c).any()
             assert np.any(w2 == 0.0) and np.any(np.signbit(c) & (c == 0.0))
             got = control_law(c, w1, w2)
             assert got.tobytes() == reference_control_law(c, w1, w2).tobytes(), seed
 
-    def test_every_w2_zero(self):
-        # NaN quadratic weights select the dead zone, like zeros
-        for seed in range(50, 55):
-            c, w1, _ = law_draws(seed, 500)
-            w1[w1 == 0.0] = 1.0
-            c, _ = with_specials(c, w1)
-            for w2 in (np.zeros(500), np.where(np.arange(500) % 2, np.nan, 0.0)):
-                ref = reference_control_law(c, w1, w2)
-                assert control_law(c, w1, w2).tobytes() == ref.tobytes(), seed
-
     def test_kernel_where_every_w2_is_positive(self):
-        # saturated_shrink alone, into out, with its sign pass in scratch,
-        # or both: the same bits, NaN in w1 included
         for seed in range(10, 20):
             c, w1, w2 = law_draws(seed, 500)
             w2[w2 == 0.0] = 0.5
-            if seed % 2:
-                c, w1 = with_specials(c, w1)
-            expect = reference_control_law(c, w1, w2)
-            if seed % 2:
-                assert np.isnan(expect).any()
-                assert np.any(np.signbit(expect) & (expect == 0.0))
-            ref = expect.tobytes()
-            assert control_law(c, w1, w2).tobytes() == ref, seed
-            rows = np.empty((2,) + c.shape)
-            for out in (None, rows[0]):
-                for scratch in (None, rows[1]):
-                    rows.fill(np.nan)
-                    got = saturated_shrink(c, w1, w2, out=out, scratch=scratch)
-                    assert out is None or got is out
-                    assert got.tobytes() == ref, (seed, out is None, scratch is None)
+            ref = reference_control_law(c, w1, w2)
+            assert control_law(c, w1, w2).tobytes() == ref.tobytes(), seed
+            assert_kernel_bits(c, w1, w2, ref)
 
     def test_dead_zone_keeps_the_sign_of_c(self):
         got = control_law([-0.5, 0.5, -0.0, 0.0, -1.0, 1.0], 1.0, 1.0)
@@ -304,10 +284,59 @@ class TestAgainstComposition:
         assert got.tobytes() == reference_control_law(col, w1[:3], w2[:3]).tobytes()
         got = control_law(c[:3], w1[:, None], 1.0)
         assert got.tobytes() == reference_control_law(c[:3], w1[:, None], 1.0).tobytes()
-        # special scalar costates, and a NaN L1 weight beside a positive w2
+
+
+class TestUniformWeights:
+    """``control_law`` where every ``w2`` is positive or every one is 0, and
+    on the NaN, infinite and signed zero costates of ``with_specials``: its
+    bits are the per-sample composition's, signed zeros and NaN included, and
+    it raises where a sample has no minimizer to select."""
+
+    def test_mixed_weights(self):
+        for seed in range(40, 45):
+            c, w1, w2 = law_draws(seed, 500)
+            c, _ = with_specials(c, w1)
+            assert np.isnan(c).any() and np.isinf(c).any()
+            assert np.any(w2 == 0.0) and np.any(w2 > 0.0)
+            got = control_law(c, w1, w2)
+            assert got.tobytes() == reference_control_law(c, w1, w2).tobytes(), seed
+
+    def test_every_w2_positive(self):
+        # NaN in w1 too, through control_law and the kernel's out and scratch rows
+        for seed in range(45, 50):
+            c, w1, w2 = law_draws(seed, 500)
+            w2[w2 == 0.0] = 0.5
+            c, w1 = with_specials(c, w1)
+            ref = reference_control_law(c, w1, w2)
+            got = control_law(c, w1, w2)
+            assert np.isnan(got).any() and np.any(np.signbit(got) & (got == 0.0))
+            assert got.tobytes() == ref.tobytes(), seed
+            assert_kernel_bits(c, w1, w2, ref)
+
+    def test_every_w2_zero(self):
+        # NaN quadratic weights select the dead zone, like zeros
+        for seed in range(50, 55):
+            c, w1, _ = law_draws(seed, 500)
+            w1[w1 == 0.0] = 1.0
+            c, _ = with_specials(c, w1)
+            for w2 in (np.zeros(500), np.where(np.arange(500) % 2, np.nan, 0.0)):
+                ref = reference_control_law(c, w1, w2)
+                assert control_law(c, w1, w2).tobytes() == ref.tobytes(), seed
+
+    def test_scalars(self):
         for c in (np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, 1.5, -1.5):
             for w1, w2 in ((1.0, 0.5), (1.0, 0.0), (np.nan, 0.5)):
                 got = control_law(c, w1, w2)
                 assert isinstance(got, float)
                 ref = reference_control_law(c, w1, w2)
                 assert np.float64(got).tobytes() == ref.tobytes(), (c, w1, w2)
+
+    def test_errors_are_kept(self):
+        for w1, w2 in (([1.0, -0.1], [1.0, 1.0]), ([1.0, 1.0], [0.5, -0.1]),
+                       ([1.0, 1.0], [0.0, -0.1])):
+            with pytest.raises(ValueError, match="nonnegative"):
+                control_law([1.0, 2.0], w1, w2)
+        # w2 = 0 needs w1 > 0, NaN included
+        for w1 in ([1.0, 0.0], [1.0, np.nan]):
+            with pytest.raises(ValueError, match="lam must be positive"):
+                control_law([1.0, 2.0], w1, [0.0, 0.0])
