@@ -26,9 +26,19 @@ from . import solver
 # not called here: the benchmark's tracer (perfbench/tracing.py) hooks
 # handsoff.analysis.linprog, .expm and .solve_problem, so the names stay
 # importable
-from scipy.optimize import linprog  # noqa: F401
 from .plant import expm  # noqa: F401
 from .solver import solve_problem  # noqa: F401
+
+
+def __getattr__(name):
+    # linprog resolves on first lookup, so that importing the package leaves
+    # scipy.optimize unloaded
+    if name == "linprog":
+        from scipy.optimize import linprog
+
+        return linprog
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "HandsOffMetrics",

@@ -45,7 +45,7 @@ _HAUTUS = 1e-9
 
 def _as_float_array(value, name: str) -> np.ndarray:
     arr = np.asarray(value, dtype=float)
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} must be finite")
     return arr
 

@@ -33,7 +33,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import lsq_linear  # noqa: F401  (perfbench traces it here)
+from scipy.linalg.lapack import dgesv
 
 from .plant import (
     ControlProblem,
@@ -103,6 +103,17 @@ _TIE = 1e-12
 _MAX_EXCHANGES = 200
 _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)
+
+
+def __getattr__(name):
+    # perfbench/tracing.py hooks handsoff.solver.lsq_linear, which nothing
+    # here calls; it resolves on first lookup, so that importing the package
+    # leaves scipy.optimize unloaded
+    if name == "lsq_linear":
+        from scipy.optimize import lsq_linear
+
+        return lsq_linear
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -198,7 +209,7 @@ def _reach_condition(plant: LtiPlant, x0, horizon: float, n_steps: int):
     target = -(free @ x0)
 
     def more(p):
-        return float(np.sum(np.abs(p @ free @ bd))), float(p @ ad @ target)
+        return float(np.abs(p @ free @ bd).sum()), float(p @ ad @ target)
 
     return phi, target, more
 
@@ -251,12 +262,13 @@ def _rounding(phi, target, p) -> float:
     )
 
 
-def _farkas(phi, target, p, abs_c=None):
+def _farkas(phi, target, p, support=None):
     """``max(sum |phi' p|, rounding) / target' p`` if ``p`` proves that no
     ``|u| <= 1`` reaches ``target``, by the margin ``_FARKAS_MARGIN`` and
     ``_rounding`` (a pass over ``phi``, made only past the margin); else
-    None.  ``abs_c``, when given, is ``|phi' p|``."""
-    support = float(np.sum(np.abs(phi.T @ p) if abs_c is None else abs_c))
+    None.  ``support``, when given, is ``sum |phi' p|``."""
+    if support is None:
+        support = float(np.sum(np.abs(phi.T @ p)))
     excess, bound = float(target @ p), (1.0 + _FARKAS_MARGIN) * support
     if excess > bound:
         rounding = _rounding(phi, target, p)
@@ -412,7 +424,7 @@ def _ascend(layout, target, w1, w2, p, budget):
             kept = (p, c, u, gnorm)
         abs_c = np.abs(c, out=scratch)
         # an ascent that escapes to infinity leaves along a certificate
-        if _farkas(phi, target, p, abs_c) is not None:
+        if _farkas(phi, target, p, float(np.sum(abs_c))) is not None:
             return p, c, u, steps, "unbounded"
         if gnorm < _PROGRESS * best:
             best, since_best = gnorm, 0
@@ -450,10 +462,20 @@ def _ascend(layout, target, w1, w2, p, budget):
         steps += 1
 
 
-def _solve_consistent(a, b):
-    """``x`` with ``a x = b``: exact for a square ``a``, else least-norm."""
-    if a.shape[0] == a.shape[1]:
-        return np.linalg.solve(a, b)
+def _solve(a, b):
+    """``x`` with ``a x = b`` for a square ``a``: LAPACK's ``dgesv``, the
+    routine ``np.linalg.solve`` runs (its bits, as the tests check), called
+    without that wrapper's checks, which take several times as long as the
+    solve of an exchange basis; raises ``LinAlgError`` where ``a`` is
+    singular."""
+    x, info = dgesv(a, b)[2:]
+    if info > 0:
+        raise np.linalg.LinAlgError("singular basis")
+    return x
+
+
+def _least_norm(a, b):
+    """The least-norm ``x`` with ``a x = b``."""
     return np.linalg.lstsq(a, b, rcond=None)[0]
 
 
@@ -495,13 +517,15 @@ def _exchange(phi, target, w1, budget, tied=()):
     tied, p = list(tied), np.zeros(n)
     basis = phi[:, tied]
     if gauge:
-        basis, p = np.column_stack([target, basis]), None
+        basis, p = np.concatenate([target[:, None], basis], axis=1), None
         # a start at a vertex ties a basis of unit columns independent to rounding
         if tied and len(tied) == n - 1:
             unit = basis / (np.sqrt((basis * basis).sum(axis=0)) + _TINY)
             sv = np.linalg.svd(unit, compute_uv=False).tolist()
             if sv[-1] > 0.0 and sv[0] / sv[-1] < 1.0 / _TIE:
-                p = np.linalg.solve(basis.T, np.eye(n)[0])
+                first = np.zeros(n)
+                first[0] = 1.0
+                p = _solve(basis.T, first)
         if p is None:
             tied, basis, p = [], basis[:, :1], target
         p = p / (target @ p)
@@ -537,11 +561,18 @@ def _exchange(phi, target, w1, budget, tied=()):
                     j = int(np.argmax(share))
                     d = -(level[j] or -1.0) * (free @ spill[:, j]) if share[j] > _TIE else None
             if d is None:
-                z = _solve_consistent(basis, grad).tolist()
+                # a square basis is solved exactly, a narrower one (phi and
+                # target span fewer dimensions) by least norm
+                solve = _solve if k == n else _least_norm
+                z = solve(basis, grad).tolist()
                 v = [-x for x in z[k0:]]
-                # each multiplier's range mid +- half: [0, 1] at w1, [-1, 1] at 0
-                dev = [x - 0.5 * side for x, side in zip(v, sides)]
-                half = [1.0 - abs(0.5 * side) for side in sides]
+                # each multiplier's range mid +- half: [0, 1] at w1, [-1, 1]
+                # at 0, as every gauge multiplier's
+                if gauge:
+                    dev, half = v, [1.0] * len(v)
+                else:
+                    dev = [x - 0.5 * side for x, side in zip(v, sides)]
+                    half = [1.0 - abs(0.5 * side) for side in sides]
                 if not any(abs(x) > y + _TIE for x, y in zip(dev, half)):
                     level[tied] = v
                     return "optimal", p, level, z[0] if gauge else 1.0, steps, tied
@@ -550,7 +581,7 @@ def _exchange(phi, target, w1, budget, tied=()):
                 sigma = 1.0 if dev[release] > 0.0 else -1.0
                 rhs = np.zeros(k)
                 rhs[k0 + release] = sigma
-                d = _solve_consistent(basis.T, rhs)
+                d = solve(basis.T, rhs)
                 slope = -over[release]
             else:
                 slope = float(grad @ d)
@@ -560,15 +591,17 @@ def _exchange(phi, target, w1, budget, tied=()):
             return "max_iter", p, level, math.nan, steps, tied
         # the thresholds theta ahead along d, past which a sample's level is
         # sign(e), or 0 in the dead zone: the gauge's +-0 coincide and are
-        # crossed at twice the rate; an L1 sample heading in meets +-w1 and
-        # then -+w1, one heading out (the released one too, if inward) +-w1
+        # crossed at twice the rate, each to minus its level; an L1 sample
+        # heading in meets +-w1 and then -+w1, one heading out (the released
+        # one too, if inward) +-w1
         e = phi.T @ d
         if release is None:
             # a sample joins the basis only when phi_j' d is above rounding
             e[np.abs(e) <= _TIE * (abs_phi_t @ np.abs(d))] = 0.0
         if gauge:
             cols = (level * e < 0.0).nonzero()[0]
-            after, ahead, far = -level[cols], -c[cols], cols[:0]
+            ahead, ec = -c[cols], e[cols]
+            neg_rate = -2.0 * np.abs(ec)
         else:
             moving = level * e < np.abs(e)
             moving[tied] = False
@@ -581,10 +614,9 @@ def _exchange(phi, target, w1, budget, tied=()):
             cols = np.concatenate([cols, cols[far]])
             theta = np.concatenate([theta, -theta[far]])
             after = np.concatenate([after * (heading == 0.0), after[far]])
-            ahead = theta - c[cols]
-        ec = e[cols]
+            ahead, ec = theta - c[cols], e[cols]
+            neg_rate = -np.abs(ec)
         at = np.where(np.abs(ahead) > tol[cols], ahead / ec, 0.0)
-        rate = (2.0 if gauge else 1.0) * np.abs(ec)
         # the long-step ratio test: the crossings by at (ties: the larger rate
         # first) up to the one that turns the slope, sorted only in a window
         # of the smallest at, widened eightfold until the slope turns in it
@@ -592,10 +624,10 @@ def _exchange(phi, target, w1, budget, tied=()):
         while True:
             if window < at.size:
                 near = (at <= np.partition(at, window - 1)[window - 1]).nonzero()[0]
-                order = near[np.lexsort((-rate[near], at[near]))]
+                order = near[np.lexsort((neg_rate[near], at[near]))]
             else:
-                order = np.lexsort((-rate, at))
-            turned = (slope + rate[order].cumsum() >= 0.0).nonzero()[0]
+                order = np.lexsort((neg_rate, at))
+            turned = (slope - neg_rate[order].cumsum() >= 0.0).nonzero()[0]
             if turned.size or order.size == at.size:
                 break
             window *= 8
@@ -610,16 +642,19 @@ def _exchange(phi, target, w1, budget, tied=()):
         # past a threshold the level is sign(e), or 0 in the dead zone; past
         # both, beyond the second
         crossed = order[:stop]
-        level[cols[crossed]] = after[crossed]
-        if far.size:
-            crossed = crossed[crossed >= cols.size - far.size]
+        if gauge:
+            level[cols[crossed]] *= -1.0
+        else:
             level[cols[crossed]] = after[crossed]
+            if far.size:
+                crossed = crossed[crossed >= cols.size - far.size]
+                level[cols[crossed]] = after[crossed]
         j = int(cols[hit])
         side = 0.0 if gauge else float(np.sign(theta[hit]))
         if release is None:
             tied.append(j)
             sides.append(side)
-            basis = np.column_stack([basis, phi[:, j]])
+            basis = np.concatenate([basis, phi[:, j : j + 1]], axis=1)
         else:
             tied[release], sides[release] = j, side
             basis[:, k0 + release] = phi[:, j]
@@ -757,42 +792,43 @@ def _gauge(phi, target, tied=()):
 
 
 def _certified_gauge(phi, target, tied=()):
-    """``(log s, p, tied)`` from ``_gauge``, or None unless a certificate
-    backs it.
+    """``(log s, p, support, tied)`` from ``_gauge``, with ``support = sum
+    |phi' p|``, or None unless a certificate backs it.
 
     ``s >= 1`` counts when the control ``u = clip(v / s)`` misses the target
     by at most ``_REACH_FLOOR * max(1, |target|)``; the value is then
     ``log max(s, 1)``.  ``s < 1`` counts when ``p`` is a Farkas certificate
-    (``_farkas``); the value is then the log of ``sum |phi' p|``, or of the
+    (``_farkas``); the value is then the log of ``support``, or of the
     rounding bound when larger (finite where ``s = 0``), over ``target' p``.
     """
     tnorm = float(np.linalg.norm(target))
-    if not (math.isfinite(tnorm) and np.all(np.isfinite(phi))):
+    if not (math.isfinite(tnorm) and np.isfinite(phi).all()):
         return None
     found = _gauge(phi, target, tied)
     if found is None:
         return None
     s, v, p, tied = found
+    support = float(np.abs(phi.T @ p).sum())
     if s > 0.0:
-        u = np.clip(v / s, -1.0, 1.0)
+        u = np.minimum(np.maximum(v / s, -1.0), 1.0)
         miss = float(np.linalg.norm(phi @ u - target))
         if miss <= _REACH_FLOOR * max(1.0, tnorm):
-            return math.log(max(s, 1.0)), p, tied
-    ratio = _farkas(phi, target, p)
-    return None if ratio is None else (math.log(ratio), p, tied)
+            return math.log(max(s, 1.0)), p, support, tied
+    ratio = _farkas(phi, target, p, support)
+    return None if ratio is None else (math.log(ratio), p, support, tied)
 
 
-def _gauge_slope(phi, p, more, n_steps: int) -> float:
+def _gauge_slope(support: float, p, more, n_steps: int) -> float:
     """Envelope slope ``d log s / d log T`` of the gauge at its vertex ``p``.
 
     With ``(extra, grown) = more(p)`` for one more sample, ``p`` scaled back
     to ``target' p = 1`` bounds the gauge by ``(s + extra) / grown``, ``s =
-    sum |phi' p|``: exactly the new gauge while ``p`` stays optimal, and to
-    first order (LP sensitivity) at a vertex that is the only optimum.  The
-    slope is that change of ``log s`` over ``log((N + 1) / N)``, or 2 where
-    the ratio is not a positive number (``s = 0``, ``grown <= 0``).
+    support = sum |phi' p|``: exactly the new gauge while ``p`` stays
+    optimal, and to first order (LP sensitivity) at a vertex that is the
+    only optimum.  The slope is that change of ``log s`` over ``log((N + 1)
+    / N)``, or 2 where the ratio is not a positive number (``s = 0``,
+    ``grown <= 0``).
     """
-    support = float(np.sum(np.abs(phi.T @ p)))
     extra, grown = more(p)
     slope = 2.0
     if support > 0.0 and grown > 0.0:
@@ -866,13 +902,13 @@ def minimum_time(
             phi, target, more = _reach_condition(plant, x0, horizon, n_steps)
             tied = () if vertex is None else _mapped_vertex(plant.m, n_steps, h, vertex)
             found = _certified_gauge(phi, target, tied)
-            slope = None if found is None else _gauge_slope(phi, found[1], more, n_steps)
-        if found is None:
-            raise RuntimeError(
-                f"minimum time undecided: neither certificate verifies at "
-                f"T = {horizon:.6g} (max Re lambda * T = {growth * horizon:.3g})"
-            )
-        value, _, tied = found
+            if found is None:
+                raise RuntimeError(
+                    f"minimum time undecided: neither certificate verifies at "
+                    f"T = {horizon:.6g} (max Re lambda * T = {growth * horizon:.3g})"
+                )
+            value, p, support, tied = found
+            slope = _gauge_slope(support, p, more, n_steps)
         vertex = (h, n_steps, tied)
         return value, slope
 

@@ -798,21 +798,35 @@ def test_verify_catches_violated_terminal_state(solved, capsys, tmp_path):
 # entry point
 
 
-def test_module_entry_point_help():
+def run_python(*args):
+    """``python *args`` in a fresh process that imports the package from ``src``."""
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
     )
-    result = subprocess.run(
-        [sys.executable, "-m", "handsoff", "--help"],
-        env=env,
-        capture_output=True,
-        text=True,
-    )
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+
+
+def test_module_entry_point_help():
+    result = run_python("-m", "handsoff", "--help")
     assert result.returncode == 0
     for token in ("solve", "sweep", "mintime", "verify"):
         assert token in result.stdout
+
+
+def test_the_cli_import_leaves_scipy_optimize_unloaded():
+    # the benchmark's tracer hooks linprog and lsq_linear, which nothing
+    # calls; they resolve on first lookup, so the CLI does not pay for
+    # importing scipy.optimize
+    result = run_python(
+        "-c",
+        "import sys, handsoff.cli; print('scipy.optimize' in sys.modules);"
+        " import handsoff.analysis as a, handsoff.solver as s;"
+        " print(callable(a.linprog), callable(s.lsq_linear))",
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["False", "True", "True"]
 
 
 def test_main_builds_its_parser_once_and_parses_alike(tmp_path, capsys, monkeypatch):

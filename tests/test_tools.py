@@ -84,3 +84,20 @@ def test_paired_summary_counts_pairs_won_in_the_better_direction():
     assert lower["quartiles"]["working tree"] == [9.375, 9.75, 10.5]
     assert lower["change"] == 9.75 / 10.5 - 1.0
     assert summarize(commit, tree, "higher")["won"] == 1
+
+
+def test_cli_time_report_gives_each_command_its_medians_and_runs_won():
+    cli_time = load_tool("cli_time")
+    times = {
+        "commit": {"import handsoff": [0.6, 0.5, 0.7], "CLI solve": [0.55, 0.57, 0.56]},
+        "working tree": {"import handsoff": [0.4, 0.5, 0.3], "CLI solve": [0.38, 0.6, 0.37]},
+    }
+    header, imported, solved = cli_time.report(times)
+    assert header.split()[0] == "command"
+    # the median and quartiles of each side, the change, then the runs won
+    # (lower is better; the tie at 0.5 counts for neither side)
+    assert imported.split() == [
+        "import", "handsoff", "0.600", "[0.550,", "0.650]", "0.400", "[0.350,", "0.450]",
+        "-33.3%", "2/3",
+    ]
+    assert solved.split()[-2:] == ["-32.1%", "2/3"]
