@@ -869,9 +869,9 @@ def seeded_plants(seed, count, n_max=4, m_max=3, n_min=1):
     """``count`` seeded ``(plant, x0)`` pairs with n in ``n_min..n_max`` and
     m in ``1..m_max``: stable, oscillatory (an undamped pair, or an
     integrator when n = 1) and unstable plants in turn; an unstable plant's
-    x0 is scaled to half the reach of its unstable modes (those of positive
-    real part: an undamped pair's rounds to either sign).  No case is
-    re-drawn."""
+    x0 is scaled to half the reach of its unstable modes.  Only the unstable
+    class is scaled: an undamped pair's eigenvalues round to real parts of
+    either sign.  No case is re-drawn."""
     rng = np.random.default_rng(seed)
     cases = []
     for i in range(count):
