@@ -464,10 +464,16 @@ def _ascend(layout, target, w1, w2, p, budget):
 
 def _solve(a, b):
     """``x`` with ``a x = b`` for a square ``a``: LAPACK's ``dgesv``, the
-    routine ``np.linalg.solve`` runs (its bits, as the tests check), called
-    without that wrapper's checks, which take several times as long as the
-    solve of an exchange basis; raises ``LinAlgError`` where ``a`` is
-    singular."""
+    routine ``np.linalg.solve`` runs, called without that wrapper's checks,
+    which take several times as long as the solve of an exchange basis;
+    raises ``LinAlgError`` where ``a`` is singular.
+
+    This is scipy's OpenBLAS, not numpy's.  Its bits are
+    ``np.linalg.solve``'s only while the two builds compute ``dgesv`` alike,
+    which neither package promises (the tests check it and print both
+    builds when they differ); where they do not, the solves stay correct,
+    but outputs can differ from those of ``np.linalg.solve`` in the last
+    bits."""
     x, info = dgesv(a, b)[2:]
     if info > 0:
         raise np.linalg.LinAlgError("singular basis")
@@ -566,13 +572,9 @@ def _exchange(phi, target, w1, budget, tied=()):
                 solve = _solve if k == n else _least_norm
                 z = solve(basis, grad).tolist()
                 v = [-x for x in z[k0:]]
-                # each multiplier's range mid +- half: [0, 1] at w1, [-1, 1]
-                # at 0, as every gauge multiplier's
-                if gauge:
-                    dev, half = v, [1.0] * len(v)
-                else:
-                    dev = [x - 0.5 * side for x, side in zip(v, sides)]
-                    half = [1.0 - abs(0.5 * side) for side in sides]
+                # each multiplier's range mid +- half: [0, 1] at w1, [-1, 1] at 0
+                dev = [x - 0.5 * side for x, side in zip(v, sides)]
+                half = [1.0 - abs(0.5 * side) for side in sides]
                 if not any(abs(x) > y + _TIE for x, y in zip(dev, half)):
                     level[tied] = v
                     return "optimal", p, level, z[0] if gauge else 1.0, steps, tied
@@ -591,17 +593,15 @@ def _exchange(phi, target, w1, budget, tied=()):
             return "max_iter", p, level, math.nan, steps, tied
         # the thresholds theta ahead along d, past which a sample's level is
         # sign(e), or 0 in the dead zone: the gauge's +-0 coincide and are
-        # crossed at twice the rate, each to minus its level; an L1 sample
-        # heading in meets +-w1 and then -+w1, one heading out (the released
-        # one too, if inward) +-w1
+        # crossed at twice the rate; an L1 sample heading in meets +-w1 and
+        # then -+w1, one heading out (the released one too, if inward) +-w1
         e = phi.T @ d
         if release is None:
             # a sample joins the basis only when phi_j' d is above rounding
             e[np.abs(e) <= _TIE * (abs_phi_t @ np.abs(d))] = 0.0
         if gauge:
             cols = (level * e < 0.0).nonzero()[0]
-            ahead, ec = -c[cols], e[cols]
-            neg_rate = -2.0 * np.abs(ec)
+            after, ahead, far = -level[cols], -c[cols], cols[:0]
         else:
             moving = level * e < np.abs(e)
             moving[tied] = False
@@ -614,8 +614,10 @@ def _exchange(phi, target, w1, budget, tied=()):
             cols = np.concatenate([cols, cols[far]])
             theta = np.concatenate([theta, -theta[far]])
             after = np.concatenate([after * (heading == 0.0), after[far]])
-            ahead, ec = theta - c[cols], e[cols]
-            neg_rate = -np.abs(ec)
+            ahead = theta - c[cols]
+        ec = e[cols]
+        # minus the rate: the sort key, and the slope's decrements
+        neg_rate = (-2.0 if gauge else -1.0) * np.abs(ec)
         at = np.where(np.abs(ahead) > tol[cols], ahead / ec, 0.0)
         # the long-step ratio test: the crossings by at (ties: the larger rate
         # first) up to the one that turns the slope, sorted only in a window
@@ -642,13 +644,10 @@ def _exchange(phi, target, w1, budget, tied=()):
         # past a threshold the level is sign(e), or 0 in the dead zone; past
         # both, beyond the second
         crossed = order[:stop]
-        if gauge:
-            level[cols[crossed]] *= -1.0
-        else:
+        level[cols[crossed]] = after[crossed]
+        if far.size:
+            crossed = crossed[crossed >= cols.size - far.size]
             level[cols[crossed]] = after[crossed]
-            if far.size:
-                crossed = crossed[crossed >= cols.size - far.size]
-                level[cols[crossed]] = after[crossed]
         j = int(cols[hit])
         side = 0.0 if gauge else float(np.sign(theta[hit]))
         if release is None:

@@ -865,9 +865,9 @@ def lp_gauge(phi, target) -> float:
     return -float(res.fun)
 
 
-def seeded_plants(seed, count, n_max=4, m_max=3, n_min=1):
-    """``count`` seeded ``(plant, x0)`` pairs with n in ``n_min..n_max`` and
-    m in ``1..m_max``: stable, oscillatory (an undamped pair, or an
+def seeded_plants(seed, count, m_max=3, n_min=1):
+    """``count`` seeded ``(plant, x0)`` pairs with n in ``n_min..4`` and m
+    in ``1..m_max``: stable, oscillatory (an undamped pair, or an
     integrator when n = 1) and unstable plants in turn; an unstable plant's
     x0 is scaled to half the reach of its unstable modes.  Only the unstable
     class is scaled: an undamped pair's eigenvalues round to real parts of
@@ -875,7 +875,7 @@ def seeded_plants(seed, count, n_max=4, m_max=3, n_min=1):
     rng = np.random.default_rng(seed)
     cases = []
     for i in range(count):
-        n = int(rng.integers(n_min, n_max + 1))
+        n = int(rng.integers(n_min, 5))
         m = int(rng.integers(1, m_max + 1))
         a = 0.7 * rng.standard_normal((n, n))
         if i % 3 == 1:
@@ -1004,10 +1004,24 @@ def test_gauge_starts_cold_when_its_start_is_dependent_to_rounding():
     assert checked >= 10
 
 
+def blas_builds() -> str:
+    """The OpenBLAS builds of numpy and scipy, which ``solver._solve``'s
+    bits depend on."""
+    import scipy
+
+    return "; ".join(
+        f"{pkg.__name__} {pkg.__version__}: "
+        + pkg.show_config(mode="dicts")["Build Dependencies"]["blas"].get("openblas configuration", "?")
+        for pkg in (np, scipy)
+    )
+
+
 def test_basis_solves_are_numpys_bit_for_bit():
     # _solve runs LAPACK's dgesv as np.linalg.solve does: the same bits on
     # seeded systems of 1 to 4 columns scaled over 20 decades, and on their
-    # transposes, and the same refusal of a singular basis
+    # transposes, and the same refusal of a singular basis.  The bits are
+    # the same only while scipy's OpenBLAS computes dgesv as numpy's does,
+    # which neither package promises: a failure names both builds
     rng = np.random.default_rng(5)
     for _ in range(2000):
         k = int(rng.integers(1, 5))
@@ -1015,7 +1029,7 @@ def test_basis_solves_are_numpys_bit_for_bit():
         b = rng.standard_normal(k)
         for basis in (a, a.T):
             x = handsoff.solver._solve(basis, b)
-            assert x.tobytes() == np.linalg.solve(basis, b).tobytes(), basis
+            assert x.tobytes() == np.linalg.solve(basis, b).tobytes(), (basis, blas_builds())
     with pytest.raises(np.linalg.LinAlgError):
         handsoff.solver._solve(np.array([[1.0, 2.0], [2.0, 4.0]]), np.ones(2))
 
@@ -1112,61 +1126,13 @@ def test_gauge_slope_is_the_envelope_of_one_more_sample():
     assert matched >= 40
 
 
-def test_the_certified_support_is_sum_abs_phi_p_bit_for_bit(monkeypatch):
-    # each horizon forms |phi' p| once, at the gauge vertex: the support that
-    # _certified_gauge returns is that sum as a fresh product gives it, and
-    # the slope taken from it is the slope taken from a fresh product, on
-    # every horizon minimum_time tries, warm starts and both certificates
-    # included; on gauge_battery() and on plants shaped like the benchmark's
-    # minimum-time batch (n in 2..4, m in 1..2, 100 samples per second)
-    built, verdicts = [], []
-    reach_condition = handsoff.solver._reach_condition
-    certified_gauge = handsoff.solver._certified_gauge
-
-    def kept(plant, x0, horizon, n_steps):
-        phi, target, more = reach_condition(plant, x0, horizon, n_steps)
-        built[:] = n_steps, more
-        return phi, target, more
-
-    def checked(phi, target, tied):
-        found = certified_gauge(phi, target, tied)
-        if found is None:
-            return found
-        value, p, support, _ = found
-        fresh = float(np.sum(np.abs(phi.T @ p)))
-        n_steps, more = built
-        verdicts.append((
-            support.hex() == fresh.hex(),
-            handsoff.solver._gauge_slope(support, p, more, n_steps)
-            == handsoff.solver._gauge_slope(fresh, p, more, n_steps),
-            value >= 0.0,
-        ))
-        return found
-
-    monkeypatch.setattr(handsoff.solver, "_reach_condition", kept)
-    monkeypatch.setattr(handsoff.solver, "_certified_gauge", checked)
-    for cases, density, tol in (
-        (gauge_battery(), 40.0, 0.02),
-        (seeded_plants(31, 24, m_max=2, n_min=2), 100.0, 0.01),
-    ):
-        for plant, x0 in cases:
-            try:
-                minimum_time(plant, x0, grid_density=density, tol_t=tol)
-            except RuntimeError as exc:
-                # rounding can leave a horizon of a strongly unstable plant
-                # with neither certificate (one of the 24 here, at lambda T
-                # = 42); the horizons before it still count
-                assert "undecided" in str(exc)
-    same_support, same_slope, reachable = np.array(verdicts).T
-    assert same_support.all() and same_slope.all()
-    assert len(verdicts) >= 100 and 0 < reachable.sum() < len(verdicts)
-
-
 def record_horizons(monkeypatch) -> list:
     """``[T, reachable]`` of every horizon ``minimum_time`` evaluates, in order.
 
     Each evaluation builds its reach condition once, with the exact ``T`` as
     its ``horizon``; the verdict is the sign of the certified log gauge.
+    The support each certified gauge returns for the slope must be ``sum
+    |phi' p|`` at its vertex, bit for bit.
     """
     seen = []
     reach_condition = handsoff.solver._reach_condition
@@ -1179,6 +1145,9 @@ def record_horizons(monkeypatch) -> list:
     def verdict(phi, target, tied):
         found = certified_gauge(phi, target, tied)
         seen[-1][1] = found is not None and found[0] >= 0.0
+        if found is not None:
+            support = float(np.sum(np.abs(phi.T @ found[1])))
+            assert found[2].hex() == support.hex(), (found[2], support)
         return found
 
     monkeypatch.setattr(handsoff.solver, "_reach_condition", counted)
@@ -1322,6 +1291,25 @@ def test_minimum_time_evaluates_fewer_horizons_on_the_gauge_battery(monkeypatch)
     for plant, x0 in gauge_battery():
         minimum_time(plant, x0, grid_density=40.0, tol_t=0.02)
     assert len(seen) <= 54
+
+
+def test_minimum_time_on_plants_shaped_like_the_benchmark_batch(monkeypatch):
+    # n in 2..4 and m in 1..2 at 100 samples per second, as the benchmark's
+    # minimum-time batch draws its plants; record_horizons checks each
+    # horizon's support.  Rounding leaves one horizon of one strongly
+    # unstable plant with neither certificate (the 18th, at T = 64 s and
+    # lambda T = 41.6), and no other
+    seen = record_horizons(monkeypatch)
+    refused = []
+    for i, (plant, x0) in enumerate(seeded_plants(31, 24, m_max=2, n_min=2)):
+        try:
+            minimum_time(plant, x0, grid_density=100.0, tol_t=0.01)
+        except RuntimeError as exc:
+            assert "undecided" in str(exc) and "T = 64 " in str(exc), exc
+            refused.append(i)
+    assert refused == [17]
+    reachable = [verdict for _, verdict in seen]
+    assert len(seen) >= 100 and any(reachable) and not all(reachable)
 
 
 def two_input_short_chain() -> LtiPlant:
