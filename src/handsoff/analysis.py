@@ -204,8 +204,9 @@ def sweep_tradeoff(problem: ControlProblem, r_values) -> list[TradeoffPoint]:
 
     The L1 weight stays at ``problem.lam``; each point records the support
     measure, the largest control slope and its Newton steps.  The sweep is
-    one continuation path: the problem is transcribed once and only the
-    quadratic weights change per point; the points are solved from the
+    one continuation path: the problem is transcribed once, and each point
+    writes its weights ``r h`` into the program's quadratic weight row,
+    which the sweep owns; the points are solved from the
     largest ``r`` down, each Newton ascent starting from the costate of the
     last converged point.  On a grid of at least 4096 samples the same path
     is also walked on the problem transcribed with ``N // 16`` samples,
@@ -226,22 +227,24 @@ def sweep_tradeoff(problem: ControlProblem, r_values) -> list[TradeoffPoint]:
         raise ValueError("r_values must be positive and finite")
     r_values = np.sort(r_values)
     problem = replace(problem, r=float(r_values[-1]), mode="L1L2")
+    # each program's l2_weights is a row transcribe made for it alone
     program = solver.transcribe(problem)
     layout = solver._Layout(program.phi)
     coarse = None
     if problem.N >= _COARSE_FROM:
-        coarse = solver.transcribe(replace(problem, N=problem.N // _COARSE_RATIO))
+        # the same plant, past transcribe's Hautus test
+        coarse = solver._transcribe(replace(problem, N=problem.N // _COARSE_RATIO))
         coarse_layout = solver._Layout(coarse.phi)
     start = coarse_start = None
     points = []
     for r in r_values[::-1]:
         fine_start = start
         if coarse is not None:
-            coarse = replace(coarse, l2_weights=np.full(coarse.phi.shape[1], r * coarse.h))
+            coarse.l2_weights.fill(r * coarse.h)
             report = solver.solve(coarse, _start=coarse_start, _layout=coarse_layout)
             if report.status == "converged":
                 coarse_start = fine_start = report.costate
-        program = replace(program, l2_weights=np.full(program.phi.shape[1], r * program.h))
+        program.l2_weights.fill(r * program.h)
         report = solver.solve(program, _start=fine_start, _layout=layout)
         l0, slope = math.nan, math.nan
         if report.status == "converged":

@@ -225,6 +225,12 @@ def transcribe(problem: ControlProblem) -> DiscreteProgram:
     ``solve`` decides like any other.
     """
     hautus_test(problem.plant)
+    return _transcribe(problem)
+
+
+def _transcribe(problem: ControlProblem) -> DiscreteProgram:
+    """``transcribe`` without its Hautus test, for a plant that has passed it
+    (``analysis.sweep_tradeoff``'s coarse grid)."""
     phi, target, _ = _reach_condition(problem.plant, problem.x0, problem.T, problem.N)
     lam = problem.lam if problem.mode != "L2" else np.zeros(problem.plant.m)
     r = problem.r if problem.mode != "L1" else np.zeros(problem.plant.m)
@@ -401,7 +407,9 @@ def _ascend(layout, target, w1, w2, p, budget):
     phi, abs_phi, scratch = layout.phi, layout.abs_phi, layout.scratch
     reg, curvature = _band_curvature(layout, w2)
     band_hi = w1 + w2
-    tsize = max(1.0, float(np.linalg.norm(target)))
+    # norms of n-vectors as np.linalg.norm forms them, sqrt(x . x), without
+    # its wrapper
+    tsize = max(1.0, math.sqrt(target @ target))
     here, spare = layout.points
     c, u = here
     np.matmul(phi.T, p, out=c)
@@ -412,8 +420,9 @@ def _ascend(layout, target, w1, w2, p, budget):
     kept = None
     while True:
         grad = target - phi @ u
-        gnorm = float(np.linalg.norm(grad))
-        size = max(tsize, float(np.linalg.norm(abs_phi @ np.abs(u, out=scratch))))
+        gnorm = math.sqrt(grad @ grad)
+        terms = abs_phi @ np.abs(u, out=scratch)
+        size = max(tsize, math.sqrt(terms @ terms))
         if kept is not None and not gnorm <= 0.1 * kept[3]:
             if not gnorm < kept[3]:
                 p, c, u = kept[:3]
@@ -424,7 +433,7 @@ def _ascend(layout, target, w1, w2, p, budget):
             kept = (p, c, u, gnorm)
         abs_c = np.abs(c, out=scratch)
         # an ascent that escapes to infinity leaves along a certificate
-        if _farkas(phi, target, p, float(np.sum(abs_c))) is not None:
+        if _farkas(phi, target, p, float(abs_c.sum())) is not None:
             return p, c, u, steps, "unbounded"
         if gnorm < _PROGRESS * best:
             best, since_best = gnorm, 0
@@ -437,7 +446,7 @@ def _ascend(layout, target, w1, w2, p, budget):
         band = np.flatnonzero((abs_c > w1) & (abs_c < band_hi))
         hess = curvature(band) + reg
         try:
-            newton = np.linalg.solve(hess, grad)
+            newton = _solve(hess, grad)
         except np.linalg.LinAlgError:
             newton = np.linalg.lstsq(hess, grad, rcond=None)[0]
         # rounding can turn the Newton direction against the gradient, or
@@ -465,7 +474,8 @@ def _ascend(layout, target, w1, w2, p, budget):
 def _solve(a, b):
     """``x`` with ``a x = b`` for a square ``a``: LAPACK's ``dgesv``, the
     routine ``np.linalg.solve`` runs, called without that wrapper's checks,
-    which take several times as long as the solve of an exchange basis;
+    which take several times as long as the solves it serves, of n or fewer
+    unknowns: ``_exchange``'s bases and ``_ascend``'s Newton systems;
     raises ``LinAlgError`` where ``a`` is singular.
 
     This is scipy's OpenBLAS, not numpy's.  Its bits are
@@ -476,7 +486,7 @@ def _solve(a, b):
     bits."""
     x, info = dgesv(a, b)[2:]
     if info > 0:
-        raise np.linalg.LinAlgError("singular basis")
+        raise np.linalg.LinAlgError("singular matrix")
     return x
 
 
@@ -702,11 +712,16 @@ def solve(program: DiscreteProgram, *, _start=None, _layout=None) -> SolveReport
     w1 = program.l1_weights
     w2 = program.l2_weights
     n, mn = phi.shape
-    if np.any((w1 == 0.0) & (w2 == 0.0)):
-        raise ValueError("every sample needs a positive L1 or quadratic weight")
-    if np.any(w2 > 0.0) and not np.all(w2 > 0.0):
-        raise ValueError("quadratic weights must be all zero or all positive")
-    if np.any(w2):
+    # one pass decides the common case, every quadratic weight positive
+    ascent = mn > 0 and w2.min() > 0.0
+    if not ascent:
+        if np.any((w1 == 0.0) & (w2 == 0.0)):
+            raise ValueError("every sample needs a positive L1 or quadratic weight")
+        if np.any(w2 > 0.0):
+            raise ValueError("quadratic weights must be all zero or all positive")
+        # only NaN weights are left nonzero; they ascend
+        ascent = bool(np.any(w2))
+    if ascent:
         p = np.zeros(n) if _start is None else _start
         if _layout is None or _layout.phi is not phi:
             _layout = _Layout(phi)
@@ -718,10 +733,11 @@ def solve(program: DiscreteProgram, *, _start=None, _layout=None) -> SolveReport
         # u = 0 meets a target at the rounding floor (the ascent's stopping
         # rule at p = 0), where the exact vertex's gap is rounding noise
         p, c, u, iterations, outcome = np.zeros(n), None, np.zeros(mn), 0, "optimal"
-        if np.linalg.norm(target) > _STOP_REL:
+        if math.sqrt(target @ target) > _STOP_REL:
             outcome, p, u, _, iterations, _ = _exchange(phi, target, w1, _MAX_ITER)
             u = np.clip(u, -1.0, 1.0) + 0.0  # no -0.0 in the dead zone
-    eq_abs = float(np.linalg.norm(phi @ u - target))
+    miss = phi @ u - target
+    eq_abs = math.sqrt(miss @ miss)
     root_mn = math.sqrt(mn)
     j1, j2, gap = _gap(u, p, phi, target, w1, w2, c)
     primal = j1 + j2
@@ -731,7 +747,7 @@ def solve(program: DiscreteProgram, *, _start=None, _layout=None) -> SolveReport
         # no feasible control, so no gap: the dual is unbounded along p
         status, gap = "infeasible_suspected", math.nan
     elif (
-        eq_abs <= _TOL_EQ * max(1.0, float(np.linalg.norm(target)))
+        eq_abs <= _TOL_EQ * max(1.0, math.sqrt(target @ target))
         and eq_abs / root_mn <= _TOL_PRIMAL
         and abs(gap) <= _TOL_DUAL * primal
     ):

@@ -441,13 +441,17 @@ def assert_matches_cold_solves(problem, points):
 
 @pytest.mark.parametrize("name", sorted(SWEEP_PROBLEMS))
 def test_sweep_matches_cold_solves_on_one_transcription(name, monkeypatch):
+    # one program per grid, built by solver._transcribe; the fine grid's
+    # build goes through transcribe, whose Hautus test the coarse one skips
     problem = SWEEP_PROBLEMS[name]
-    transcribed = counting(monkeypatch, "transcribe")
+    tested = counting(monkeypatch, "transcribe")
+    built = counting(monkeypatch, "_transcribe")
     points = sweep_tradeoff(problem, SWEEP_R)
     grids = [problem.N]
     if problem.N >= _COARSE_FROM:
         grids.append(problem.N // _COARSE_RATIO)
-    assert [p.N for p, _ in transcribed] == grids
+    assert [p.N for p, _ in built] == grids
+    assert [p.N for p, _ in tested] == [problem.N]
 
     cold = assert_matches_cold_solves(problem, points)
     if problem.N < _COARSE_FROM:
@@ -481,17 +485,19 @@ def held_arrays(layout):
 @pytest.mark.parametrize("name", ["chain_long", "two_input_long"])
 def test_sweep_solves_on_shared_layouts_are_fresh_solves_bit_for_bit(name, monkeypatch):
     # the solves on each grid share one solver._Layout, whose buffers and
-    # work rows each solve overwrites: every solve must be the solve from
-    # the same start on a layout of its own, and no report may hold the
-    # layout's memory, so each report still reads as it was returned once
-    # the whole sweep is done
+    # work rows each solve overwrites, and one program, whose quadratic
+    # weight row each point rewrites: every solve must be the solve from
+    # the same start, at the weights it saw, on a program and a layout of
+    # its own, and no report may hold the layout's memory, so each report
+    # still reads as it was returned once the whole sweep is done
     problem = SWEEP_PROBLEMS[name]
     solve = handsoff.solver.solve
     calls = []
 
     def recording(program, **kwargs):
+        w2 = program.l2_weights.copy()
         report = solve(program, **kwargs)
-        calls.append((program, kwargs, report, solved_bytes(report)))
+        calls.append((replace(program, l2_weights=w2), kwargs, report, solved_bytes(report)))
         return report
 
     monkeypatch.setattr(handsoff.solver, "solve", recording)
@@ -500,6 +506,11 @@ def test_sweep_solves_on_shared_layouts_are_fresh_solves_bit_for_bit(name, monke
     grids = {problem.N, problem.N // _COARSE_RATIO}
     assert {program.n_samples for program, *_ in calls} == grids
     assert len(calls) == 2 * len(SWEEP_R)
+    # each grid's points in turn, from the largest r down, at r h per sample
+    r_seen = sorted(SWEEP_R, reverse=True)
+    for i, (program, *_) in enumerate(calls):
+        want = np.full(program.phi.shape[1], r_seen[i // 2] * program.h)
+        assert program.l2_weights.tobytes() == want.tobytes()
     for program, kwargs, report, returned in calls:
         assert kwargs["_layout"].phi is program.phi
         assert solved_bytes(report) == returned
@@ -508,6 +519,18 @@ def test_sweep_solves_on_shared_layouts_are_fresh_solves_bit_for_bit(name, monke
             assert not np.shares_memory(report.costate, held)
         fresh = solve(program, _start=kwargs["_start"])
         assert solved_bytes(fresh) == returned, (program.n_samples, report.status)
+
+
+def test_sweeps_of_one_problem_agree_and_leave_it_unchanged():
+    # the quadratic weight row each point rewrites belongs to the sweep:
+    # neither the caller's problem nor a second sweep of it sees its writes
+    problem = SWEEP_PROBLEMS["chain_long"]
+    arrays = (problem.plant.a, problem.plant.b, problem.x0, problem.lam, problem.r)
+    before = [a.tobytes() for a in arrays]
+    first = sweep_tradeoff(problem, SWEEP_R)
+    assert sweep_tradeoff(problem, SWEEP_R) == first
+    assert all(p.status == "converged" for p in first)
+    assert [a.tobytes() for a in arrays] == before
 
 
 def test_sweep_below_the_coarse_cut_transcribes_once(monkeypatch):

@@ -626,6 +626,30 @@ def test_mixed_zero_and_positive_quadratic_weights_are_refused():
     )
     with pytest.raises(ValueError, match="all zero or all positive"):
         solve(program)
+    # a sample with neither weight is named first, when both faults occur
+    program = DiscreteProgram(
+        phi=np.eye(3), target=[0.5, 0.5, 0.5], l1_weights=[1.0, 0.0, 1.0],
+        l2_weights=[0.0, 0.0, 1.0],
+    )
+    with pytest.raises(ValueError, match="^every sample needs a positive L1 or quadratic weight$"):
+        solve(program)
+
+
+def test_all_zero_quadratic_weights_go_to_the_exchange(monkeypatch):
+    calls = []
+    for name in ("_ascend", "_exchange"):
+        method = getattr(handsoff.solver, name)
+        monkeypatch.setattr(
+            handsoff.solver, name,
+            lambda *args, name=name, method=method: calls.append(name) or method(*args),
+        )
+    program = DiscreteProgram(
+        phi=[[1.0, 2.0, -1.0]], target=[0.5], l1_weights=[1.0] * 3, l2_weights=[0.0] * 3
+    )
+    assert solve(program).status == "converged"
+    assert calls == ["_exchange"]
+    assert solve(replace(program, l2_weights=[1.0] * 3)).status == "converged"
+    assert calls == ["_exchange", "_ascend"]
 
 
 def test_line_search_takes_no_step_without_a_finite_slope_at_zero():
@@ -1030,8 +1054,43 @@ def test_basis_solves_are_numpys_bit_for_bit():
         for basis in (a, a.T):
             x = handsoff.solver._solve(basis, b)
             assert x.tobytes() == np.linalg.solve(basis, b).tobytes(), (basis, blas_builds())
+    # the ascent's Newton systems, curvature(band) + reg on seeded maps of
+    # 1 to 4 rows, at quadratic weights over several decades
+    for _ in range(100):
+        n, mn = int(rng.integers(1, 5)), int(rng.integers(1, 400))
+        phi = rng.standard_normal((n, mn)) * 10.0 ** rng.integers(-3, 4, (n, 1))
+        w2 = np.full(mn, 10.0 ** rng.uniform(-6.0, 2.0))
+        if rng.integers(2):
+            w2 *= 10.0 ** rng.uniform(-3.0, 3.0, mn)
+        reg, curvature = handsoff.solver._band_curvature(handsoff.solver._Layout(phi), w2)
+        band = np.flatnonzero(rng.random(mn) < rng.random())
+        hess, grad = curvature(band) + reg, rng.standard_normal(n)
+        x = handsoff.solver._solve(hess, grad)
+        assert x.tobytes() == np.linalg.solve(hess, grad).tobytes(), (hess, blas_builds())
     with pytest.raises(np.linalg.LinAlgError):
         handsoff.solver._solve(np.array([[1.0, 2.0], [2.0, 4.0]]), np.ones(2))
+
+
+def test_a_singular_newton_system_is_solved_by_least_squares(monkeypatch):
+    # a map with a zero row gives a Newton matrix with a zero row and
+    # column, which dgesv refuses; the ascent takes the least-squares
+    # direction, which leaves the unreached costate entry at 0
+    phi = np.array([[1.0, -0.5, 2.0, 0.3], [0.0, 0.0, 0.0, 0.0]])
+    program = DiscreteProgram(
+        phi=phi, target=[0.4, 0.0], l1_weights=np.full(4, 0.1), l2_weights=np.full(4, 0.2)
+    )
+    lstsq, calls = np.linalg.lstsq, []
+
+    def counting(a, b, rcond=None):
+        calls.append(a.shape)
+        return lstsq(a, b, rcond=rcond)
+
+    monkeypatch.setattr(np.linalg, "lstsq", counting)
+    report = solve(program)
+    assert calls and set(calls) == {(2, 2)}
+    assert len(calls) == report.iterations
+    assert report.status == "converged"
+    assert report.costate[1] == 0.0
 
 
 def test_gauge_from_its_optimal_basis_returns_at_once(monkeypatch):

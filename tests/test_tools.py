@@ -4,7 +4,9 @@
 those of a commit, and ``tools/paired_bench.py`` the benchmark's metrics in
 alternating pairs of runs; these tests load them (read only, without
 writing bytecode next to them) and check ``differences``, which decides
-what the first reports, and ``summarize``, which the second prints.
+what the first reports, and ``summarize``, which the second prints, with
+the other tools' pure parts: ``tools/bench_record.py``'s ``is_dirty`` and
+``tools/cli_time.py``'s ``report``.
 """
 
 import importlib.util
@@ -84,6 +86,23 @@ def test_paired_summary_counts_pairs_won_in_the_better_direction():
     assert lower["quartiles"]["working tree"] == [9.375, 9.75, 10.5]
     assert lower["change"] == 9.75 / 10.5 - 1.0
     assert summarize(commit, tree, "higher")["won"] == 1
+
+
+def test_a_record_is_dirty_only_for_changes_to_what_it_measures():
+    is_dirty = load_tool("bench_record").is_dirty
+    assert not is_dirty("")
+    # untracked notes and folders outside the measured code
+    assert not is_dirty("?? notes.txt\n?? scratch/\n?? src.txt\n?? \"my notes.md\"")
+    # an untracked module or folder under src/ or perfbench/
+    assert is_dirty("?? notes.txt\n?? src/handsoff/extra.py")
+    assert is_dirty("?? perfbench/new/")
+    assert is_dirty('?? "src/handsoff/a b.py"')
+    # any change to a tracked file, wherever it is ("git" strips the first
+    # line's leading blank)
+    for line in ("M README.md", " M README.md", "D  tests/test_cli.py", "R  a.py -> src/b.py",
+                 "A  BENCH_32.json", "MM src/handsoff/solver.py", "UU ROADMAP.md"):
+        assert is_dirty(f"?? notes.txt\n{line}"), line
+        assert is_dirty(line), line
 
 
 def test_cli_time_report_gives_each_command_its_medians_and_runs_won():

@@ -18,8 +18,10 @@ workload (say, a ratio over zero solves) is written as ``null``.
 ``src/handsoff/*.py`` that ``perfbench/run.py`` reports, which stays the
 same when a working tree is committed.  ``commit`` is the commit measured;
 without ``--commit`` it is the working tree's ``HEAD`` and ``dirty`` says
-whether the tree had uncommitted changes, so a record made before its change
-is committed names only the change's parent.  With ``--commit`` that commit
+whether the tree had uncommitted changes to tracked files or untracked files
+under ``MEASURED`` (``is_dirty``), so a record made before its change is
+committed names only the change's parent, while an untracked note beside a
+committed tree leaves it clean.  With ``--commit`` that commit
 is cloned into a temporary directory, which keeps its ``.git`` so that
 ``environment.git_commit`` is filled in, and measured with its own
 benchmark code: that is how a record is backfilled for an older commit.
@@ -41,6 +43,8 @@ ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("handsoff_l1", "tradeoff_long", "mintime_batch")
 SEED = 1
 SECONDS = 20.0
+# the code a record measures: an untracked file here makes the tree dirty
+MEASURED = ("src/", "perfbench/")
 
 
 def git(*args: str) -> str:
@@ -48,6 +52,15 @@ def git(*args: str) -> str:
         ["git", *args], cwd=ROOT, check=True, capture_output=True, text=True
     )
     return proc.stdout.strip()
+
+
+def is_dirty(porcelain: str) -> bool:
+    """Whether ``git status --porcelain`` output names a change to a tracked
+    file or an untracked file under ``MEASURED``."""
+    return any(
+        not line.startswith("??") or line[3:].strip('"').startswith(MEASURED)
+        for line in porcelain.splitlines()
+    )
 
 
 def check_out(commit: str, dest: Path) -> None:
@@ -125,7 +138,7 @@ def main(argv=None) -> int:
             checkout = Path(tmp) / "checkout"
             check_out(commit, checkout)
         else:
-            commit, dirty = git("rev-parse", "HEAD"), bool(git("status", "--porcelain"))
+            commit, dirty = git("rev-parse", "HEAD"), is_dirty(git("status", "--porcelain"))
             checkout = ROOT
         workloads = {}
         for workload in WORKLOADS:
