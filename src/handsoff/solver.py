@@ -30,6 +30,9 @@ root finding on its logarithm.
 from __future__ import annotations
 
 import math
+import sys
+import threading
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,6 +106,12 @@ _TIE = 1e-12
 _MAX_EXCHANGES = 200
 _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)
+# the spare: the largest block a collected _Layout gave back, kept up to this
+# many bytes, the most glibc's malloc keeps for reuse itself (its largest
+# mmap threshold on a 64-bit host)
+_SPARE_BYTES = 32 << 20
+_spare = None
+_spare_lock = threading.Lock()
 
 
 def __getattr__(name):
@@ -151,7 +160,9 @@ class DiscreteProgram:
             raise ValueError(f"h must be positive, got {self.h}")
         if not (self.m >= 1 and phi.shape[1] % self.m == 0):
             raise ValueError("m must divide the number of columns of phi")
-        for field, val in (("phi", phi), ("target", target)):
+        for field, val in (
+            ("phi", phi), ("target", target), ("l1_weights", w1), ("l2_weights", w2)
+        ):
             if not np.all(np.isfinite(val)):
                 raise ValueError(f"{field} must be finite")
         object.__setattr__(self, "phi", phi)
@@ -339,6 +350,30 @@ def _line_search(c, u, e, slope0, w1, w2, probe, control, scratch):
     return t
 
 
+def _take_block(size):
+    """A block of at least ``size`` doubles that no live layout holds: the
+    spare when it is that large and no view of it is left, else a new
+    block, and the spare is dropped."""
+    global _spare
+    with _spare_lock:
+        block, _spare = _spare, None
+    # with no view left, this name and getrefcount's argument are the only
+    # references to the block
+    if block is None or block.size < size or sys.getrefcount(block) > 2:
+        block = np.empty(size)
+    return block
+
+
+def _give_back(block):
+    """Keep a collected layout's ``block`` as the spare when it is within
+    ``_SPARE_BYTES`` and larger than the spare."""
+    global _spare
+    if block.nbytes <= _SPARE_BYTES:
+        with _spare_lock:
+            if _spare is None or block.size > _spare.size:
+                _spare = block
+
+
 class _Layout:
     """The arrays of an ascent that depend on ``phi`` alone, made once per map.
 
@@ -353,15 +388,33 @@ class _Layout:
     one at a time, so its pages are faulted in once, and a step allocates
     no array of one entry per sample besides the band's masks and gathered
     rows; ``analysis.sweep_tradeoff`` holds one layout per grid.
+
+    All of them are views of one block of ``(3 n + 8) m N`` doubles, with
+    ``|phi|`` and ``phi / w2`` in ``phi``'s memory order, as ``np.abs`` and
+    ``np.empty_like`` would make them, so every operation on them is the
+    one on fresh arrays bit for bit.  The block is the module's spare when
+    it fits, else a new one; a collected layout gives its block back
+    (``weakref.finalize``), and the largest one given back, up to
+    ``_SPARE_BYTES``, is kept as the spare.  So a process holds at most one
+    block outside its live layouts, and the next operation's layouts reuse
+    pages the last one faulted in.  The spare is taken and kept under a
+    lock, so two live layouts never share memory.  No view of a layout
+    outlives it (``solve`` copies the control, and its report holds no
+    row); a block that some view still holds is not reused.
     """
 
     def __init__(self, phi):
+        n, mn = phi.shape
+        size = n * mn
+        block = _take_block(3 * size + 8 * mn)
+        weakref.finalize(self, _give_back, block)
+        order = "F" if n > 1 and mn > 1 and abs(phi.strides[0]) < abs(phi.strides[1]) else "C"
         self.phi = phi
-        self.abs_phi = np.abs(phi)
+        self.abs_phi = np.abs(phi, out=block[:size].reshape(n, mn, order=order))
         # stacked row by row, faster than a strided copy of the transpose
-        self.phi_t = np.stack(phi, axis=1)
-        self.phi_w2 = np.empty_like(phi)
-        rows = np.empty((8, phi.shape[1]))
+        self.phi_t = np.stack(phi, axis=1, out=block[size : 2 * size].reshape(mn, n))
+        self.phi_w2 = block[2 * size : 3 * size].reshape(n, mn, order=order)
+        rows = block[3 * size : 3 * size + 8 * mn].reshape(8, mn)
         self.points = ((rows[0], rows[1]), (rows[2], rows[3]))
         self.e, self.probe, self.control, self.scratch = rows[4:]
 
@@ -696,7 +749,11 @@ def solve(program: DiscreteProgram, *, _start=None, _layout=None) -> SolveReport
     (private, for the same caller: a ``_Layout`` of ``program.phi`` shared
     by the solves of one map, one at a time), or on a fresh one when none
     is given or it was made for another map; the report is the same
-    bit for bit, and holds none of the layout's memory.  For either method
+    bit for bit.  A layout's arrays are views of one block, reused from
+    the last collected layout when it fits (``_Layout``; at most one block,
+    of up to ``_SPARE_BYTES``, is kept between layouts), so no view of one
+    outlives it: ``solve`` copies the control off the layout, and the
+    report holds none of its memory.  For either method
     the status is "max_iter" when the method spent its budget,
     "infeasible_suspected" when it ended "unbounded" (on a ``p`` that
     ``_farkas`` verified), "converged" when the residual and gap contract
@@ -713,15 +770,7 @@ def solve(program: DiscreteProgram, *, _start=None, _layout=None) -> SolveReport
     w2 = program.l2_weights
     n, mn = phi.shape
     # one pass decides the common case, every quadratic weight positive
-    ascent = mn > 0 and w2.min() > 0.0
-    if not ascent:
-        if np.any((w1 == 0.0) & (w2 == 0.0)):
-            raise ValueError("every sample needs a positive L1 or quadratic weight")
-        if np.any(w2 > 0.0):
-            raise ValueError("quadratic weights must be all zero or all positive")
-        # only NaN weights are left nonzero; they ascend
-        ascent = bool(np.any(w2))
-    if ascent:
+    if mn > 0 and w2.min() > 0.0:
         p = np.zeros(n) if _start is None else _start
         if _layout is None or _layout.phi is not phi:
             _layout = _Layout(phi)
@@ -730,6 +779,10 @@ def solve(program: DiscreteProgram, *, _start=None, _layout=None) -> SolveReport
         p, c, u, iterations, outcome = _ascend(_layout, target, w1, w2, p, _MAX_ITER)
         u = u.copy()
     else:
+        if np.any((w1 == 0.0) & (w2 == 0.0)):
+            raise ValueError("every sample needs a positive L1 or quadratic weight")
+        if np.any(w2 > 0.0):
+            raise ValueError("quadratic weights must be all zero or all positive")
         # u = 0 meets a target at the rounding floor (the ascent's stopping
         # rule at p = 0), where the exact vertex's gap is rounding noise
         p, c, u, iterations, outcome = np.zeros(n), None, np.zeros(mn), 0, "optimal"

@@ -1,6 +1,8 @@
 """Tests for the transcription, the costate-dual solver, and minimum time."""
 
 import math
+import sys
+import threading
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -142,6 +144,17 @@ def test_program_validation_rejects_bad_fields():
         DiscreteProgram(**{**good, "phi": [[np.inf, 0.0], [0.0, 1.0]]})
     with pytest.raises(ValueError, match=r"^phi must be 2-d, got shape \(2,\)$"):
         DiscreteProgram(**{**good, "phi": [1.0, 0.0], "target": [1.0]})
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("row", ["l1_weights", "l2_weights"])
+def test_non_finite_objective_weights_are_refused_at_construction(row, bad):
+    # NaN passes the sign test, and would reach a Newton ascent or the
+    # refusal of mixed quadratic weights; every such row is refused up front
+    good = dict(phi=np.eye(3), target=[0.5] * 3, l1_weights=[1.0] * 3, l2_weights=[1.0] * 3)
+    for weights in ([bad] * 3, [bad, 1.0, 1.0], [1.0, 0.0, bad]):
+        with pytest.raises(ValueError, match=f"^{row} must be finite$|nonnegative"):
+            DiscreteProgram(**{**good, row: weights})
 
 
 # ---------------------------------------------------------------------------
@@ -808,6 +821,148 @@ def test_an_ascent_on_a_built_layout_allocates_under_two_rows():
     assert first[3:] == second[3:] == (5, "converged")
     assert first[0].tobytes() == second[0].tobytes()
     assert peak - start < 2 * mn * 8
+
+
+def layout_arrays(layout):
+    """Every array of a layout: its map's absolute values and copies, and
+    its eight work rows."""
+    (c, u), (kept_c, kept_u) = layout.points
+    rows = [c, u, kept_c, kept_u, layout.e, layout.probe, layout.control, layout.scratch]
+    return [layout.abs_phi, layout.phi_t, layout.phi_w2, *rows]
+
+
+def block_address(layout):
+    """The address of the block that a layout's arrays are views of."""
+    return layout.abs_phi.base.__array_interface__["data"][0]
+
+
+def test_two_live_layouts_share_no_memory(monkeypatch):
+    # the first takes the spare a collected layout left, the second a new
+    # block; within a layout no two arrays overlap
+    monkeypatch.setattr(handsoff.solver, "_spare", None)
+    phi = np.random.default_rng(0).standard_normal((3, 201))
+    handsoff.solver._Layout(phi)
+    assert handsoff.solver._spare is not None
+    first = handsoff.solver._Layout(phi)
+    second = handsoff.solver._Layout(np.hstack([phi, phi]))
+    assert handsoff.solver._spare is None
+    assert not np.shares_memory(first.abs_phi.base, second.abs_phi.base)
+    arrays = layout_arrays(first)
+    for i, a in enumerate(arrays):
+        for b in arrays[i + 1 :]:
+            assert not np.shares_memory(a, b)
+    del second, first
+    # of the two blocks given back, second's first, only that larger one is
+    # kept: 3 copies of its map and 8 rows
+    assert handsoff.solver._spare.size == (3 * 3 + 8) * 402
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_a_layout_reuses_a_collected_larger_block_and_solves_bit_for_bit(order, monkeypatch):
+    # a solve on a block another map's ascent wrote, taken with no new
+    # allocation, reports the bits of the same solve on new memory; the
+    # layout's copies of |phi| and phi / w2 keep phi's memory order
+    monkeypatch.setattr(handsoff.solver, "_spare", None)
+    rng = np.random.default_rng(1)
+    n, mn = 3, 4000
+    phi = np.asarray(rng.standard_normal((n, mn)), order=order)
+    program = DiscreteProgram(
+        phi=phi, target=phi @ rng.uniform(-0.5, 0.5, mn),
+        l1_weights=np.full(mn, 1e-3), l2_weights=np.full(mn, 1e-4),
+    )
+    fresh = solve(program)
+    other = rng.standard_normal((4, 2 * mn))
+    larger = handsoff.solver._Layout(other)
+    handsoff.solver._ascend(
+        larger, other @ rng.uniform(-0.5, 0.5, 2 * mn), np.full(2 * mn, 1e-3),
+        np.full(2 * mn, 1e-4), np.zeros(4), 100,
+    )
+    address = block_address(larger)
+    del larger
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        layout = handsoff.solver._Layout(phi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert block_address(layout) == address
+    assert peak - start < mn * 8
+    assert layout.abs_phi.strides == np.abs(phi).strides
+    assert layout.phi_w2.strides == np.empty_like(phi).strides
+    reused = solve(program, _layout=layout)
+    assert reused.status == fresh.status == "converged"
+    for field in ("j1", "j2", "iterations", "primal_residual", "dual_residual",
+                  "eq_residual", "duality_gap"):
+        assert repr(getattr(reused, field)) == repr(getattr(fresh, field)), field
+    assert reused.u.u.tobytes() == fresh.u.u.tobytes()
+    assert reused.costate.tobytes() == fresh.costate.tobytes()
+    assert not np.shares_memory(reused.u.u, layout.abs_phi.base)
+
+
+def test_a_block_above_the_bound_is_not_kept(monkeypatch):
+    monkeypatch.setattr(handsoff.solver, "_spare", None)
+    rng = np.random.default_rng(2)
+    phi = rng.standard_normal((3, 100))
+    handsoff.solver._Layout(phi)
+    bound = handsoff.solver._spare.nbytes
+    monkeypatch.setattr(handsoff.solver, "_SPARE_BYTES", bound)
+    # a block at the bound is kept ...
+    handsoff.solver._Layout(phi)
+    assert handsoff.solver._spare.nbytes == bound
+    # ... and a larger one drops it and is not kept itself
+    handsoff.solver._Layout(rng.standard_normal((3, 102)))
+    assert handsoff.solver._spare is None
+
+
+def test_layouts_made_on_several_threads_never_share_memory(monkeypatch):
+    # four threads on two cores, switching every microsecond, each fill the
+    # writable arrays of their own layouts with their own mark: a block two
+    # live layouts shared would show another thread's mark, or a copy of
+    # the map written over
+    monkeypatch.setattr(handsoff.solver, "_spare", None)
+    phi = np.random.default_rng(4).standard_normal((2, 300))
+    abs_phi, phi_t = np.abs(phi), phi.T.copy()
+    errors = []
+
+    def work(mark):
+        try:
+            for _ in range(300):
+                layout = handsoff.solver._Layout(phi)
+                rows = layout_arrays(layout)[2:]
+                for row in rows:
+                    row.fill(mark)
+                if not (
+                    all((row == mark).all() for row in rows)
+                    and (layout.abs_phi == abs_phi).all()
+                    and (layout.phi_t == phi_t).all()
+                ):
+                    errors.append(mark)
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=work, args=(float(i),)) for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+
+
+def test_a_block_that_a_view_outlives_its_layout_in_is_not_reused(monkeypatch):
+    monkeypatch.setattr(handsoff.solver, "_spare", None)
+    phi = np.random.default_rng(3).standard_normal((2, 50))
+    layout = handsoff.solver._Layout(phi)
+    row = layout.scratch
+    del layout
+    assert np.shares_memory(handsoff.solver._spare, row)
+    assert not np.shares_memory(handsoff.solver._Layout(phi).abs_phi.base, row)
 
 
 # ---------------------------------------------------------------------------

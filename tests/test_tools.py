@@ -6,10 +6,12 @@ alternating pairs of runs; these tests load them (read only, without
 writing bytecode next to them) and check ``differences``, which decides
 what the first reports, and ``summarize``, which the second prints, with
 the other tools' pure parts: ``tools/bench_record.py``'s ``is_dirty`` and
-``tools/cli_time.py``'s ``report``.
+``tools/cli_time.py``'s and ``tools/fault_count.py``'s ``report``; and
+runs ``tools/fault_count.py`` once on a short count.
 """
 
 import importlib.util
+import subprocess
 import sys
 from pathlib import Path
 
@@ -120,3 +122,29 @@ def test_cli_time_report_gives_each_command_its_medians_and_runs_won():
         "-33.3%", "2/3",
     ]
     assert solved.split()[-2:] == ["-32.1%", "2/3"]
+
+
+def test_fault_count_report_gives_nonzero_inputs_and_the_median_per_operation():
+    report = load_tool("fault_count").report
+    # three passes of three operations: 2, 4 and 30 faults per operation
+    counts = [[0, 6, 0], [3, 9, 0], [0, 90, 0]]
+    assert report(counts) == [
+        "input   1: 9",
+        "inputs with a median of 0: 2 of 3",
+        "minor faults per operation: 4.0 (median of 3 passes after 3 warm)",
+    ]
+
+
+def test_fault_count_runs_a_workload_in_a_fresh_process():
+    proc = subprocess.run(
+        [sys.executable, str(TOOLS / "fault_count.py"), "--workload", "tradeoff_long",
+         "--passes", "1"],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "tradeoff_long, seed 1, the working tree"
+    assert lines[1] == "operations measured: 7, of which raised: 0"
+    assert lines[-1].startswith("minor faults per operation: ")
+    assert lines[-1].endswith(" (median of 1 passes after 3 warm)")
+    assert float(lines[-1].split()[4]) >= 0.0
