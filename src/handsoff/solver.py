@@ -36,7 +36,7 @@ import weakref
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgesv
+from scipy.linalg.lapack import dgeqrf, dgesv, dorgqr
 
 from .plant import (
     ControlProblem,
@@ -543,6 +543,21 @@ def _solve(a, b):
     return x
 
 
+def _complete_q(a):
+    """The complete ``Q`` of ``a = Q R`` for an n x k ``a`` with ``k < n``,
+    in C order: LAPACK's ``dgeqrf`` and ``dorgqr``, the routines
+    ``np.linalg.qr(a, mode="complete")`` runs, called without that wrapper's
+    checks, which take several times as long as the factorization of
+    ``_exchange``'s bases.  Its bits are ``np.linalg.qr``'s on the same
+    terms as ``_solve``'s are ``np.linalg.solve``'s; the C order keeps those
+    of the products taken with it."""
+    n, k = a.shape
+    qr, tau = dgeqrf(a)[:2]
+    q = np.empty((n, n), order="F")
+    q[:, :k] = qr
+    return np.ascontiguousarray(dorgqr(q, tau, overwrite_a=True)[0])
+
+
 def _least_norm(a, b):
     """The least-norm ``x`` with ``a x = b``."""
     return np.linalg.lstsq(a, b, rcond=None)[0]
@@ -557,11 +572,12 @@ def _exchange(phi, target, w1, budget, tied=()):
     every basis), from ``target / target' target``, or from the vertex that
     ties the columns ``tied`` when there are some and they and ``target``
     make a basis of n unit columns independent to rounding.  Returns ``(outcome, p, u, s,
-    steps, tied)``: "optimal", ``u`` an optimal control with ``phi u = s
+    steps, tied, c)``: "optimal", ``u`` an optimal control with ``phi u = s
     target`` (``s = 1``, or the gauge); "unbounded", ``p`` a ray along which
     ``f`` falls without bound, a Farkas certificate; "stalled" when ``_farkas``
     rejects that ray or a basis system cannot be solved; "max_iter" after
-    ``budget`` moves.  ``tied`` is the last basis.
+    ``budget`` moves.  ``tied`` is the last basis, and ``c`` is ``phi'`` times
+    the last vertex: the returned ``p`` unless the outcome is "unbounded".
 
     A sample's level is ``sign(c_j)`` outside its thresholds ``+-w1_j``, 0
     inside.  A vertex ties n samples to ``c_j = side_j w1_j`` (``n - 1``
@@ -572,7 +588,8 @@ def _exchange(phi, target, w1, budget, tied=()):
     at each threshold crossed, and the step ends at the crossing that turns
     it, whose sample is tied in its place.  Until a basis has n columns
     (fewer where ``phi`` and ``target`` span fewer dimensions) the steps go
-    down the projected gradient.  A sample within the rounding of ``c_j``
+    down the projected gradient, in the complement of the basis's span
+    (``_complete_q``).  A sample within the rounding of ``c_j``
     (``(n + 1) eps |phi_j|'|p|``) of a threshold keeps its level, so extra
     ties are left by steps of length zero, never by levels rounding chose.
     """
@@ -619,9 +636,9 @@ def _exchange(phi, target, w1, budget, tied=()):
         release = d = None
         try:
             if k < n:
-                free = np.linalg.qr(basis, mode="complete")[0][:, k:]
+                free = _complete_q(basis)[:, k:]
                 d = -free @ (free.T @ grad)
-                if not np.linalg.norm(d) > _TIE * np.linalg.norm(grad):
+                if not math.sqrt(d @ d) > _TIE * math.sqrt(grad @ grad):
                     # no descent inside the face: head for a threshold of the
                     # sample furthest out of span(basis); with none, p is at a
                     # vertex of the span of phi and target
@@ -640,7 +657,7 @@ def _exchange(phi, target, w1, budget, tied=()):
                 half = [1.0 - abs(0.5 * side) for side in sides]
                 if not any(abs(x) > y + _TIE for x, y in zip(dev, half)):
                     level[tied] = v
-                    return "optimal", p, level, z[0] if gauge else 1.0, steps, tied
+                    return "optimal", p, level, z[0] if gauge else 1.0, steps, tied, c
                 over = [abs(x) - y for x, y in zip(dev, half)]
                 release = over.index(max(over))
                 sigma = 1.0 if dev[release] > 0.0 else -1.0
@@ -651,9 +668,9 @@ def _exchange(phi, target, w1, budget, tied=()):
             else:
                 slope = float(grad @ d)
         except np.linalg.LinAlgError:
-            return "stalled", p, level, math.nan, steps, tied
+            return "stalled", p, level, math.nan, steps, tied, c
         if steps == budget:
-            return "max_iter", p, level, math.nan, steps, tied
+            return "max_iter", p, level, math.nan, steps, tied, c
         # the thresholds theta ahead along d, past which a sample's level is
         # sign(e), or 0 in the dead zone: the gauge's +-0 coincide and are
         # crossed at twice the rate; an L1 sample heading in meets +-w1 and
@@ -684,7 +701,9 @@ def _exchange(phi, target, w1, budget, tied=()):
         at = np.where(np.abs(ahead) > tol[cols], ahead / ec, 0.0)
         # the long-step ratio test: the crossings by at (ties: the larger rate
         # first) up to the one that turns the slope, sorted only in a window
-        # of the smallest at, widened eightfold until the slope turns in it
+        # of the smallest at, widened eightfold until the slope turns in it.
+        # The running slope, slope minus the running sum of -rate, falls
+        # monotonically, so its turn is found by bisection on its negation
         window = 256
         while True:
             if window < at.size:
@@ -692,14 +711,13 @@ def _exchange(phi, target, w1, budget, tied=()):
                 order = near[np.lexsort((neg_rate[near], at[near]))]
             else:
                 order = np.lexsort((neg_rate, at))
-            turned = (slope - neg_rate[order].cumsum() >= 0.0).nonzero()[0]
-            if turned.size or order.size == at.size:
+            stop = int(np.searchsorted(-neg_rate[order].cumsum(), -slope))
+            if stop < order.size or order.size == at.size:
                 break
             window *= 8
-        if not turned.size:
+        if stop == order.size:
             outcome = "unbounded" if _farkas(phi, target, d) is not None else "stalled"
-            return outcome, d, level, math.nan, steps, tied
-        stop = int(turned[0])
+            return outcome, d, level, math.nan, steps, tied, c
         hit = order[stop]
         p = p + at[hit] * d
         if release is not None:
@@ -787,7 +805,7 @@ def solve(program: DiscreteProgram, *, _start=None, _layout=None) -> SolveReport
         # rule at p = 0), where the exact vertex's gap is rounding noise
         p, c, u, iterations, outcome = np.zeros(n), None, np.zeros(mn), 0, "optimal"
         if math.sqrt(target @ target) > _STOP_REL:
-            outcome, p, u, _, iterations, _ = _exchange(phi, target, w1, _MAX_ITER)
+            outcome, p, u, _, iterations, _, _ = _exchange(phi, target, w1, _MAX_ITER)
             u = np.clip(u, -1.0, 1.0) + 0.0  # no -0.0 in the dead zone
     miss = phi @ u - target
     eq_abs = math.sqrt(miss @ miss)
@@ -847,21 +865,25 @@ def _mapped_vertex(m, n_steps, h, vertex):
 def _gauge(phi, target, tied=()):
     """Largest multiple of ``target`` that ``phi`` reaches under ``|v| <= 1``.
 
-    Returns ``(s, v, p, tied)`` with ``phi @ v = s * target``, ``|v| <= 1``
-    and ``target' p = 1``, where ``s = sum |phi' p|`` is the least such sum,
-    so the origin is reachable iff ``s >= 1`` (by ``u = v / s``), and
-    ``tied`` the optimal basis in column order: ``_exchange`` with every
-    threshold at 0, from the vertex of the columns ``tied`` or cold; None
-    without an optimal vertex.  ``target`` must be nonzero; ``s = 0`` when
-    it lies outside the span of ``phi``.
+    Returns ``(s, v, p, tied, support)`` with ``phi @ v = s * target``,
+    ``|v| <= 1`` and ``target' p = 1``, where ``s = sum |phi' p|`` is the
+    least such sum, so the origin is reachable iff ``s >= 1`` (by ``u = v /
+    s``), ``tied`` the optimal basis in column order, and ``support`` that
+    sum as computed, ``sum |c|`` from the exchanges' own ``c = phi' p``:
+    ``_exchange`` with every threshold at 0, from the vertex of the columns
+    ``tied`` or cold; None without an optimal vertex.  ``target`` must be
+    nonzero; ``s = 0`` when it lies outside the span of ``phi``.
     """
-    outcome, p, v, s, _, tied = _exchange(phi, target, 0.0, _MAX_EXCHANGES, tied)
-    return (s, v, p, sorted(tied)) if outcome == "optimal" else None
+    outcome, p, v, s, _, tied, c = _exchange(phi, target, 0.0, _MAX_EXCHANGES, tied)
+    if outcome != "optimal":
+        return None
+    return s, v, p, sorted(tied), float(np.abs(c).sum())
 
 
 def _certified_gauge(phi, target, tied=()):
-    """``(log s, p, support, tied)`` from ``_gauge``, with ``support = sum
-    |phi' p|``, or None unless a certificate backs it.
+    """``(log s, p, support, tied)`` from ``_gauge``, with its ``support =
+    sum |phi' p|`` (priced once, by the exchanges), or None unless a
+    certificate backs it.
 
     ``s >= 1`` counts when the control ``u = clip(v / s)`` misses the target
     by at most ``_REACH_FLOOR * max(1, |target|)``; the value is then
@@ -869,17 +891,17 @@ def _certified_gauge(phi, target, tied=()):
     (``_farkas``); the value is then the log of ``support``, or of the
     rounding bound when larger (finite where ``s = 0``), over ``target' p``.
     """
-    tnorm = float(np.linalg.norm(target))
+    tnorm = math.sqrt(target @ target)
     if not (math.isfinite(tnorm) and np.isfinite(phi).all()):
         return None
     found = _gauge(phi, target, tied)
     if found is None:
         return None
-    s, v, p, tied = found
-    support = float(np.abs(phi.T @ p).sum())
+    s, v, p, tied, support = found
     if s > 0.0:
         u = np.minimum(np.maximum(v / s, -1.0), 1.0)
-        miss = float(np.linalg.norm(phi @ u - target))
+        miss = phi @ u - target
+        miss = math.sqrt(miss @ miss)
         if miss <= _REACH_FLOOR * max(1.0, tnorm):
             return math.log(max(s, 1.0)), p, support, tied
     ratio = _farkas(phi, target, p, support)
@@ -965,18 +987,16 @@ def minimum_time(
         nonlocal vertex
         n_steps = samples(horizon)
         h = horizon / n_steps
-        # a map that overflows verifies no certificate; the raise below says so
-        with np.errstate(over="ignore", invalid="ignore"):
-            phi, target, more = _reach_condition(plant, x0, horizon, n_steps)
-            tied = () if vertex is None else _mapped_vertex(plant.m, n_steps, h, vertex)
-            found = _certified_gauge(phi, target, tied)
-            if found is None:
-                raise RuntimeError(
-                    f"minimum time undecided: neither certificate verifies at "
-                    f"T = {horizon:.6g} (max Re lambda * T = {growth * horizon:.3g})"
-                )
-            value, p, support, tied = found
-            slope = _gauge_slope(support, p, more, n_steps)
+        phi, target, more = _reach_condition(plant, x0, horizon, n_steps)
+        tied = () if vertex is None else _mapped_vertex(plant.m, n_steps, h, vertex)
+        found = _certified_gauge(phi, target, tied)
+        if found is None:
+            raise RuntimeError(
+                f"minimum time undecided: neither certificate verifies at "
+                f"T = {horizon:.6g} (max Re lambda * T = {growth * horizon:.3g})"
+            )
+        value, p, support, tied = found
+        slope = _gauge_slope(support, p, more, n_steps)
         vertex = (h, n_steps, tied)
         return value, slope
 
@@ -987,56 +1007,58 @@ def minimum_time(
     # and once an unreachable horizon is below, log T is bisected
     lo, y_lo, hi, y_hi = 0.0, -math.inf, math.inf, 0.0
     t, drop, moved = 1.0, 0.0, 0
-    while True:
-        if t > 1e6:
-            raise RuntimeError("no feasible horizon found below 1e6 seconds")
-        y, slope = log_gauge(t)
-        side = -1 if y < 0.0 else 1
-        same, moved = side == moved, side
-        if y < 0.0:
-            lo, y_lo = t, y
-            if same:
-                y_hi *= 0.5
-        else:
-            hi, y_hi = t, y
-            if same:
-                y_lo *= 0.5
-        # a bracket with no double strictly inside is as narrow as it gets
-        if hi - lo <= tol_t or math.nextafter(lo, math.inf) >= hi:
-            return hi
-        # ends with k and k + 1 samples: test the last horizon with k samples,
-        # then (unreachable) the first with k + 1
-        k = samples(lo)
-        if lo > 0.0 and hi < math.inf and samples(hi) == k + 1:
-            edge = k / grid_density
-            while samples(edge) > k:
-                edge = math.nextafter(edge, 0.0)
-            while samples(math.nextafter(edge, math.inf)) == k:
-                edge = math.nextafter(edge, math.inf)
-            if same or lo == edge:
-                t = edge if lo < edge else math.nextafter(edge, math.inf)
+    # a map that overflows verifies no certificate; log_gauge's raise says so
+    with np.errstate(over="ignore", invalid="ignore"):
+        while True:
+            if t > 1e6:
+                raise RuntimeError("no feasible horizon found below 1e6 seconds")
+            y, slope = log_gauge(t)
+            side = -1 if y < 0.0 else 1
+            same, moved = side == moved, side
+            if y < 0.0:
+                lo, y_lo = t, y
+                if same:
+                    y_hi *= 0.5
+            else:
+                hi, y_hi = t, y
+                if same:
+                    y_lo *= 0.5
+            # a bracket with no double strictly inside is as narrow as it gets
+            if hi - lo <= tol_t or math.nextafter(lo, math.inf) >= hi:
+                return hi
+            # ends with k and k + 1 samples: test the last horizon with k samples,
+            # then (unreachable) the first with k + 1
+            k = samples(lo)
+            if lo > 0.0 and hi < math.inf and samples(hi) == k + 1:
+                edge = k / grid_density
+                while samples(edge) > k:
+                    edge = math.nextafter(edge, 0.0)
+                while samples(math.nextafter(edge, math.inf)) == k:
+                    edge = math.nextafter(edge, math.inf)
+                if same or lo == edge:
+                    t = edge if lo < edge else math.nextafter(edge, math.inf)
+                    continue
+            probe = t + tol_t if y < 0.0 else t - tol_t
+            while abs(probe - t) > tol_t:
+                probe = math.nextafter(probe, t)
+            ratio = math.exp(min(max(-y / slope, math.log(0.25)), math.log(2.0)))
+            if y < 0.0:
+                t = min(2.0 * t, ratio * t + 0.5 * tol_t)
+            elif y > 0.0:
+                t = max(0.25 * t, ratio * t - 0.5 * tol_t, 0.5 * tol_t)
+            else:
+                # a step under one ulp of t would evaluate t again
+                drop = 2.0 * drop if drop > 0.0 else max(0.5 * tol_t, math.ulp(t))
+                t = max(math.sqrt(lo * hi) if lo > 0.0 else 0.25 * t, t - drop, 0.5 * tol_t)
+            if not lo < t < hi:
+                t = lo * (hi / lo) ** (y_lo / (y_lo - y_hi)) if y_hi > 0.0 else hi
+                if not t < hi and drop > 0.0:
+                    t = max(math.sqrt(lo * hi), hi - drop)
+                    drop *= 2.0
+            elif abs(t - probe) <= 0.5 * tol_t and lo < probe < hi:
+                # the predicted root is within tol_t of the latest horizon
+                t = probe
                 continue
-        probe = t + tol_t if y < 0.0 else t - tol_t
-        while abs(probe - t) > tol_t:
-            probe = math.nextafter(probe, t)
-        ratio = math.exp(min(max(-y / slope, math.log(0.25)), math.log(2.0)))
-        if y < 0.0:
-            t = min(2.0 * t, ratio * t + 0.5 * tol_t)
-        elif y > 0.0:
-            t = max(0.25 * t, ratio * t - 0.5 * tol_t, 0.5 * tol_t)
-        else:
-            # a step under one ulp of t would evaluate t again
-            drop = 2.0 * drop if drop > 0.0 else max(0.5 * tol_t, math.ulp(t))
-            t = max(math.sqrt(lo * hi) if lo > 0.0 else 0.25 * t, t - drop, 0.5 * tol_t)
-        if not lo < t < hi:
-            t = lo * (hi / lo) ** (y_lo / (y_lo - y_hi)) if y_hi > 0.0 else hi
-            if not t < hi and drop > 0.0:
-                t = max(math.sqrt(lo * hi), hi - drop)
-                drop *= 2.0
-        elif abs(t - probe) <= 0.5 * tol_t and lo < probe < hi:
-            # the predicted root is within tol_t of the latest horizon
-            t = probe
-            continue
-        # while no horizon is known reachable, the Newton step's cap of 2 lo holds
-        floor = lo + 0.5 * tol_t if hi < math.inf else min(lo + 0.5 * tol_t, 2.0 * lo)
-        t = min(max(t, floor), hi - 0.5 * tol_t)
+            # while no horizon is known reachable, the Newton step's cap of 2 lo holds
+            floor = lo + 0.5 * tol_t if hi < math.inf else min(lo + 0.5 * tol_t, 2.0 * lo)
+            t = min(max(t, floor), hi - 0.5 * tol_t)

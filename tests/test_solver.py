@@ -1100,14 +1100,14 @@ def gauge_battery():
 
 def test_gauge_matches_the_lp_and_its_control_reaches_the_origin(monkeypatch):
     density, tol = 40.0, 0.02
-    qr = np.linalg.qr
+    complete_q = handsoff.solver._complete_q
     qr_calls = []
 
-    def counted_qr(*args, **kwargs):
+    def counted_qr(a):
         qr_calls.append(1)
-        return qr(*args, **kwargs)
+        return complete_q(a)
 
-    monkeypatch.setattr(np.linalg, "qr", counted_qr)
+    monkeypatch.setattr(handsoff.solver, "_complete_q", counted_qr)
     for plant, x0 in gauge_battery():
         t_star = minimum_time(plant, x0, grid_density=density, tol_t=tol)
         x0_norm = max(1.0, float(np.linalg.norm(x0)))
@@ -1119,7 +1119,7 @@ def test_gauge_matches_the_lp_and_its_control_reaches_the_origin(monkeypatch):
             else:
                 found = handsoff.solver._gauge(phi, target)
                 assert found is not None, (plant, x0, horizon)
-                s, v, p, basis = found
+                s, v, p, basis, _ = found
                 lp = lp_gauge(phi, target)
                 assert abs(s - lp) <= 1e-8 * lp, (plant, x0, horizon, s, lp)
                 assert target @ p == pytest.approx(1.0)
@@ -1173,7 +1173,7 @@ def test_gauge_starts_cold_when_its_start_is_dependent_to_rounding():
         if plant.n > 2:
             starts.append((phi, [tied[0]] * (plant.n - 1)))
         for start_phi, start in starts:
-            s, v, p, basis = handsoff.solver._gauge(start_phi, target, start)
+            s, v, p, basis, _ = handsoff.solver._gauge(start_phi, target, start)
             cold = handsoff.solver._gauge(start_phi, target)
             # bit for bit the cold gauge
             assert (s, v.tobytes(), p.tobytes(), basis) == (
@@ -1226,6 +1226,22 @@ def test_basis_solves_are_numpys_bit_for_bit():
         handsoff.solver._solve(np.array([[1.0, 2.0], [2.0, 4.0]]), np.ones(2))
 
 
+def test_complete_q_is_numpys_bit_for_bit():
+    # _complete_q runs LAPACK's dgeqrf and dorgqr as np.linalg.qr(mode=
+    # "complete") does: the same bits, in C order (the exchange's products
+    # with a Fortran-order Q differ in their last bits), on seeded bases of
+    # n = 1 to 4 rows and k < n columns scaled from 1e-8 to 1e8, the empty
+    # basis included.  As for _solve, a failure names both builds
+    rng = np.random.default_rng(6)
+    for _ in range(2000):
+        n = int(rng.integers(1, 5))
+        k = int(rng.integers(0, n))
+        a = rng.standard_normal((n, k)) * 10.0 ** rng.uniform(-8.0, 8.0, size=(1, k))
+        q = handsoff.solver._complete_q(a)
+        assert q.flags.c_contiguous, a
+        assert q.tobytes() == np.linalg.qr(a, mode="complete")[0].tobytes(), (a, blas_builds())
+
+
 def test_a_singular_newton_system_is_solved_by_least_squares(monkeypatch):
     # a map with a zero row gives a Newton matrix with a zero row and
     # column, which dgesv refuses; the ascent takes the least-squares
@@ -1261,11 +1277,9 @@ def test_gauge_from_its_optimal_basis_returns_at_once(monkeypatch):
 
         return wrapper
 
-    for name in ("qr", "lstsq"):
-        monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
-    monkeypatch.setattr(
-        handsoff.solver, "_solve", counted("solve", handsoff.solver._solve)
-    )
+    monkeypatch.setattr(np.linalg, "lstsq", counted("lstsq", np.linalg.lstsq))
+    for name in ("_complete_q", "_solve"):
+        monkeypatch.setattr(handsoff.solver, name, counted(name, getattr(handsoff.solver, name)))
     checked = 0
     for plant, x0 in gauge_battery():
         if not np.any(x0):
@@ -1276,11 +1290,11 @@ def test_gauge_from_its_optimal_basis_returns_at_once(monkeypatch):
         if np.sum(np.abs(c) <= 1e-9 * size) > len(cold[3]):
             continue  # a degenerate vertex, whose warm start may exchange
         del calls[:]
-        outcome, p, v, s, steps, tied = handsoff.solver._exchange(
+        outcome, p, v, s, steps, tied, c = handsoff.solver._exchange(
             phi, target, 0.0, handsoff.solver._MAX_EXCHANGES, cold[3]
         )
         assert (outcome, steps) == ("optimal", 0), (plant, x0)
-        assert set(calls) <= {"solve"} and len(calls) <= 2, (plant, x0, calls)
+        assert set(calls) <= {"_solve"} and len(calls) <= 2, (plant, x0, calls)
         assert abs(s - cold[0]) <= 1e-12 * cold[0], (plant, x0)
         checked += 1
     assert checked >= 10
@@ -1312,7 +1326,7 @@ def test_gauge_slope_is_the_envelope_of_one_more_sample():
 
     def gauge_at(plant, x0, h, n_steps):
         phi, target, more = handsoff.solver._reach_condition(plant, x0, h * n_steps, n_steps)
-        s, _, p, _ = handsoff.solver._gauge(phi, target)
+        s, _, p, _, _ = handsoff.solver._gauge(phi, target)
         support = float(np.sum(np.abs(phi.T @ p)))
         return s, handsoff.solver._gauge_slope(support, p, more, n_steps)
 
@@ -1561,7 +1575,7 @@ def test_gauge_of_a_reach_map_that_does_not_span_the_state_space(
         target = -np.linalg.matrix_power(discretize(plant, 1.0)[0], n_steps) @ np.ones(plant.n)
     found = handsoff.solver._gauge(phi, target)
     assert found is not None
-    s, v, p, basis = found
+    s, v, p, basis, _ = found
     lp = lp_gauge(phi, target)
     assert abs(s - lp) <= 1e-8 * max(lp, 1.0), (s, lp)
     assert (lp > 0.1) == target_in_range
@@ -1629,8 +1643,8 @@ def test_minimum_time_raises_when_no_certificate_verifies(monkeypatch):
     gauge = handsoff.solver._gauge
 
     def misread(phi, target, tied):
-        s, v, p, tied = gauge(phi, target, tied)
-        return 1e-5 * s, v, p, tied
+        s, v, p, tied, support = gauge(phi, target, tied)
+        return 1e-5 * s, v, p, tied, support
 
     monkeypatch.setattr(handsoff.solver, "_gauge", misread)
     plant = LtiPlant(a=[[0.92]], b=[[1.0]])

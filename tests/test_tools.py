@@ -6,8 +6,9 @@ alternating pairs of runs; these tests load them (read only, without
 writing bytecode next to them) and check ``differences``, which decides
 what the first reports, and ``summarize``, which the second prints, with
 the other tools' pure parts: ``tools/bench_record.py``'s ``is_dirty`` and
-``tools/cli_time.py``'s and ``tools/fault_count.py``'s ``report``; and
-runs ``tools/fault_count.py`` once on a short count.
+``tools/cli_time.py``'s, ``tools/fault_count.py``'s and
+``tools/exchange_replay.py``'s ``report``; and runs ``tools/fault_count.py``
+and ``tools/exchange_replay.py`` once each on a short count.
 """
 
 import importlib.util
@@ -148,3 +149,56 @@ def test_fault_count_runs_a_workload_in_a_fresh_process():
     assert lines[-1].startswith("minor faults per operation: ")
     assert lines[-1].endswith(" (median of 1 passes after 3 warm)")
     assert float(lines[-1].split()[4]) >= 0.0
+
+
+def test_exchange_replay_report_gives_each_side_and_the_fields_that_differ():
+    tool = load_tool("exchange_replay")
+    times = {"commit": [0.170, 0.168, 0.179], "working tree": [0.150, 0.160, 0.155]}
+    lines = tool.report(914, 3269, times, [])
+    assert lines == [
+        "calls: 914, loop passes: 3269",
+        "commit: min 168.0 ms, median 170.0 ms (3 replays)",
+        "working tree: min 150.0 ms, median 155.0 ms (3 replays)",
+        "change of the median: -8.8%",
+        "shared returned fields: the same bit for bit",
+    ]
+    # fields are compared by position, up to the shorter result
+    old = [["a", "b", "c"], ["d", "e", "f"], ["g", "h", "i"]]
+    new = [["a", "b", "c", "x"], ["d", "E", "F", "y"], ["g", "h", "I", "z"]]
+    differ = tool.mismatches(old, new)
+    assert differ == [(1, 1), (1, 2), (2, 2)]
+    assert tool.report(3, 5, times, differ)[-1] == (
+        "shared returned fields: 3 differ, in 2 of 3 calls (first: call 1, field 1)"
+    )
+    alone = tool.report(3, 5, {"working tree": [0.002]}, None)
+    assert alone[1:] == [
+        "working tree: min 2.0 ms, median 2.0 ms (1 replays)",
+        "returned fields: no commit to compare with",
+    ]
+
+
+def test_exchange_digest_tells_apart_what_equality_would_not():
+    digest = load_tool("exchange_replay").digest
+    import numpy as np
+
+    assert digest(0.0) != digest(-0.0)
+    assert digest(np.zeros(2)) != digest(np.zeros(3))
+    assert digest(np.zeros(2)) != digest(-np.zeros(2))
+    assert digest(np.eye(2)) == digest(np.asfortranarray(np.eye(2)))
+    assert digest([3, 1]) != digest([1, 3])
+
+
+def test_exchange_replay_runs_a_workload_in_fresh_processes():
+    proc = subprocess.run(
+        [sys.executable, str(TOOLS / "exchange_replay.py"), "--workload", "mintime_batch",
+         "--repeats", "1"],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "mintime_batch, seed 1, the working tree"
+    calls, passes = (int(part.split(": ")[1]) for part in lines[1].split(", "))
+    # one gauge per horizon, each at least one loop pass
+    assert 0 < calls <= passes
+    assert lines[2].startswith("working tree: min ") and lines[2].endswith(" (1 replays)")
+    assert lines[3] == "returned fields: no commit to compare with"
