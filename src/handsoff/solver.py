@@ -934,8 +934,16 @@ def minimum_time(
     Root finding on ``log s(T)``, where ``s(T)`` (``_gauge``) is the largest
     multiple of the required terminal response that the reach condition at
     ``grid_density`` samples per second attains; the origin is reachable iff
-    ``s(T) >= 1``.  Each horizon gives ``log s`` and its slope against
-    ``log T`` (``_gauge_slope``), and the next horizon is a Newton step
+    ``s(T) >= 1``.  The search starts at ``max(1, T_lb)``, where ``T_lb`` is
+    the largest over the modes ``z = v'x`` (``v'A = mu v'``) of ``-log(1 - a
+    Re mu) / Re mu``, ``a = |v'x0| / |B'v|_1`` (``a`` itself at ``Re mu =
+    0``): under ``|u| <= 1``, ``d|z|/dt >= Re mu |z| - |B'v|_1``, so no
+    control, sampled or not, brings the mode to rest sooner.  Where ``a Re mu
+    >= 1`` the mode never comes to rest; that is the unstable-mode refusal
+    below, and such a mode (within the refusal's margin) gives no bound.
+    ``T_lb`` only places the first horizon and certifies nothing.  Each
+    horizon gives ``log s`` and its slope against ``log T``
+    (``_gauge_slope``), and the next horizon is a Newton step
     aimed ``tol_t / 2`` past the predicted root, at most twofold up and
     fourfold down; a root predicted within ``tol_t`` is tested by a probe
     ``tol_t`` across, moved inward by the ulps that keep the computed
@@ -957,7 +965,8 @@ def minimum_time(
     no finite horizon exists (an unstable mode ``z = v'x``, ``v'A = mu v'``,
     starts at ``|v'x0| >= |B'v|_1 / Re mu``), or, naming the horizon, when a
     horizon verifies neither certificate (rounding on a strongly unstable
-    plant), and ``ValueError`` for a non-finite ``x0`` or a ``grid_density``
+    plant), or when ``T_lb`` or the horizons pass 1e6 s before a reachable
+    one, and ``ValueError`` for a non-finite ``x0`` or a ``grid_density``
     or ``tol_t`` that is not positive and finite.
     """
     x0 = _initial_state(x0, plant.n)
@@ -967,6 +976,8 @@ def minimum_time(
         raise ValueError(f"tol_t must be positive and finite, got {tol_t}")
     hautus_test(plant)
     eigvals, left = np.linalg.eig(plant.a.T)
+    # the first horizon: no mode can come to rest sooner than its bound
+    start = 1.0
     for mu, v in zip(eigvals, left.T):
         pull = float(np.sum(np.abs(plant.b.T @ v)))
         if mu.real > 0.0 and abs(v @ x0) * mu.real > (1.0 + _FARKAS_MARGIN) * pull:
@@ -975,6 +986,9 @@ def minimum_time(
                 f"{mu:.6g} starts {abs(v @ x0) * mu.real / pull:.6g} times as far "
                 "out as |u| <= 1 can bring it back to rest"
             )
+        reach, rate = float(abs(v @ x0)) / pull, float(mu.real)
+        if reach * rate < 1.0:
+            start = max(start, -math.log1p(-reach * rate) / rate if rate != 0.0 else reach)
     if not np.any(x0):
         return tol_t
     growth = float(np.max(eigvals.real))
@@ -1006,7 +1020,7 @@ def minimum_time(
     # twice counts half.  While log s is 0 at t, the step down doubles, drop,
     # and once an unreachable horizon is below, log T is bisected
     lo, y_lo, hi, y_hi = 0.0, -math.inf, math.inf, 0.0
-    t, drop, moved = 1.0, 0.0, 0
+    t, drop, moved = start, 0.0, 0
     # a map that overflows verifies no certificate; log_gauge's raise says so
     with np.errstate(over="ignore", invalid="ignore"):
         while True:

@@ -3,6 +3,7 @@
 import math
 import sys
 import threading
+import time
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -1525,19 +1526,60 @@ def test_minimum_time_on_plants_shaped_like_the_benchmark_batch(monkeypatch):
     # n in 2..4 and m in 1..2 at 100 samples per second, as the benchmark's
     # minimum-time batch draws its plants; record_horizons checks each
     # horizon's support.  Rounding leaves one horizon of one strongly
-    # unstable plant with neither certificate (the 18th, at T = 64 s and
-    # lambda T = 41.6), and no other
+    # unstable plant with neither certificate (the 18th, at T = 68.259 s and
+    # lambda T = 44.4), and no other
     seen = record_horizons(monkeypatch)
     refused = []
     for i, (plant, x0) in enumerate(seeded_plants(31, 24, m_max=2, n_min=2)):
         try:
             minimum_time(plant, x0, grid_density=100.0, tol_t=0.01)
         except RuntimeError as exc:
-            assert "undecided" in str(exc) and "T = 64 " in str(exc), exc
+            assert "undecided" in str(exc) and "T = 68.259 " in str(exc), exc
             refused.append(i)
     assert refused == [17]
     reachable = [verdict for _, verdict in seen]
     assert len(seen) >= 100 and any(reachable) and not all(reachable)
+
+
+def test_minimum_time_starts_at_a_lower_bound_on_its_modes(monkeypatch):
+    # under |u| <= 1 a mode z = v'x has d|z|/dt >= Re mu |z| - |B'v|_1, so it
+    # cannot come to rest sooner than its bound; no sampled control does
+    # better than a continuous one, so the first horizon, max(1, the largest
+    # bound), is at most T*.  It equals T* where one scalar mode decides
+    # (an integrator, the diagonal plant), and the horizons stay Python floats
+    seen = record_horizons(monkeypatch)
+    decided = above = 0
+    for cases, density, tol in (
+        (gauge_battery(), 40.0, 0.02),
+        (seeded_plants(31, 24, m_max=2, n_min=2), 100.0, 0.01),
+    ):
+        for plant, x0 in cases:
+            del seen[:]
+            try:
+                t_star = minimum_time(plant, x0, grid_density=density, tol_t=tol)
+            except RuntimeError:
+                t_star = None  # the undecided 18th seeded plant
+            assert all(type(horizon) is float for horizon, _ in seen), seen
+            if t_star is None or not seen:
+                continue
+            start = seen[0][0]
+            assert start <= max(1.0, t_star), (plant, x0, start, t_star)
+            decided += 1
+            above += start > 1.0
+    assert (decided, above) == (36, 14)
+
+
+def test_minimum_time_refuses_a_far_target_before_building_a_map(monkeypatch):
+    # from 6.7e16 out, the undamped plant's modes need about 2.5e16 s to come
+    # to rest, so the search starts above its 1e6-s limit and refuses at
+    # once.  Started at 1 s, it doubled through maps of millions of columns
+    plant = seeded_plants(31, 24, m_max=2, n_min=2)[4][0]
+    seen = record_horizons(monkeypatch)
+    start = time.perf_counter()
+    with pytest.raises(RuntimeError, match="no feasible horizon found below 1e6 seconds"):
+        minimum_time(plant, [-1.43e16, 6.52e16], grid_density=100.0, tol_t=0.01)
+    assert time.perf_counter() - start < 0.5
+    assert seen == []
 
 
 def two_input_short_chain() -> LtiPlant:
