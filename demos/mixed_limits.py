@@ -3,8 +3,8 @@
 Show how the mixed L1/L2 control interpolates between its two limits.
 
 This script:
-1. Solves the fourth-order example in pure L1 mode (sparsest control) and in
-   pure L2 mode (minimum energy control)
+1. Solves the fourth-order example of problems/fourth_order_l1.txt in pure
+   L1 mode (sparsest control) and in pure L2 mode (minimum energy control)
 2. Solves the mixed problem for a decreasing sequence of quadratic weights r
 3. Prints, for each r, the largest step between adjacent samples (a proxy for
    continuity), the L2(0,T) and sup-norm distances to the sparse control, and
@@ -21,40 +21,29 @@ Usage:
     python3 mixed_limits.py
 """
 
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 
-from handsoff import ControlProblem, LtiPlant, solve_problem
+from handsoff import solve_problem
+from handsoff.cli import parse_problem_file
 
-PLANT = LtiPlant(
-    a=[
-        [0.0, -1.0, 0.0, 0.0],
-        [1.0, 0.0, 0.0, 0.0],
-        [0.0, 1.0, 0.0, 0.0],
-        [0.0, 0.0, 1.0, 0.0],
-    ],
-    b=[2.0, 0.0, 0.0, 0.0],
-)
-X0 = [1.0, 1.0, 1.0, 1.0]
-HORIZON = 10.0
-INTERVALS = 1000
+PROBLEM = Path(__file__).resolve().parent / "problems" / "fourth_order_l1.txt"
 R_VALUES = (1.0, 0.1, 0.01, 0.001)
 
 
-def problem(**kwargs) -> ControlProblem:
-    return ControlProblem(plant=PLANT, x0=X0, T=HORIZON, N=INTERVALS, **kwargs)
-
-
 def main() -> None:
-    u_sparse = solve_problem(problem(lam=1.0, mode="L1")).u.u.reshape(-1)
-    u_smooth = solve_problem(problem(r=1.0, mode="L2")).u.u.reshape(-1)
+    sparse = parse_problem_file(PROBLEM)
+    u_sparse = solve_problem(sparse).u.u.reshape(-1)
+    u_smooth = solve_problem(replace(sparse, r=1.0, mode="L2")).u.u.reshape(-1)
 
-    h = HORIZON / INTERVALS
     print("r        max jump   L2|u - sparse|   sup|u - sparse|   sup|u - smooth|")
     for r in R_VALUES:
-        report = solve_problem(problem(lam=1.0, r=r, mode="L1L2"))
+        report = solve_problem(replace(sparse, r=r, mode="L1L2"))
         u = report.u.u.reshape(-1)
         jump = float(np.max(np.abs(np.diff(u))))
-        l2_to_sparse = float(np.sqrt(h * np.sum((u - u_sparse) ** 2)))
+        l2_to_sparse = float(np.sqrt(sparse.h * np.sum((u - u_sparse) ** 2)))
         to_sparse = float(np.max(np.abs(u - u_sparse)))
         to_smooth = float(np.max(np.abs(u - u_smooth)))
         print(
@@ -63,7 +52,7 @@ def main() -> None:
         )
 
     # the other limit: vanishing sparsity weight at fixed r recovers L2
-    report = solve_problem(problem(lam=1e-3, r=1.0, mode="L1L2"))
+    report = solve_problem(replace(sparse, lam=1e-3, r=1.0, mode="L1L2"))
     gap = float(np.max(np.abs(report.u.u.reshape(-1) - u_smooth)))
     print(f"\nlam=1e-3, r=1: sup|u - smooth| = {gap:.4f}")
 

@@ -4,8 +4,9 @@ Usage (from the repository root):
 
     python3 tools/same_outputs.py --commit REV
 
-Collects these outputs once with the package of ``REV`` and once with the
-working tree's, each side in one subprocess with BLAS pinned to one thread:
+Collects these outputs once with the checkout of ``REV`` and once with the
+working tree, each side's package in one subprocess and each of its demos
+in one more, with BLAS pinned to one thread:
 
 - ``solve``, ``sweep`` (the README's ``--r-list "0.001 0.01 0.1 1"``),
   ``mintime`` and ``verify`` (on the trajectory ``solve`` wrote, and again
@@ -29,7 +30,9 @@ working tree's, each side in one subprocess with BLAS pinned to one thread:
   the ``repr`` of ``j1``, ``j2`` and the duality gap, and the sha256 of the
   bytes of its costate and of its control), the
   ``min_energy_closed_form`` control and the terminal state that
-  ``simulate`` gives it.
+  ``simulate`` gives it;
+- each of the side's own ``demos/*.py``, run with no arguments: exit code,
+  stdout and stderr.
 
 ``simulate`` returns its grid states as an array, and as the ``states`` of
 a ``StateTrajectory`` at older commits; both are read (``grid_states``).
@@ -226,17 +229,24 @@ def side() -> None:
     (here / OUTPUTS).write_bytes(pickle.dumps(outputs))
 
 
-def run_side(src: Path, workdir: Path) -> dict[str, bytes]:
-    """``side()`` in a subprocess with the package at ``src``."""
+def run_side(checkout: Path, workdir: Path) -> dict[str, bytes]:
+    """``side()`` in a subprocess with the package of ``checkout``, then
+    each of ``checkout``'s demos in a subprocess of its own."""
     shutil.copytree(ROOT / "demos" / "problems", workdir / "problems")
-    path = [src, TOOLS, ROOT / "tests", ROOT / "perfbench"]
+    path = [checkout / "src", TOOLS, ROOT / "tests", ROOT / "perfbench"]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(map(str, path)),
                PYTHONDONTWRITEBYTECODE="1")
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = "1"
     subprocess.run([sys.executable, "-c", "import same_outputs; same_outputs.side()"],
                    cwd=workdir, env=env, check=True)
-    return pickle.loads((workdir / OUTPUTS).read_bytes())
+    outputs = pickle.loads((workdir / OUTPUTS).read_bytes())
+    for script in sorted((checkout / "demos").glob("*.py")):
+        done = subprocess.run([sys.executable, str(script)], cwd=workdir, env=env,
+                              capture_output=True)
+        record(outputs, f"demo {script.name}", lambda: {
+            "exit code": done.returncode, "stdout": done.stdout, "stderr": done.stderr})
+    return outputs
 
 
 def mintime_totals(outputs: dict[str, bytes], seed: int) -> str:
@@ -272,8 +282,8 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="same_outputs_") as tmp:
         tmp = Path(tmp)
         check_out(commit, tmp / "checkout")
-        old = run_side(tmp / "checkout" / "src", tmp / "old")
-        new = run_side(ROOT / "src", tmp / "new")
+        old = run_side(tmp / "checkout", tmp / "old")
+        new = run_side(ROOT, tmp / "new")
     print(f"{len(old)} outputs at {commit[:12]}, {len(new)} in the working tree")
     for seed in MINTIME_SEEDS:
         print(f"mintime_batch seed {seed}: {mintime_totals(old, seed)} at the commit, "
