@@ -886,10 +886,13 @@ def _certified_gauge(phi, target, tied=()):
     certificate backs it.
 
     ``s >= 1`` counts when the control ``u = clip(v / s)`` misses the target
-    by at most ``_REACH_FLOOR * max(1, |target|)``; the value is then
-    ``log max(s, 1)``.  ``s < 1`` counts when ``p`` is a Farkas certificate
-    (``_farkas``); the value is then the log of ``support``, or of the
-    rounding bound when larger (finite where ``s = 0``), over ``target' p``.
+    by at most ``_REACH_FLOOR * max(1, |target|)``, and so does ``s = 0``
+    when ``u = 0`` does (its miss is ``|target|``; the Farkas test's
+    rounding bound grows like ``1 / |target|`` and decides no such target);
+    the value is then ``log max(s, 1)``.  ``s < 1`` counts when ``p`` is a
+    Farkas certificate (``_farkas``); the value is then the log of
+    ``support``, or of the rounding bound when larger (finite where ``s =
+    0``), over ``target' p``.
     """
     tnorm = math.sqrt(target @ target)
     if not (math.isfinite(tnorm) and np.isfinite(phi).all()):
@@ -898,12 +901,14 @@ def _certified_gauge(phi, target, tied=()):
     if found is None:
         return None
     s, v, p, tied, support = found
+    # the zero control misses by |target|
+    miss = tnorm
     if s > 0.0:
         u = np.minimum(np.maximum(v / s, -1.0), 1.0)
         miss = phi @ u - target
         miss = math.sqrt(miss @ miss)
-        if miss <= _REACH_FLOOR * max(1.0, tnorm):
-            return math.log(max(s, 1.0)), p, support, tied
+    if miss <= _REACH_FLOOR * max(1.0, tnorm):
+        return math.log(max(s, 1.0)), p, support, tied
     ratio = _farkas(phi, target, p, support)
     return None if ratio is None else (math.log(ratio), p, support, tied)
 

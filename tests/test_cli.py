@@ -467,6 +467,15 @@ def test_mintime_zero_state(tmp_path, capsys):
     assert t_star <= 0.01
 
 
+def test_mintime_from_a_state_inside_the_reach_floor(tmp_path, capsys):
+    # exited 2 ("minimum time undecided") when the gauge was s = 0
+    problem = write_problem(tmp_path, DOUBLE_INTEGRATOR.replace("x0 = 1 0", "x0 = 1e-20 0"))
+    assert main(["mintime", str(problem)]) == 0
+    captured = capsys.readouterr()
+    assert float(captured.out.splitlines()[0].split(" = ")[1]) <= 0.01
+    assert captured.err == ""
+
+
 def test_mintime_without_finite_horizon_exits_2(tmp_path, capsys):
     # x' = x + u from x0 = 1.5: |u| <= 1 holds x back only from |x0| < 1
     text = (
