@@ -104,8 +104,8 @@ class TradeoffPoint:
     r: float
     l0_seconds: float
     derivative_supnorm: float
-    status: str = "converged"
-    iterations: int = 0
+    status: str
+    iterations: int
 
 
 def _off(u: np.ndarray) -> np.ndarray:
