@@ -14,7 +14,7 @@ This script:
 Usage:
     python3 maximum_handsoff.py
 
-The command line driver solves the same file and writes the sampled
+The `handsoff` command solves the same file and writes the sampled
 trajectory (trajectory.csv) and the report (report.txt) to a directory:
     handsoff solve demos/problems/fourth_order_l1.txt --out run/
 """

@@ -15,7 +15,7 @@ This script:
 Usage:
     python3 minimum_time_energy.py
 
-The command line driver searches the same files at their own grid density:
+The `handsoff` command searches the same files at their own grid density:
     handsoff mintime demos/problems/double_integrator_l1l2.txt
 """
 

@@ -17,7 +17,7 @@ makes the exchange rate explicit.
 Usage:
     python3 tradeoff_sweep.py
 
-The command line driver sweeps the same file over a list of weights and
+The `handsoff` command sweeps the same file over a list of weights and
 writes the table to tradeoff.csv in a directory:
     handsoff sweep demos/problems/fourth_order_l1.txt \\
         --r-list "0.001 0.01 0.1 1 10" --out run/
