@@ -17,11 +17,14 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 __all__ = [
     "MODES",
@@ -167,12 +170,115 @@ class ControlProblem:
         return self.T / self.N
 
 
+def _load_pade_kernel():
+    """``(pick_pade_structure, pade_UV_calc)``, the compiled Pade kernel of
+    ``scipy.linalg.expm``, or None when it is not found.
+
+    The kernel is scipy's module ``scipy.linalg._matfuncs_expm``: taken from
+    ``sys.modules`` when ``scipy.linalg`` has loaded it already, else loaded
+    alone from its file, as ``handsoff._matfuncs_expm``, so that no other
+    scipy module loads (``scipy.linalg`` itself takes longer to import than
+    the rest of a CLI call).
+    """
+    module = sys.modules.get("scipy.linalg._matfuncs_expm")
+    if module is None:
+        try:
+            spec = importlib.util.find_spec("scipy")
+            folder = os.path.join(spec.submodule_search_locations[0], "linalg")
+            for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+                path = os.path.join(folder, "_matfuncs_expm" + suffix)
+                if os.path.isfile(path):
+                    spec = importlib.util.spec_from_file_location("handsoff._matfuncs_expm", path)
+                    module = importlib.util.module_from_spec(spec)
+                    spec.loader.exec_module(module)
+                    break
+        except (ImportError, OSError, AttributeError, TypeError):
+            module = None
+    try:
+        return module.pick_pade_structure, module.pade_UV_calc
+    except AttributeError:
+        return None
+
+
+_PADE_KERNEL = _load_pade_kernel()
+
+
+def _exp_sinch(x):
+    """``(exp(x[k+1]) - exp(x[k])) / (x[k+1] - x[k])``, or ``exp(x[k])`` where
+    the two are equal: Higham's formula (10.42), as ``scipy.linalg.expm``
+    evaluates it."""
+    lexp_diff = np.diff(np.exp(x))
+    l_diff = np.diff(x)
+    mask_z = l_diff == 0.0
+    lexp_diff[~mask_z] /= l_diff[~mask_z]
+    lexp_diff[mask_z] = np.exp(x[:-1][mask_z])
+    return lexp_diff
+
+
+def _pade_expm(a, kernel) -> np.ndarray:
+    """``scipy.linalg.expm(a)`` for a square float ``a``, bit for bit: the
+    same Pade scaling and squaring (Higham, SIAM J. Matrix Anal. Appl. 26(4),
+    2005; Al-Mohy and Higham, 31(3), 2009) in the same compiled ``kernel``,
+    and the same steps around it for the diagonal, triangular and general
+    cases."""
+    rows, cols = np.nonzero(a)
+    lower, upper = bool((rows > cols).any()), bool((rows < cols).any())
+    # a diagonal matrix, 1 x 1 and empty ones among them
+    if not (lower or upper):
+        return np.diag(np.exp(np.diag(a)))
+    n = a.shape[0]
+    pick_pade_structure, pade_UV_calc = kernel
+    # the kernel scales the copy in am[0] and leaves the Pade approximant there
+    am = np.empty((5, n, n))
+    am[0] = a
+    m, s = pick_pade_structure(am)
+    if m < 0:
+        raise MemoryError(f"expm could not allocate its Pade structure (error code {m})")
+    info = pade_UV_calc(am, m)
+    if info != 0:
+        if info <= -11:
+            raise MemoryError(f"expm could not allocate its workspace (error code {info})")
+        raise RuntimeError(f"expm got an internal LAPACK error (error code {info})")
+    e = am[0]
+    if s != 0 and lower and upper:
+        for _ in range(s):
+            e = e @ e
+    elif s != 0:
+        # a triangular matrix: its diagonal and first off-diagonal are
+        # recomputed at every squaring (Al-Mohy and Higham, Code Fragment 2.1)
+        diag = np.diag(a)
+        np.einsum("ii->i", e)[:] = np.exp(diag * 2 ** (-s))
+        sd = np.diag(a, k=1 if upper else -1)
+        for i in range(s - 1, -1, -1):
+            e = e @ e
+            np.einsum("ii->i", e)[:] = np.exp(diag * 2.0 ** (-i))
+            exp_sd = _exp_sinch(diag * (2.0 ** (-i))) * (sd * 2 ** (-i))
+            if not upper:
+                np.einsum("ii->i", e[1:, :-1])[:] = exp_sd
+            else:
+                np.einsum("ii->i", e[:-1, 1:])[:] = exp_sd
+    if not lower:
+        return np.triu(e)
+    if not upper:
+        return np.tril(e)
+    return e
+
+
 def expm(m) -> np.ndarray:
-    """Matrix exponential of a square matrix (Pade with scaling and squaring)."""
+    """Matrix exponential of a square matrix (Pade with scaling and squaring).
+
+    Bit for bit ``scipy.linalg.expm``: its compiled kernel with a copy of
+    its steps around it (``_pade_expm``), or ``scipy.linalg.expm`` itself
+    where the kernel is not found.
+    """
     m = _as_float_array(m, "m")
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"matrix must be square, got shape {m.shape}")
-    return scipy.linalg.expm(m)
+    if _PADE_KERNEL is None:
+        import scipy.linalg
+
+        return scipy.linalg.expm(m)
+    return _pade_expm(m, _PADE_KERNEL)
 
 
 def discretize(plant: LtiPlant, h: float) -> tuple[np.ndarray, np.ndarray]:

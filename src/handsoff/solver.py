@@ -36,7 +36,7 @@ import weakref
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgeqrf, dgesv, dorgqr
+from numpy.linalg import _umath_linalg
 
 from .plant import (
     ControlProblem,
@@ -441,6 +441,7 @@ def _band_curvature(layout, w2):
     return reg, curvature
 
 
+@np.errstate(invalid="ignore")  # _solve's singular systems give NaNs
 def _ascend(layout, target, w1, w2, p, budget):
     """Damped semismooth Newton ascent on the dual with weights ``w2 > 0``.
 
@@ -525,37 +526,28 @@ def _ascend(layout, target, w1, w2, p, budget):
 
 
 def _solve(a, b):
-    """``x`` with ``a x = b`` for a square ``a``: LAPACK's ``dgesv``, the
-    routine ``np.linalg.solve`` runs, called without that wrapper's checks,
-    which take several times as long as the solves it serves, of n or fewer
-    unknowns: ``_exchange``'s bases and ``_ascend``'s Newton systems;
-    raises ``LinAlgError`` where ``a`` is singular.
-
-    This is scipy's OpenBLAS, not numpy's.  Its bits are
-    ``np.linalg.solve``'s only while the two builds compute ``dgesv`` alike,
-    which neither package promises (the tests check it and print both
-    builds when they differ); where they do not, the solves stay correct,
-    but outputs can differ from those of ``np.linalg.solve`` in the last
-    bits."""
-    x, info = dgesv(a, b)[2:]
-    if info > 0:
+    """``x`` with ``a x = b`` for a square ``a``: numpy's ``solve1`` gufunc,
+    which ``np.linalg.solve`` runs for a vector ``b`` (LAPACK's ``dgesv``),
+    called without that wrapper's checks, which take several times as long
+    as the solves it serves, of n or fewer unknowns: ``_exchange``'s bases
+    and ``_ascend``'s Newton systems.  A singular ``a`` gives NaNs and sets
+    the invalid flag (callers enter ``np.errstate(invalid="ignore")``), and
+    ``_solve`` raises ``LinAlgError`` for it."""
+    x = _umath_linalg.solve1(a, b, signature="dd->d")
+    if x[0] != x[0]:
         raise np.linalg.LinAlgError("singular matrix")
     return x
 
 
 def _complete_q(a):
     """The complete ``Q`` of ``a = Q R`` for an n x k ``a`` with ``k < n``,
-    in C order: LAPACK's ``dgeqrf`` and ``dorgqr``, the routines
-    ``np.linalg.qr(a, mode="complete")`` runs, called without that wrapper's
-    checks, which take several times as long as the factorization of
-    ``_exchange``'s bases.  Its bits are ``np.linalg.qr``'s on the same
-    terms as ``_solve``'s are ``np.linalg.solve``'s; the C order keeps those
-    of the products taken with it."""
-    n, k = a.shape
-    qr, tau = dgeqrf(a)[:2]
-    q = np.empty((n, n), order="F")
-    q[:, :k] = qr
-    return np.ascontiguousarray(dorgqr(q, tau, overwrite_a=True)[0])
+    in C order: numpy's ``qr_r_raw`` and ``qr_complete`` gufuncs (LAPACK's
+    ``dgeqrf`` and ``dorgqr``) on a copy of ``a``, as ``np.linalg.qr(a,
+    mode="complete")`` runs them, without that wrapper's checks, which take
+    several times as long as the factorization of ``_exchange``'s bases."""
+    a = a.copy()
+    tau = _umath_linalg.qr_r_raw(a, signature="d->d")
+    return _umath_linalg.qr_complete(a, tau, signature="dd->d")
 
 
 def _least_norm(a, b):
@@ -563,6 +555,7 @@ def _least_norm(a, b):
     return np.linalg.lstsq(a, b, rcond=None)[0]
 
 
+@np.errstate(invalid="ignore")  # _solve's singular systems give NaNs
 def _exchange(phi, target, w1, budget, tied=()):
     """Exchange method (simplex with long steps) on a piecewise-linear dual.
 
@@ -607,7 +600,7 @@ def _exchange(phi, target, w1, budget, tied=()):
         # a start at a vertex ties a basis of unit columns independent to rounding
         if tied and len(tied) == n - 1:
             unit = basis / (np.sqrt((basis * basis).sum(axis=0)) + _TINY)
-            sv = np.linalg.svd(unit, compute_uv=False).tolist()
+            sv = _umath_linalg.svd(unit, signature="d->d").tolist()
             if sv[-1] > 0.0 and sv[0] / sv[-1] < 1.0 / _TIE:
                 first = np.zeros(n)
                 first[0] = 1.0
@@ -893,14 +886,30 @@ def _certified_gauge(phi, target, tied=()):
     Farkas certificate (``_farkas``); the value is then the log of
     ``support``, or of the rounding bound when larger (finite where ``s =
     0``), over ``target' p``.
+
+    A target whose square underflows is first scaled by the power of two
+    ``2^k`` that brings its largest entry into [0.5, 1): the gauge is
+    homogeneous, ``s(2^k t) = s(t) / 2^k``.  Such a target is shorter than
+    the reach floor, so the zero control reaches it; ``log s`` adds ``k log
+    2`` to the scaled gauge's log, and ``p`` and ``support`` are scaled back
+    exactly (to inf where they overflow, for a subnormal target).
     """
-    tnorm = math.sqrt(target @ target)
+    k, square = 0, target @ target
+    if square < _TINY and target.any():
+        k = -math.frexp(float(np.abs(target).max()))[1]
+        target = np.ldexp(target, k)
+        square = target @ target
+    tnorm = math.sqrt(square)
     if not (math.isfinite(tnorm) and np.isfinite(phi).all()):
         return None
     found = _gauge(phi, target, tied)
     if found is None:
         return None
     s, v, p, tied, support = found
+    if k:
+        value = math.log(s) + k * math.log(2.0) if s > math.ldexp(1.0, -k) else 0.0
+        with np.errstate(over="ignore"):
+            return value, np.ldexp(p, k), float(np.ldexp(support, k)), tied
     # the zero control misses by |target|
     miss = tnorm
     if s > 0.0:

@@ -838,6 +838,18 @@ def test_the_cli_import_leaves_scipy_optimize_unloaded():
     assert result.stdout.split() == ["False", "True", "True"]
 
 
+def test_the_cli_import_loads_no_scipy_module():
+    # expm's Pade kernel is loaded alone from its file, and the LAPACK
+    # routines are numpy's, so importing the CLI loads no scipy module at all
+    result = run_python(
+        "-c",
+        "import sys, handsoff.cli;"
+        " print([k for k in sys.modules if k == 'scipy' or k.startswith('scipy.')])",
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
+
+
 def test_main_builds_its_parser_once_and_parses_alike(tmp_path, capsys, monkeypatch):
     import handsoff.cli
 

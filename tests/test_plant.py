@@ -9,9 +9,21 @@ hand-derived closed forms for the double integrator
     min-energy u(t) is affine in t.
 """
 
+import os
+import subprocess
+import sys
+import types
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
+import scipy.linalg
 
+import handsoff
+import handsoff.analysis
+import handsoff.cli
+import handsoff.plant
 from handsoff.plant import (
     ControlProblem,
     ControlTrajectory,
@@ -107,6 +119,119 @@ class TestExpm:
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             expm(np.array([[np.nan, 0.0], [0.0, 0.0]]))
+
+
+def expm_battery(seed: int = 11) -> list[np.ndarray]:
+    """Seeded square matrices of 1 to 8 rows scaled from 1e-4 to 1e2, so
+    that some need squarings: general, upper and lower triangular (with
+    distinct, repeated and zero diagonals), diagonal and Jordan blocks."""
+    rng = np.random.default_rng(seed)
+    battery = []
+    for i in range(3000):
+        n = int(rng.integers(1, 9))
+        a = rng.standard_normal((n, n)) * 10.0 ** rng.uniform(-4.0, 2.0)
+        kind = i % 7
+        if kind == 1:
+            a = np.triu(a)
+        elif kind == 2:
+            a = np.tril(a)
+        elif kind == 3:
+            a = np.diag(np.diag(a))
+        elif kind == 4:
+            a = np.triu(a, 1)
+        elif kind == 5:
+            a = np.triu(a)
+            np.fill_diagonal(a, a[0, 0])
+        elif kind == 6:
+            a = a[0, 0] * np.eye(n) + np.eye(n, k=1 if i % 2 else -1)
+        battery.append(a)
+    return battery
+
+
+def test_expm_is_scipys_bit_for_bit_on_seeded_matrices():
+    # the Pade kernel and the steps around it are scipy.linalg.expm's, so
+    # the bits are too: the 1 x 1, diagonal, triangular (defective ones
+    # among them) and general branches
+    assert handsoff.plant._PADE_KERNEL is not None
+    for a in expm_battery():
+        assert expm(a).tobytes() == scipy.linalg.expm(a).tobytes(), a
+
+
+def test_expm_is_scipys_bit_for_bit_on_the_matrices_of_a_solve(monkeypatch):
+    # every matrix that a CLI solve of each demo problem, a sweep, a
+    # minimum-energy control with its simulation, and a minimum time pass
+    # to expm: the discretization blocks, the Gramian's block and A h
+    seen = []
+    original = handsoff.plant.expm
+
+    def recording(m):
+        seen.append(np.array(m, dtype=float))
+        return original(m)
+
+    monkeypatch.setattr(handsoff.plant, "expm", recording)
+    problems = Path(__file__).resolve().parents[1] / "demos" / "problems"
+    for name in ("double_integrator_l1l2.txt", "fourth_order_l1.txt"):
+        problem = handsoff.cli.parse_problem_file(problems / name)
+        report = handsoff.solve_problem(problem)
+        simulate(problem.plant, problem.x0, report.u)
+    problem = replace(problem, N=200)
+    handsoff.analysis.sweep_tradeoff(problem, [0.01, 1.0])
+    energy = min_energy_closed_form(problem.plant, problem.x0, problem.T, problem.N)
+    simulate(problem.plant, problem.x0, energy)
+    minimum_time(DOUBLE_INTEGRATOR, [1.0, 0.0])
+    minimum_time(LtiPlant(a=[[0.0, 1.0], [-1.0, -1.0]], b=[[0.0], [1.0]]), [0.5, -0.2])
+    triangular = {not np.tril(m, -1).any() for m in seen}
+    assert {m.shape[0] for m in seen} == {3, 4, 5, 8} and triangular == {True, False}
+    for m in seen:
+        assert original(m).tobytes() == scipy.linalg.expm(m).tobytes(), m
+
+
+def test_expm_kernel_loads_alone_and_keeps_scipys_bits_beside_scipys_own():
+    # without scipy.linalg loaded the kernel is loaded alone from its file,
+    # and no scipy module is; scipy.linalg loaded afterwards brings its own
+    # copy of the kernel, and the two give the same bits.  With
+    # scipy.linalg loaded first, expm takes scipy's own copy
+    code = (
+        "import sys, numpy as np, handsoff.plant as p\n"
+        "print(p._PADE_KERNEL[0].__self__.__name__,"
+        " any(k == 'scipy' or k.startswith('scipy.') for k in sys.modules))\n"
+        "rng = np.random.default_rng(3)\n"
+        "mats = [np.triu(rng.standard_normal((4, 4))) * 10.0 ** rng.uniform(-3, 2) for _ in range(50)]\n"
+        "mats += [rng.standard_normal((5, 5)) * 10.0 ** rng.uniform(-3, 2) for _ in range(50)]\n"
+        "ours = [p.expm(m).tobytes() for m in mats]\n"
+        "import scipy.linalg\n"
+        "print(ours == [scipy.linalg.expm(m).tobytes() for m in mats])\n"
+    )
+    env = dict(os.environ)
+    src = str(Path(handsoff.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join([src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    for first, module in (("", "handsoff._matfuncs_expm"), ("import scipy.linalg\n", "scipy.linalg._matfuncs_expm")):
+        result = subprocess.run(
+            [sys.executable, "-c", first + code], env=env, capture_output=True, text=True
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == [module, str(bool(first)), "True"]
+
+
+def test_expm_falls_back_to_scipy_without_the_kernel(monkeypatch):
+    # a missing kernel file, or a kernel module without the two functions,
+    # leaves no kernel; expm then calls scipy.linalg.expm, with the same bits
+    monkeypatch.delitem(sys.modules, "scipy.linalg._matfuncs_expm", raising=False)
+    monkeypatch.setattr("importlib.machinery.EXTENSION_SUFFIXES", [".missing"])
+    assert handsoff.plant._load_pade_kernel() is None
+    monkeypatch.setitem(
+        sys.modules, "scipy.linalg._matfuncs_expm", types.SimpleNamespace(pick_pade_structure=None)
+    )
+    assert handsoff.plant._load_pade_kernel() is None
+    calls = []
+    scipy_expm = scipy.linalg.expm
+    monkeypatch.setattr(scipy.linalg, "expm", lambda m: calls.append(1) or scipy_expm(m))
+    battery = expm_battery(12)[:200]
+    kernel = [expm(a).tobytes() for a in battery]
+    assert not calls
+    monkeypatch.setattr(handsoff.plant, "_PADE_KERNEL", None)
+    assert [expm(a).tobytes() for a in battery] == kernel
+    assert len(calls) == len(battery)
 
 
 class TestDiscretize:

@@ -989,6 +989,27 @@ def test_minimum_time_of_a_state_inside_the_reach_floor_is_within_tol_t(plant, x
     assert t_star <= 0.01
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("x0", [[1.0, 0.0], [0.0, -1.0], [1.0, 1.0]])
+def test_minimum_time_of_a_target_whose_square_underflows(x0):
+    # the gauge's cold start divided by target' target, which underflows to
+    # 0 below about 1e-162; the gauge is homogeneous, so the target is scaled
+    # by a power of two first, and the answer is that of a state inside the
+    # floor whose square does not underflow
+    x0 = np.array(x0)
+    expected = minimum_time(double_integrator(), 1e-100 * x0)
+    for scale in (1e-160, 1e-200, 1e-300, 5e-324):
+        assert minimum_time(double_integrator(), scale * x0) == expected, scale
+    # the scaled gauge gives the stated target's log s, p and support
+    phi, target, _ = handsoff.solver._reach_condition(double_integrator(), 1e-100 * x0, 1.0, 100)
+    value, p, support, tied = handsoff.solver._certified_gauge(phi, target)
+    tiny = handsoff.solver._certified_gauge(phi, target * 2.0**-600)
+    assert abs(tiny[0] - (value + 600 * math.log(2.0))) <= 1e-12 * tiny[0]
+    assert tiny[3] == tied
+    assert np.allclose(tiny[1], p * 2.0**600, rtol=1e-12)
+    assert math.isclose(tiny[2], support * 2.0**600, rel_tol=1e-12)
+
+
 def test_minimum_time_double_integrator_bang_bang():
     # analytic optimum from [1, 0]: full brake then full thrust, switch at
     # t = 1, arrival at t = 2
@@ -1199,24 +1220,10 @@ def test_gauge_starts_cold_when_its_start_is_dependent_to_rounding():
     assert checked >= 10
 
 
-def blas_builds() -> str:
-    """The OpenBLAS builds of numpy and scipy, which ``solver._solve``'s
-    bits depend on."""
-    import scipy
-
-    return "; ".join(
-        f"{pkg.__name__} {pkg.__version__}: "
-        + pkg.show_config(mode="dicts")["Build Dependencies"]["blas"].get("openblas configuration", "?")
-        for pkg in (np, scipy)
-    )
-
-
 def test_basis_solves_are_numpys_bit_for_bit():
-    # _solve runs LAPACK's dgesv as np.linalg.solve does: the same bits on
-    # seeded systems of 1 to 4 columns scaled over 20 decades, and on their
-    # transposes, and the same refusal of a singular basis.  The bits are
-    # the same only while scipy's OpenBLAS computes dgesv as numpy's does,
-    # which neither package promises: a failure names both builds
+    # _solve runs numpy's solve1 gufunc (LAPACK's dgesv) as np.linalg.solve
+    # does: the same bits on seeded systems of 1 to 4 columns scaled over 20
+    # decades, and on their transposes
     rng = np.random.default_rng(5)
     for _ in range(2000):
         k = int(rng.integers(1, 5))
@@ -1224,7 +1231,7 @@ def test_basis_solves_are_numpys_bit_for_bit():
         b = rng.standard_normal(k)
         for basis in (a, a.T):
             x = handsoff.solver._solve(basis, b)
-            assert x.tobytes() == np.linalg.solve(basis, b).tobytes(), (basis, blas_builds())
+            assert x.tobytes() == np.linalg.solve(basis, b).tobytes(), basis
     # the ascent's Newton systems, curvature(band) + reg on seeded maps of
     # 1 to 4 rows, at quadratic weights over several decades
     for _ in range(100):
@@ -1237,25 +1244,59 @@ def test_basis_solves_are_numpys_bit_for_bit():
         band = np.flatnonzero(rng.random(mn) < rng.random())
         hess, grad = curvature(band) + reg, rng.standard_normal(n)
         x = handsoff.solver._solve(hess, grad)
-        assert x.tobytes() == np.linalg.solve(hess, grad).tobytes(), (hess, blas_builds())
-    with pytest.raises(np.linalg.LinAlgError):
-        handsoff.solver._solve(np.array([[1.0, 2.0], [2.0, 4.0]]), np.ones(2))
+        assert x.tobytes() == np.linalg.solve(hess, grad).tobytes(), hess
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_singular_solve_raises_and_warns_of_nothing():
+    # the gufunc returns NaNs for an exactly singular system and sets the
+    # invalid flag; _solve refuses it as np.linalg.solve does, and under the
+    # errstate that _exchange and _ascend enter no warning escapes
+    for a in ([[1.0, 2.0], [2.0, 4.0]], [[0.0]], [[1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 1.0]]):
+        a = np.array(a)
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(a, np.ones(len(a)))
+        with pytest.raises(np.linalg.LinAlgError), np.errstate(invalid="ignore"):
+            handsoff.solver._solve(a, np.ones(len(a)))
+    # an ascent whose Newton matrix has a zero row and column
+    phi = np.array([[1.0, -0.5, 2.0, 0.3], [0.0, 0.0, 0.0, 0.0]])
+    program = DiscreteProgram(
+        phi=phi, target=[0.4, 0.0], l1_weights=np.full(4, 0.1), l2_weights=np.full(4, 0.2)
+    )
+    assert solve(program).status == "converged"
 
 
 def test_complete_q_is_numpys_bit_for_bit():
-    # _complete_q runs LAPACK's dgeqrf and dorgqr as np.linalg.qr(mode=
-    # "complete") does: the same bits, in C order (the exchange's products
-    # with a Fortran-order Q differ in their last bits), on seeded bases of
-    # n = 1 to 4 rows and k < n columns scaled from 1e-8 to 1e8, the empty
-    # basis included.  As for _solve, a failure names both builds
+    # _complete_q runs numpy's qr_r_raw and qr_complete gufuncs (LAPACK's
+    # dgeqrf and dorgqr) as np.linalg.qr(mode="complete") does: the same
+    # bits, in C order (the exchange's products with a Fortran-order Q
+    # differ in their last bits), on seeded bases of n = 1 to 4 rows and
+    # k < n columns scaled from 1e-8 to 1e8, the empty basis included, and
+    # its input is left as it was
     rng = np.random.default_rng(6)
     for _ in range(2000):
         n = int(rng.integers(1, 5))
         k = int(rng.integers(0, n))
         a = rng.standard_normal((n, k)) * 10.0 ** rng.uniform(-8.0, 8.0, size=(1, k))
+        kept = a.copy()
         q = handsoff.solver._complete_q(a)
         assert q.flags.c_contiguous, a
-        assert q.tobytes() == np.linalg.qr(a, mode="complete")[0].tobytes(), (a, blas_builds())
+        assert q.tobytes() == np.linalg.qr(a, mode="complete")[0].tobytes(), a
+        assert a.tobytes() == kept.tobytes()
+
+
+def test_warm_start_singular_values_are_numpys_bit_for_bit():
+    # _exchange's warm-start rounding test takes the singular values from
+    # numpy's svd gufunc without np.linalg.svd's wrapper: the same bits on
+    # seeded matrices of 1 to 4 rows and columns, rank deficient ones among them
+    rng = np.random.default_rng(7)
+    for i in range(5000):
+        rows, cols = int(rng.integers(1, 5)), int(rng.integers(1, 5))
+        a = rng.standard_normal((rows, cols)) * 10.0 ** rng.uniform(-8.0, 8.0, size=(1, cols))
+        if i % 5 == 0 and cols > 1:
+            a[:, -1] = a[:, 0]
+        sv = handsoff.solver._umath_linalg.svd(a, signature="d->d")
+        assert sv.tobytes() == np.linalg.svd(a, compute_uv=False).tobytes(), a
 
 
 def test_a_singular_newton_system_is_solved_by_least_squares(monkeypatch):

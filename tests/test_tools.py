@@ -5,10 +5,11 @@ those of a commit, and ``tools/paired_bench.py`` the benchmark's metrics in
 alternating pairs of runs; these tests load them (read only, without
 writing bytecode next to them) and check ``differences``, which decides
 what the first reports, and ``summarize``, which the second prints, with
-the other tools' pure parts: ``tools/bench_record.py``'s ``is_dirty`` and
-``tools/cli_time.py``'s, ``tools/fault_count.py``'s and
-``tools/exchange_replay.py``'s ``report``; and runs ``tools/fault_count.py``
-and ``tools/exchange_replay.py`` once each on a short count.
+the other tools' pure parts: ``tools/bench_record.py``'s ``is_dirty``,
+``tools/cli_time.py``'s ``report`` and ``scipy_packages``, and
+``tools/fault_count.py``'s and ``tools/exchange_replay.py``'s ``report``;
+and runs ``tools/fault_count.py`` and ``tools/exchange_replay.py`` once
+each on a short count.
 """
 
 import importlib.util
@@ -123,6 +124,11 @@ def test_cli_time_report_gives_each_command_its_medians_and_runs_won():
         "-33.3%", "2/3",
     ]
     assert solved.split()[-2:] == ["-32.1%", "2/3"]
+    # the scipy modules a CLI import loads, by count and package
+    assert cli_time.scipy_packages([]) == "none"
+    assert cli_time.scipy_packages(
+        ["scipy", "scipy._lib._util", "scipy.linalg", "scipy.linalg._matfuncs"]
+    ) == "4 modules, in scipy, scipy._lib, scipy.linalg"
 
 
 def test_fault_count_report_gives_nonzero_inputs_and_the_median_per_operation():

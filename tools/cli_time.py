@@ -14,7 +14,10 @@ Before the timed runs each command runs once per side untimed, so that the
 timed ones read compiled bytecode.  Prints each command's median and
 quartiles per side, the change of the working tree's median relative to
 the commit's, and the runs the working tree won (``paired_bench.summarize``,
-lower is better).  Exits 1 if a run fails.  Writes nothing under
+lower is better), and then, for each side, the ``scipy`` modules that a
+fresh ``python -c "import handsoff.cli"`` leaves in ``sys.modules``: their
+count and the packages they belong to (``scipy_packages``), which name what
+the import time pays for.  Exits 1 if a run fails.  Writes nothing under
 ``perfbench/``.
 """
 
@@ -38,11 +41,17 @@ COMMANDS = {
     "import handsoff": ["-c", "import handsoff"],
     "CLI solve": ["-m", "handsoff", "solve", str(PROBLEM), "--out", "{out}"],
 }
+SCIPY_MODULES = [
+    "-c",
+    "import sys, handsoff.cli;"
+    " print(*sorted(k for k in sys.modules if k == 'scipy' or k.startswith('scipy.')))",
+]
 
 
-def timed(checkout: Path, args: list[str]) -> float:
-    """Wall seconds of one fresh ``python *args`` with ``checkout``'s package,
-    in a temporary directory that ``{out}`` in ``args`` names."""
+def timed(checkout: Path, args: list[str]) -> tuple[float, str]:
+    """Wall seconds and stdout of one fresh ``python *args`` with
+    ``checkout``'s package, in a temporary directory that ``{out}`` in
+    ``args`` names."""
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
     with tempfile.TemporaryDirectory(prefix="cli_time_") as out:
         command = [sys.executable] + [arg.format(out=out) for arg in args]
@@ -51,7 +60,17 @@ def timed(checkout: Path, args: list[str]) -> float:
         seconds = time.perf_counter() - start
     if proc.returncode != 0:
         raise SystemExit(f"error: {' '.join(command)} exited {proc.returncode}\n{proc.stderr}")
-    return seconds
+    return seconds, proc.stdout
+
+
+def scipy_packages(modules: list[str]) -> str:
+    """``modules``, the names of loaded scipy modules, as their count and
+    the packages they belong to (``scipy`` and its first-level
+    subpackages), or "none"."""
+    if not modules:
+        return "none"
+    packages = sorted({".".join(name.split(".")[:2]) for name in modules})
+    return f"{len(modules)} modules, in {', '.join(packages)}"
 
 
 def report(times: dict[str, dict[str, list[float]]]) -> list[str]:
@@ -90,11 +109,14 @@ def main(argv=None) -> int:
         for run in range(args.runs):
             for side in SIDES if run % 2 == 0 else SIDES[::-1]:
                 for name, command in COMMANDS.items():
-                    times[side][name].append(timed(checkouts[side], command))
+                    times[side][name].append(timed(checkouts[side], command)[0])
+        loaded = {side: timed(checkouts[side], SCIPY_MODULES)[1].split() for side in SIDES}
 
     print(f"{args.runs} fresh processes per command and side;"
           f" commit {commit[:12]} against the working tree")
     print("\n".join(report(times)))
+    for side in SIDES:
+        print(f"scipy modules after import handsoff.cli, {side}: {scipy_packages(loaded[side])}")
     return 0
 
 
