@@ -179,6 +179,12 @@ def _load_pade_kernel():
     alone from its file, as ``handsoff._matfuncs_expm``, so that no other
     scipy module loads (``scipy.linalg`` itself takes longer to import than
     the rest of a CLI call).
+
+    The steps around the kernel (``_pade_expm``) are those of the scipy
+    releases whose ``pick_pade_structure`` scales its input itself and whose
+    ``pade_UV_calc`` takes ``(Am, m)``; older ones differ.  So the kernel is
+    kept only when ``_pade_expm`` runs with it and returns the rotation
+    ``exp([[0, -8], [8, 0]])``, which needs scaling, to within 1e-10.
     """
     module = sys.modules.get("scipy.linalg._matfuncs_expm")
     if module is None:
@@ -195,12 +201,12 @@ def _load_pade_kernel():
         except (ImportError, OSError, AttributeError, TypeError):
             module = None
     try:
-        return module.pick_pade_structure, module.pade_UV_calc
-    except AttributeError:
+        kernel = module.pick_pade_structure, module.pade_UV_calc
+        e = _pade_expm(np.array([[0.0, -8.0], [8.0, 0.0]]), kernel)
+    except Exception:
         return None
-
-
-_PADE_KERNEL = _load_pade_kernel()
+    rotation = np.array([[np.cos(8.0), -np.sin(8.0)], [np.sin(8.0), np.cos(8.0)]])
+    return kernel if np.abs(e - rotation).max() < 1e-10 else None
 
 
 def _exp_sinch(x):
@@ -264,12 +270,16 @@ def _pade_expm(a, kernel) -> np.ndarray:
     return e
 
 
+_PADE_KERNEL = _load_pade_kernel()
+
+
 def expm(m) -> np.ndarray:
     """Matrix exponential of a square matrix (Pade with scaling and squaring).
 
     Bit for bit ``scipy.linalg.expm``: its compiled kernel with a copy of
     its steps around it (``_pade_expm``), or ``scipy.linalg.expm`` itself
-    where the kernel is not found.
+    where the kernel is not found or does not pass ``_load_pade_kernel``'s
+    check.
     """
     m = _as_float_array(m, "m")
     if m.ndim != 2 or m.shape[0] != m.shape[1]:

@@ -36,6 +36,7 @@ import weakref
 from dataclasses import dataclass
 
 import numpy as np
+# numpy 2.0 merged the gufuncs qr_r_raw and svd, which 1.x split by shape
 from numpy.linalg import _umath_linalg
 
 from .plant import (
@@ -441,7 +442,9 @@ def _band_curvature(layout, w2):
     return reg, curvature
 
 
-@np.errstate(invalid="ignore")  # _solve's singular systems give NaNs
+# _solve's singular systems give NaNs; the errstate covers the whole function,
+# so an invalid operation elsewhere in it sets no warning either
+@np.errstate(invalid="ignore")
 def _ascend(layout, target, w1, w2, p, budget):
     """Damped semismooth Newton ascent on the dual with weights ``w2 > 0``.
 
@@ -531,8 +534,10 @@ def _solve(a, b):
     called without that wrapper's checks, which take several times as long
     as the solves it serves, of n or fewer unknowns: ``_exchange``'s bases
     and ``_ascend``'s Newton systems.  A singular ``a`` gives NaNs and sets
-    the invalid flag (callers enter ``np.errstate(invalid="ignore")``), and
-    ``_solve`` raises ``LinAlgError`` for it."""
+    the invalid flag, and ``_solve`` raises ``LinAlgError`` for it.  Its
+    callers, ``_exchange`` and ``_ascend``, run whole under
+    ``np.errstate(invalid="ignore")``, entered once per call rather than once
+    per solve, which silences any other invalid operation in them as well."""
     x = _umath_linalg.solve1(a, b, signature="dd->d")
     if x[0] != x[0]:
         raise np.linalg.LinAlgError("singular matrix")
@@ -555,7 +560,9 @@ def _least_norm(a, b):
     return np.linalg.lstsq(a, b, rcond=None)[0]
 
 
-@np.errstate(invalid="ignore")  # _solve's singular systems give NaNs
+# _solve's singular systems give NaNs; the errstate covers the whole function,
+# so an invalid operation elsewhere in it sets no warning either
+@np.errstate(invalid="ignore")
 def _exchange(phi, target, w1, budget, tied=()):
     """Exchange method (simplex with long steps) on a piecewise-linear dual.
 

@@ -214,15 +214,32 @@ def test_expm_kernel_loads_alone_and_keeps_scipys_bits_beside_scipys_own():
 
 
 def test_expm_falls_back_to_scipy_without_the_kernel(monkeypatch):
-    # a missing kernel file, or a kernel module without the two functions,
-    # leaves no kernel; expm then calls scipy.linalg.expm, with the same bits
+    # a missing kernel file, a kernel module without the two functions, or
+    # one whose functions do not fit the steps around them (older scipy's
+    # pade_UV_calc(Am, n, m), or a pick_pade_structure that leaves the
+    # scaling to its caller) leaves no kernel; expm then calls
+    # scipy.linalg.expm, with the same bits
+    pick, pade = handsoff.plant._PADE_KERNEL
+
+    def unscaled(am):
+        m, s = pick(am)
+        am[0] *= 2.0**s
+        return m, s
+
     monkeypatch.delitem(sys.modules, "scipy.linalg._matfuncs_expm", raising=False)
     monkeypatch.setattr("importlib.machinery.EXTENSION_SUFFIXES", [".missing"])
     assert handsoff.plant._load_pade_kernel() is None
+    for module in (
+        types.SimpleNamespace(pick_pade_structure=None),
+        types.SimpleNamespace(pick_pade_structure=pick, pade_UV_calc=lambda am, n, m: pade(am, m)),
+        types.SimpleNamespace(pick_pade_structure=unscaled, pade_UV_calc=pade),
+    ):
+        monkeypatch.setitem(sys.modules, "scipy.linalg._matfuncs_expm", module)
+        assert handsoff.plant._load_pade_kernel() is None
     monkeypatch.setitem(
-        sys.modules, "scipy.linalg._matfuncs_expm", types.SimpleNamespace(pick_pade_structure=None)
+        sys.modules, "scipy.linalg._matfuncs_expm", types.SimpleNamespace(pick_pade_structure=pick, pade_UV_calc=pade)
     )
-    assert handsoff.plant._load_pade_kernel() is None
+    assert handsoff.plant._load_pade_kernel() == (pick, pade)
     calls = []
     scipy_expm = scipy.linalg.expm
     monkeypatch.setattr(scipy.linalg, "expm", lambda m: calls.append(1) or scipy_expm(m))
