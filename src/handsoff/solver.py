@@ -872,7 +872,9 @@ def _gauge(phi, target, tied=()):
     sum as computed, ``sum |c|`` from the exchanges' own ``c = phi' p``:
     ``_exchange`` with every threshold at 0, from the vertex of the columns
     ``tied`` or cold; None without an optimal vertex.  ``target`` must be
-    nonzero; ``s = 0`` when it lies outside the span of ``phi``.
+    nonzero (the cold start divides by ``target' target``); ``s = 0`` when it
+    lies outside the span of ``phi``.  Its one caller in the package,
+    ``_certified_gauge``, passes only targets above the reach floor.
     """
     outcome, p, v, s, _, tied, c = _exchange(phi, target, 0.0, _MAX_EXCHANGES, tied)
     if outcome != "optimal":
@@ -885,46 +887,29 @@ def _certified_gauge(phi, target, tied=()):
     sum |phi' p|`` (priced once, by the exchanges), or None unless a
     certificate backs it.
 
-    ``s >= 1`` counts when the control ``u = clip(v / s)`` misses the target
-    by at most ``_REACH_FLOOR * max(1, |target|)``, and so does ``s = 0``
-    when ``u = 0`` does (its miss is ``|target|``; the Farkas test's
-    rounding bound grows like ``1 / |target|`` and decides no such target);
-    the value is then ``log max(s, 1)``.  ``s < 1`` counts when ``p`` is a
-    Farkas certificate (``_farkas``); the value is then the log of
-    ``support``, or of the rounding bound when larger (finite where ``s =
-    0``), over ``target' p``.
-
-    A target whose square underflows is first scaled by the power of two
-    ``2^k`` that brings its largest entry into [0.5, 1): the gauge is
-    homogeneous, ``s(2^k t) = s(t) / 2^k``.  Such a target is shorter than
-    the reach floor, so the zero control reaches it; ``log s`` adds ``k log
-    2`` to the scaled gauge's log, and ``p`` and ``support`` are scaled back
-    exactly (to inf where they overflow, for a subnormal target).
+    A horizon counts as reachable when a control with ``|u| <= 1`` misses the
+    target by at most ``_REACH_FLOOR * max(1, |target|)``.  The zero control
+    is tested first: it misses by ``|target|``, so a target inside the floor
+    (``|target| <= 1e-8``) is reached with no exchange, and the value is
+    ``(0, 0, 0, tied)``.  Above the floor, ``s >= 1`` counts when the control
+    ``u = clip(v / s)`` misses by at most the floor, the value then ``log
+    max(s, 1)``; and ``s < 1`` counts when ``p`` is a Farkas certificate
+    (``_farkas``), the value then the log of ``support``, or of the rounding
+    bound when larger (finite where ``s = 0``), over ``target' p``.
     """
-    k, square = 0, target @ target
-    if square < _TINY and target.any():
-        k = -math.frexp(float(np.abs(target).max()))[1]
-        target = np.ldexp(target, k)
-        square = target @ target
-    tnorm = math.sqrt(square)
+    tnorm = math.sqrt(target @ target)
     if not (math.isfinite(tnorm) and np.isfinite(phi).all()):
         return None
+    if tnorm <= _REACH_FLOOR * max(1.0, tnorm):
+        return 0.0, np.zeros(target.shape[0]), 0.0, tied
     found = _gauge(phi, target, tied)
     if found is None:
         return None
     s, v, p, tied, support = found
-    if k:
-        value = math.log(s) + k * math.log(2.0) if s > math.ldexp(1.0, -k) else 0.0
-        with np.errstate(over="ignore"):
-            return value, np.ldexp(p, k), float(np.ldexp(support, k)), tied
-    # the zero control misses by |target|
-    miss = tnorm
     if s > 0.0:
-        u = np.minimum(np.maximum(v / s, -1.0), 1.0)
-        miss = phi @ u - target
-        miss = math.sqrt(miss @ miss)
-    if miss <= _REACH_FLOOR * max(1.0, tnorm):
-        return math.log(max(s, 1.0)), p, support, tied
+        miss = phi @ np.minimum(np.maximum(v / s, -1.0), 1.0) - target
+        if math.sqrt(miss @ miss) <= _REACH_FLOOR * max(1.0, tnorm):
+            return math.log(max(s, 1.0)), p, support, tied
     ratio = _farkas(phi, target, p, support)
     return None if ratio is None else (math.log(ratio), p, support, tied)
 
@@ -976,7 +961,10 @@ def minimum_time(
     last horizon with k samples and the first with k + 1 decide whether the
     root lies at that jump.  Each horizon's exchanges start at the last
     one's optimal basis, its columns moved to the new grid by their time to
-    go (``_mapped_vertex``); that basis is all a horizon passes on.  The
+    go (``_mapped_vertex``); that basis is all a horizon passes on.  A
+    horizon whose target is inside the reach floor (``|target| <= 1e-8``,
+    the zero control's miss) counts as reachable with ``log s = 0`` and no
+    exchange; ``x0 = 0`` returns ``tol_t`` at once.  The
     returned ``T`` is certified reachable (terminal miss at most ``1e-8 *
     max(1, |target|)``), and a horizon ``L`` certified unreachable by a
     Farkas costate (or 0) has ``T - L <= tol_t`` in floating point, or

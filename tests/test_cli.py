@@ -476,6 +476,21 @@ def test_mintime_from_a_state_inside_the_reach_floor(tmp_path, capsys):
     assert captured.err == ""
 
 
+@pytest.mark.parametrize("x0", ["5e-324 0", "0 5e-324"])
+def test_mintime_from_a_state_whose_target_underflows_to_zero(tmp_path, capsys, x0):
+    # exited 2 ("minimum time undecided"): the stable plant's terminal
+    # response underflows to an exact zero target
+    text = (
+        "n = 2\nm = 1\nA = -1 0; 0 -2\nB = 1; 1\n"
+        f"x0 = {x0}\nT = 4\nN = 100\nlambda = 1\nmode = L1\n"
+    )
+    problem = write_problem(tmp_path, text)
+    assert main(["mintime", str(problem)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[0] == "T_star = 0.005625"
+    assert captured.err == ""
+
+
 def test_mintime_without_finite_horizon_exits_2(tmp_path, capsys):
     # x' = x + u from x0 = 1.5: |u| <= 1 holds x back only from |x0| < 1
     text = (

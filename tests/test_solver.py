@@ -993,21 +993,49 @@ def test_minimum_time_of_a_state_inside_the_reach_floor_is_within_tol_t(plant, x
 @pytest.mark.parametrize("x0", [[1.0, 0.0], [0.0, -1.0], [1.0, 1.0]])
 def test_minimum_time_of_a_target_whose_square_underflows(x0):
     # the gauge's cold start divided by target' target, which underflows to
-    # 0 below about 1e-162; the gauge is homogeneous, so the target is scaled
-    # by a power of two first, and the answer is that of a state inside the
-    # floor whose square does not underflow
+    # 0 below about 1e-162; a target inside the reach floor is decided by the
+    # zero control before any exchange, so every scale gives one answer
     x0 = np.array(x0)
     expected = minimum_time(double_integrator(), 1e-100 * x0)
-    for scale in (1e-160, 1e-200, 1e-300, 5e-324):
+    for scale in (1e-20, 1e-160, 1e-200, 1e-300, 5e-324):
         assert minimum_time(double_integrator(), scale * x0) == expected, scale
-    # the scaled gauge gives the stated target's log s, p and support
-    phi, target, _ = handsoff.solver._reach_condition(double_integrator(), 1e-100 * x0, 1.0, 100)
-    value, p, support, tied = handsoff.solver._certified_gauge(phi, target)
-    tiny = handsoff.solver._certified_gauge(phi, target * 2.0**-600)
-    assert abs(tiny[0] - (value + 600 * math.log(2.0))) <= 1e-12 * tiny[0]
-    assert tiny[3] == tied
-    assert np.allclose(tiny[1], p * 2.0**600, rtol=1e-12)
-    assert math.isclose(tiny[2], support * 2.0**600, rel_tol=1e-12)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("x0", [[5e-324, 0.0], [0.0, 5e-324]])
+def test_minimum_time_of_a_stable_plant_whose_target_underflows_to_zero(x0):
+    # the terminal response underflows to an exact zero target, whose gauge
+    # cold start has no direction; this raised "minimum time undecided"
+    plant = LtiPlant(a=[[-1.0, 0.0], [0.0, -2.0]], b=[[1.0], [1.0]])
+    assert minimum_time(plant, x0, tol_t=0.01) <= 0.01
+
+
+@pytest.mark.parametrize(
+    "scale, exchanges", [(0.0, 0), (5e-324, 0), (1e-9, 0), (2e-8, 1)],
+    ids=["zero", "subnormal", "inside", "above"],
+)
+def test_certified_gauge_decides_a_target_inside_the_floor_without_exchanges(
+    monkeypatch, scale, exchanges
+):
+    # the zero control misses by |target|: inside _REACH_FLOOR it reaches
+    # the target, and the gauge is not taken
+    calls = []
+    exchange = handsoff.solver._exchange
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return exchange(*args, **kwargs)
+
+    monkeypatch.setattr(handsoff.solver, "_exchange", counted)
+    phi, _ = reach_map(double_integrator(), [1.0, 0.0], 1.0, 100)
+    target = np.array([scale, 0.0])
+    found = handsoff.solver._certified_gauge(phi, target)
+    assert len(calls) == exchanges
+    if exchanges:
+        assert found is not None and found[0] > 0.0
+    else:
+        value, p, support, tied = found
+        assert value == 0.0 and support == 0.0 and not p.any() and tied == ()
 
 
 def test_minimum_time_double_integrator_bang_bang():

@@ -23,7 +23,12 @@ in one more, with BLAS pinned to one thread:
 - ``minimum_time``'s T* and each horizon it tried, in order, as the
   ``repr`` of its step and its sample count (its ``discretize`` and
   ``reachability_matrix`` calls), on the ``mintime_batch`` inputs of
-  seeds 1-4 (``perfbench/workloads.py``);
+  seeds 1-4 (``perfbench/workloads.py``), and on states inside its reach
+  floor (``floor_corners``): the double integrator from 1e-20, 1e-100,
+  1e-300 and 5e-324 times [1, 0] and from 0, the paper's chain from 1e-20
+  times [1, 1, 1, 1], and the stable plant ``A = diag(-1, -2)``, ``B = [1;
+  1]``, whose terminal response underflows to zero, from [5e-324, 0] and
+  [0, 5e-324];
 - on the ``tradeoff_long`` inputs of seed 1, as ``workloads.sweep_run``
   makes them: every ``sweep_tradeoff`` point, every ``solver.solve`` call
   the sweep makes, in order (the map's column count, status, iterations,
@@ -87,6 +92,24 @@ def commands(problems: list[str]) -> list[tuple[str, list[str]]]:
             (f"verify {stem}", ["verify", path, f"solve_{stem}/trajectory.csv"]),
         ]
     return calls
+
+
+def floor_corners() -> list[tuple[str, object, list[float]]]:
+    """``(label, plant, x0)`` of each ``minimum_time`` input inside the reach
+    floor; imports the ``handsoff`` on the path."""
+    from handsoff import LtiPlant
+    from test_solver import double_integrator, oscillator_chain
+
+    double, chain = double_integrator(), oscillator_chain()
+    stable = LtiPlant(a=[[-1.0, 0.0], [0.0, -2.0]], b=[[1.0], [1.0]])
+    corners = [(f"double integrator {scale!r}*[1, 0]", double, [scale, 0.0])
+               for scale in (1e-20, 1e-100, 1e-300, 5e-324)]
+    return corners + [
+        ("double integrator 0", double, [0.0, 0.0]),
+        ("chain 1e-20*[1, 1, 1, 1]", chain, [1e-20] * 4),
+        ("stable [5e-324, 0]", stable, [5e-324, 0.0]),
+        ("stable [0, 5e-324]", stable, [0.0, 5e-324]),
+    ]
 
 
 def move_middle_sample(trajectory: Path, copy: Path) -> None:
@@ -191,14 +214,18 @@ def side() -> None:
         horizons[-1] += f" {n_steps}"
         return reachability_matrix(ad, bd, n_steps)
 
+    def timed(label, run):
+        del horizons[:]
+        record(outputs, label, lambda: {"T*": repr(float(run()))})
+        outputs[f"{label}: horizons"] = "\n".join(horizons).encode()
+
     handsoff.solver.discretize = stepped
     handsoff.solver.reachability_matrix = mapped
     for seed in MINTIME_SEEDS:
         for i, inp in enumerate(workloads.mintime_inputs(seed, here)):
-            label = f"mintime_batch {seed}/{i}"
-            del horizons[:]
-            record(outputs, label, lambda: {"T*": repr(float(workloads.mintime_run(inp, here)))})
-            outputs[f"{label}: horizons"] = "\n".join(horizons).encode()
+            timed(f"mintime_batch {seed}/{i}", lambda: workloads.mintime_run(inp, here))
+    for label, plant, x0 in floor_corners():
+        timed(f"mintime floor {label}", lambda: handsoff.minimum_time(plant, x0))
     handsoff.solver.discretize = discretize
     handsoff.solver.reachability_matrix = reachability_matrix
 
